@@ -12,11 +12,8 @@ host the measured speedup approaches the projection; on a quota-limited
 host the calibration documents the ceiling.
 
 The payload also records the worker payload cost: what actually crosses
-the process pipe under every shard transport.  Under ``pickle`` that is
-shard plans out and per-shard schemas back, pickled whole; under ``shm``
-and ``memmap`` the results land in shared segments and only tiny
-``SlabRef`` handles cross the pipe, so ``pipe_payload_bytes`` collapses
-by orders of magnitude.  The partition timing separates the parent's
+the process pipe -- shard plans out and per-shard schemas back, pickled
+whole -- and how long that pickle round trip takes.  The partition timing separates the parent's
 serial share (node tables + bucket concatenation + install) from the
 edge bucketing the driver now runs on the worker pool.  A second stage
 table compares section 4.4 post-processing as the serial engine runs it
@@ -57,11 +54,6 @@ from repro.core.postprocess import (
     compute_cardinalities,
     infer_datatypes,
     infer_property_constraints,
-)
-from repro.core.transport import (
-    SegmentRegistry,
-    publish_result_bytes,
-    resolve_transport,
 )
 from repro.datasets import get_dataset
 from repro.graph.store import GraphStore
@@ -110,50 +102,6 @@ def calibrate_cpu(workers: int = 4) -> dict:
     }
 
 
-def _measure_transports(plans, results) -> dict:
-    """What each shard transport sends through the process pipe.
-
-    ``pickle`` ships plans out and the full ``ShardResult`` list back.
-    The zero-copy transports publish each result's pickled bytes into a
-    segment via the real worker handshake (reserve in the driver,
-    ``publish_result_bytes`` in the worker, ``consume_bytes`` back in
-    the driver) and only the pickled ``SlabRef`` crosses the pipe --
-    ``ship_seconds`` times the full round trip either way.
-    """
-    plans_bytes = len(pickle.dumps(plans))
-    started = time.perf_counter()
-    payload = pickle.dumps(results)
-    pickle.loads(payload)
-    pickle_seconds = time.perf_counter() - started
-    entries: dict[str, dict] = {
-        "pickle": {
-            "pipe_payload_bytes": plans_bytes + len(payload),
-            "ship_seconds": round(pickle_seconds, 6),
-        }
-    }
-    for transport in ("shm", "memmap"):
-        if resolve_transport(transport) != transport:
-            entries[transport] = {"degraded_to": resolve_transport(transport)}
-            continue
-        with SegmentRegistry(transport) as registry:
-            ref_bytes = 0
-            started = time.perf_counter()
-            for result in results:
-                blob = pickle.dumps([result])
-                name = registry.reserve()
-                ref = publish_result_bytes(
-                    transport, registry.directory, name, blob
-                )
-                ref_bytes += len(pickle.dumps(ref))
-                pickle.loads(registry.consume_bytes(ref))
-            ship_seconds = time.perf_counter() - started
-        entries[transport] = {
-            "pipe_payload_bytes": plans_bytes + ref_bytes,
-            "ship_seconds": round(ship_seconds, 6),
-        }
-    return entries
-
-
 def _measure_serial_components(graph, config) -> dict:
     """Time the driver's inherently serial steps and the pipe payload.
 
@@ -161,8 +109,7 @@ def _measure_serial_components(graph, config) -> dict:
     by pool scheduling), then times (a) the parent-serial share of the
     partition (node tables, bucket concatenation, install) separately
     from the pool-parallel edge bucketing, (b) the merge tree over the
-    per-shard schemas, and (c) what a pool run ships across the pipe
-    under every transport.
+    per-shard schemas, and (c) what a pool run ships across the pipe.
     """
     store = GraphStore(graph)
     started = time.perf_counter()
@@ -208,7 +155,11 @@ def _measure_serial_components(graph, config) -> dict:
     started = time.perf_counter()
     combine_shard_results(graph.name, results, config)
     merge_seconds = time.perf_counter() - started
-    transports = _measure_transports(plans, results)
+    plans_bytes = len(pickle.dumps(plans))
+    started = time.perf_counter()
+    payload = pickle.dumps(results)
+    pickle.loads(payload)
+    pickle_seconds = time.perf_counter() - started
     return {
         # Parent-serial share: the edge bucketing itself rides the pool.
         "partition_seconds": round(tables_seconds + concat_seconds, 6),
@@ -216,10 +167,9 @@ def _measure_serial_components(graph, config) -> dict:
         "partition_bucket_seconds": round(bucket_seconds, 6),
         "partition_concat_seconds": round(concat_seconds, 6),
         "merge_tree_seconds": round(merge_seconds, 6),
-        "pickle_roundtrip_seconds": transports["pickle"]["ship_seconds"],
-        "pipe_payload_bytes": transports["pickle"]["pipe_payload_bytes"],
+        "pickle_roundtrip_seconds": round(pickle_seconds, 6),
+        "pipe_payload_bytes": plans_bytes + len(payload),
         "worker_compute_seconds": round(worker_compute, 6),
-        "transports": transports,
     }
 
 
@@ -326,30 +276,6 @@ def run_parallel_bench(
             serial_seconds / sequential_seconds
             if sequential_seconds > 0 else 0.0
         )
-        transport_jobs = 4 if 4 in jobs_list else jobs_list[-1]
-        transport_runs: dict[str, dict] = {}
-        for transport in ("pickle", "shm", "memmap"):
-            store = GraphStore(graph)
-            transport_config = PGHiveConfig(
-                post_processing=False,
-                jobs=transport_jobs,
-                shard_transport=transport,
-            )
-            started = time.perf_counter()
-            result = PGHive(transport_config).discover_incremental(
-                store, num_batches=NUM_BATCHES
-            )
-            transport_runs[transport] = {
-                "jobs": transport_jobs,
-                "wall_seconds": round(time.perf_counter() - started, 6),
-                "transport": result.parameters.get(
-                    "parallel/transport", ""
-                ),
-                "schemas_identical": (
-                    serialize_pg_schema(result.schema)
-                    == schemas[jobs_list[0]]
-                ),
-            }
         runs.append({
             "dataset": "LDBC",
             "scale": scale,
@@ -360,7 +286,6 @@ def run_parallel_bench(
             "serial_components": serial,
             "serial_fraction": round(serial_fraction, 4),
             "postprocess": postprocess,
-            "transport_runs": transport_runs,
             "jobs": {
                 str(jobs): {
                     "wall_seconds": round(timings[jobs], 6),
@@ -385,11 +310,7 @@ def run_parallel_bench(
             "effective_parallelism (CPU-quota calibration below); "
             "amdahl_projected_speedup applies the measured serial "
             "fraction (parent-serial partition share + merge tree) to "
-            "ideal cores.  Each run's transports block records the "
-            "bytes each shard transport sends through the process pipe "
-            "(full pickles vs. SlabRef handles into shared segments) "
-            "and transport_runs byte-compares a pooled run per "
-            "transport against the sequential schema.  Each run's "
+            "ideal cores.  Each run's "
             "postprocess block compares the serial store-backed "
             "section 4.4 passes against the sharded partial-stats fold "
             "(attach in workers + one apply at the driver)."
@@ -424,37 +345,11 @@ def run_parallel_bench(
             for run in runs
             for entry in run["jobs"].values()
         ) and all(
-            entry["schemas_identical"]
-            for run in runs
-            for entry in run["transport_runs"].values()
-        ) and all(
             run["postprocess"]["schemas_identical"]
             and run["postprocess"]["partial_path_engaged"]
             for run in runs
         ),
     }
-
-
-def check_payload_reduction(payload: dict, factor: int = 10) -> None:
-    """Fail when a zero-copy transport stops beating pickle by ``factor``.
-
-    CI's bench smoke leg runs this against a fresh ``--smoke`` payload,
-    so a change that silently reroutes full shard results back through
-    the pipe (instead of SlabRef handles) turns the build red.
-    """
-    for run in payload["runs"]:
-        transports = run["serial_components"]["transports"]
-        pickle_bytes = transports["pickle"]["pipe_payload_bytes"]
-        for name in ("shm", "memmap"):
-            zero_copy = transports.get(name, {}).get("pipe_payload_bytes")
-            if zero_copy is None:
-                continue  # transport degraded on this host
-            if zero_copy * factor > pickle_bytes:
-                raise SystemExit(
-                    f"pipe payload regression at scale {run['scale']:g}: "
-                    f"{name} ships {zero_copy} bytes vs. {pickle_bytes} "
-                    f"for pickle (required: {factor}x smaller)"
-                )
 
 
 def _print_table(payload: dict) -> None:
@@ -477,32 +372,6 @@ def _print_table(payload: dict) -> None:
         rows,
         f"Parallel sharded discovery (LDBC, {NUM_BATCHES} batches; "
         f"host delivers ~{effective:g} effective cores)",
-    ))
-    transport_rows = []
-    for run in payload["runs"]:
-        transports = run["serial_components"]["transports"]
-        for name, entry in transports.items():
-            if "pipe_payload_bytes" not in entry:
-                transport_rows.append([
-                    f"{run['scale']:g}", name, "-", "-", "-",
-                    f"degraded to {entry['degraded_to']}",
-                ])
-                continue
-            wall = run["transport_runs"].get(name, {})
-            transport_rows.append([
-                f"{run['scale']:g}",
-                name,
-                str(entry["pipe_payload_bytes"]),
-                f"{entry['ship_seconds'] * 1000:.1f}",
-                f"{wall.get('wall_seconds', 0) * 1000:.0f}",
-                "yes" if wall.get("schemas_identical") else "NO",
-            ])
-    print(render_table(
-        ["scale", "transport", "pipe bytes", "ship ms",
-         "pool wall ms", "identical"],
-        transport_rows,
-        "Shard transport comparison: bytes through the process pipe "
-        "and a pooled end-to-end run per transport",
     ))
     post_rows = []
     for run in payload["runs"]:
@@ -534,7 +403,6 @@ def test_parallel_discovery(benchmark, scale):
     )
     print()
     _print_table(payload)
-    check_payload_reduction(payload)
     assert payload["schemas_identical"]
 
 
@@ -552,7 +420,6 @@ def main() -> None:
     if not smoke:
         OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {OUTPUT}")
-    check_payload_reduction(payload)
     if not payload["schemas_identical"]:
         raise SystemExit("schema mismatch between job counts")
 

@@ -48,9 +48,6 @@ from repro.analysis.registry import (
 POOL_PAYLOAD_TYPES = (
     "ShardPlan",
     "StreamShardPlan",
-    "ColumnsHandle",
-    "SlabRef",
-    "ArrayRef",
     "AbsorptionEntry",
     "NodeColumns",
     "EdgeColumns",

@@ -15,10 +15,10 @@ Sanctioning policy (all of it lives here, in one reviewable place):
   and its env read is already whitelisted by the file-level ``env-read``
   rule;
 * ``core/config.py`` may read the environment (seeded overrides);
-* shared-memory/mmap construction is sanctioned only inside the shard
-  transport (``core/transport.py``), the slab store (``graph/slab.py``)
-  and the memmapped column reader, where segments are created
-  parent-side and re-attached by name in workers;
+* mmap construction is sanctioned only inside the slab store
+  (``graph/slab.py``) and the disk graph store (``graph/diskstore.py``),
+  where files are written parent-side and re-mapped read-only in
+  workers;
 * filesystem reads are permitted for workers (they stream shards from
   disk stores) but banned in the merge fold, which must be a pure
   in-memory computation.
@@ -71,9 +71,8 @@ _ENV_SANCTIONED_SUFFIXES = ("core/config.py", "core/faults.py")
 _FAULT_SANCTIONED_SUFFIXES = ("core/faults.py",)
 
 #: Modules allowed to construct shared-memory segments / memory maps:
-#: the zero-copy transport and the out-of-core column stores.
+#: the out-of-core column stores.
 _SHM_SANCTIONED_SUFFIXES = (
-    "core/transport.py",
     "graph/slab.py",
     "graph/diskstore.py",
 )
@@ -170,7 +169,7 @@ class WorkerReachabilityRule(_InterprocRule):
         "functions reachable from pool-worker entry points are free of "
         "wall-clock reads, unseeded RNG, environment reads, dynamic "
         "dispatch, unvetted external calls, and shared-memory "
-        "construction outside the sanctioned transport"
+        "construction outside the sanctioned column stores"
     )
     rationale = (
         "parallel discovery is byte-identical to serial only if every "

@@ -1,9 +1,9 @@
 """Resource-lifecycle rule for the out-of-core storage layer.
 
 The disk backend (:mod:`repro.graph.slab`, :mod:`repro.graph.diskstore`)
-and the shard transport (:mod:`repro.core.transport`) hand out OS-level
-handles -- ``mmap`` mappings, POSIX shared-memory segments, slab
-readers/writers.  A handle opened outside a managed lifecycle survives
+hands out OS-level handles -- ``mmap`` mappings and slab
+readers/writers -- and POSIX shared-memory segments are the same kind
+of resource.  A handle opened outside a managed lifecycle survives
 as long as the process does: the mapping pins the file pages, the
 segment name leaks past the run, and on hosts with small ``/dev/shm``
 an unclosed segment starves later runs.  One rule keeps every opening
@@ -43,7 +43,6 @@ TRACKED_DOTTED = frozenset({
 #: both ``SlabReader(...)`` and ``slab.SlabReader(...)`` are caught.
 TRACKED_HANDLES = frozenset({
     "SharedMemory",
-    "Slab",
     "SlabReader",
     "SlabWriter",
 })

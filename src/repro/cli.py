@@ -165,14 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--shard-retries", type=int, default=2,
                           help="retries per failing shard before the "
                                "in-process fallback")
-    discover.add_argument("--shard-transport",
-                          choices=["pickle", "shm", "memmap"],
-                          default="shm",
-                          help="how parallel shard payloads cross the "
-                               "pool boundary: shared-memory segments "
-                               "(default; auto-degrades to memmap when "
-                               "/dev/shm is unavailable), memmap files, "
-                               "or classic pickling")
     discover.add_argument("--shard-memory-limit-mb", type=float,
                           default=None,
                           help="worker RSS budget in MiB; an exceeding "
@@ -415,7 +407,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         parallel_chunk=args.parallel_chunk,
         shard_timeout=args.shard_timeout,
         shard_retries=args.shard_retries,
-        shard_transport=args.shard_transport,
         shard_memory_limit_mb=args.shard_memory_limit_mb,
         faults=args.faults,
         checkpoint_dir=args.checkpoint_dir,

@@ -177,32 +177,6 @@ class EdgeColumns:
         )
 
 
-def label_space_from_sets(sets: Sequence[frozenset[str]]) -> LabelSpace:
-    """Rebuild a :class:`LabelSpace` from its ordered label sets.
-
-    Interning in the stored order reproduces the ids exactly, so columns
-    shipped as (arrays, space states) across a process boundary -- the
-    zero-copy transport of :mod:`repro.core.transport` -- rebuild
-    byte-identically.
-    """
-    space = LabelSpace()
-    for entry in sets:
-        space.intern(entry)
-    return space
-
-
-def key_space_from_orders(orders: Sequence[tuple[str, ...]]) -> KeySpace:
-    """Rebuild a :class:`KeySpace` from its ordered key tuples.
-
-    Each tuple preserves the first-seen key order of the original
-    interning, which downstream MinHash feature interning depends on.
-    """
-    space = KeySpace()
-    for order in orders:
-        space.intern({key: None for key in order})
-    return space
-
-
 def node_columns(nodes: Sequence[Node]) -> NodeColumns:
     """Columnize a node batch in one pass."""
     n = len(nodes)

@@ -68,7 +68,8 @@ class PGHiveConfig:
             releases); ``N > 1`` runs batch schemas in a process pool and
             combines them through the order-independent merge tree of
             :mod:`repro.core.parallel`.  The final schema does not depend
-            on the worker count or on worker completion order.
+            on the worker count or on worker completion order.  Shard
+            results return pickled through the pool's own pipe.
         parallel_chunk: How many shards each pool task processes:
             ``"auto"`` balances tasks across workers, or a positive
             integer literal (e.g. ``"2"``).  Pure scheduling knob -- the
@@ -84,19 +85,6 @@ class PGHiveConfig:
         shard_retry_backoff: Base seconds slept before requeueing a
             failed shard; the wait grows linearly with the attempt
             number.  Scheduling-only -- never affects the schema.
-        shard_transport: How parallel shard payloads and results cross
-            the process-pool boundary.  ``"shm"`` (default) writes
-            column/index arrays and pickled shard results into named
-            POSIX shared-memory segments so workers *attach* instead of
-            unpickling -- only names and offsets travel through the
-            pipe; ``"memmap"`` does the same with files under a scratch
-            directory (beneath ``checkpoint_dir`` when set, else the
-            system temp dir); ``"pickle"`` keeps the original
-            everything-through-the-pipe behavior.  ``"shm"``
-            automatically degrades to ``"memmap"`` on hosts without
-            working shared memory.  Transport never affects the
-            discovered schema (``tests/test_parallel.py`` proves all
-            three byte-identical).
         shard_memory_limit_mb: Optional worker RSS budget in MiB.  When
             set, workers check their resident set between pipeline
             stages and raise before the kernel OOM killer fires; the
@@ -196,7 +184,6 @@ class PGHiveConfig:
     shard_timeout: float | None = None
     shard_retries: int = 2
     shard_retry_backoff: float = 0.05
-    shard_transport: str = "shm"
     shard_memory_limit_mb: float | None = None
     strict_recovery: bool = False
     faults: str | None = None
@@ -247,11 +234,6 @@ class PGHiveConfig:
             raise ValueError("shard_retries must be >= 0")
         if self.shard_retry_backoff < 0:
             raise ValueError("shard_retry_backoff must be >= 0")
-        if self.shard_transport not in ("pickle", "shm", "memmap"):
-            raise ValueError(
-                "shard_transport must be 'pickle', 'shm' or 'memmap', "
-                f"got {self.shard_transport!r}"
-            )
         if (
             self.shard_memory_limit_mb is not None
             and self.shard_memory_limit_mb <= 0

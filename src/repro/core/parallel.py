@@ -8,8 +8,8 @@ shard the source into batches, discover each shard's schema in a worker
 process, and combine the per-shard schemas through the canonical
 pairwise merge tree of :func:`repro.schema.merge.merge_schema_tree`.
 
-Payload contract and shard transport
-------------------------------------
+Payload contract
+----------------
 Workers never receive pickled :class:`~repro.graph.model.Node` /
 :class:`~repro.graph.model.Edge` objects.  Three payload modes exist:
 
@@ -30,18 +30,8 @@ Workers never receive pickled :class:`~repro.graph.model.Node` /
   arbitrary pre-batched data the parent columnizes each batch once and
   ships the compact integer-id arrays.
 
-How results (and columns-mode payloads) cross the pool boundary is the
-``config.shard_transport`` knob (:mod:`repro.core.transport`): under
-``shm``/``memmap`` the driver pre-reserves one segment name per task,
-workers publish their pickled shard results into that segment and return
-only a tiny :class:`~repro.core.transport.SlabRef` through the pipe, and
-columns-mode arrays travel as :class:`ColumnsHandle` offsets into one
-shared slab that workers attach read-only.  ``pickle`` keeps the
-classic everything-through-the-pipe behavior.  The driver-owned
-:class:`~repro.core.transport.SegmentRegistry` tracks every name from
-reservation to unlink, so no exit path -- success, raise, dead worker,
-timeout SIGKILL, injected attach/unlink fault -- can leak a segment.
-Transport never affects the discovered schema.
+Shard results come back pickled through the pool's own pipe: a shard
+schema is small next to the graph it summarizes.
 
 Failure model and recovery
 --------------------------
@@ -88,9 +78,8 @@ Determinism contract
 The final schema is a pure function of the set of *successful* shard
 schemas: the driver sorts them by shard index and reduces them through
 the canonical index-ordered merge tree, so the result is independent of
-worker count, chunking, completion order, transport, and of how many
-attempts each shard needed.  On labeled data the result is
-byte-identical to ``jobs=1`` for every transport
+worker count, chunking, completion order, and of how many attempts each
+shard needed.  On labeled data the result is byte-identical to ``jobs=1``
 (``tests/test_parallel.py`` enforces both properties).
 """
 
@@ -98,7 +87,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import resource
 import time
 from collections import deque
@@ -121,8 +109,6 @@ from repro.core.columns import (
     EdgeColumns,
     NodeColumns,
     edge_columns,
-    key_space_from_orders,
-    label_space_from_sets,
     node_columns,
 )
 from repro.core.config import PGHiveConfig
@@ -135,15 +121,6 @@ from repro.core.postprocess import (
     sharded_postprocess_enabled,
 )
 from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
-from repro.core.transport import (
-    ArrayRef,
-    SegmentRegistry,
-    Slab,
-    SlabRef,
-    attach_slab,
-    publish_result_bytes,
-    resolve_transport,
-)
 from repro.core.type_extraction import resolve_edge_endpoints
 from repro.datasets.stream import GraphStream, StreamShardPlan
 from repro.graph.slab import SlabCorruptionError
@@ -160,7 +137,6 @@ from repro.schema.persist import (
 )
 
 __all__ = [
-    "ColumnsHandle",
     "ParallelDiscovery",
     "ShardMemoryError",
     "ShardRecoveryError",
@@ -170,43 +146,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ColumnsHandle:
-    """Zero-copy handle to one pre-columnized batch inside a shared slab.
-
-    Ships only offsets/dtypes plus the interner states (label sets and
-    first-seen key orders) needed to rebuild byte-identical
-    :class:`~repro.core.columns.NodeColumns` /
-    :class:`~repro.core.columns.EdgeColumns` from read-only views of the
-    attached slab.
-    """
-
-    index: int
-    slab: SlabRef
-    node_ids: ArrayRef
-    node_label_ids: ArrayRef
-    node_keyset_ids: ArrayRef
-    edge_ids: ArrayRef
-    edge_source: ArrayRef
-    edge_target: ArrayRef
-    edge_label_ids: ArrayRef
-    edge_src_label_ids: ArrayRef
-    edge_tgt_label_ids: ArrayRef
-    edge_keyset_ids: ArrayRef
-    node_label_sets: tuple[frozenset[str], ...]
-    node_key_orders: tuple[tuple[str, ...], ...]
-    edge_label_sets: tuple[frozenset[str], ...]
-    edge_key_orders: tuple[tuple[str, ...], ...]
-
-
-# One unit of pool work: a shard recipe (plan/stream mode), a slab handle,
-# or a pre-columnized batch tuple (columns mode, pickle transport).
-Payload = (
-    ShardPlan
-    | StreamShardPlan
-    | ColumnsHandle
-    | tuple[int, NodeColumns, EdgeColumns]
-)
+# One unit of pool work: a shard recipe (plan/stream mode) or a
+# pre-columnized batch tuple (columns mode).
+Payload = ShardPlan | StreamShardPlan | tuple[int, NodeColumns, EdgeColumns]
 
 
 class ShardRecoveryError(RuntimeError):
@@ -293,9 +235,8 @@ def combine_shard_results(
 # Worker side.  State shared by fork inheritance: the parent sets
 # ``_PARENT_STATE`` immediately before creating the pool, children
 # inherit the reference copy-on-write, and nothing graph-sized is ever
-# pickled.  (Pool tasks themselves carry only plans, slab handles or
-# column arrays, plus the per-shard attempt numbers the fault injector
-# keys on, plus the driver-reserved result segment name.)
+# pickled.  (Pool tasks themselves carry only plans or column arrays,
+# plus the per-shard attempt numbers the fault injector keys on.)
 # ----------------------------------------------------------------------
 @dataclass
 class _ParentState:
@@ -304,8 +245,6 @@ class _ParentState:
     source: BaseGraphStore | GraphStream | None
     config: PGHiveConfig
     snapshot: MemoSnapshot | None = None
-    transport: str = "pickle"
-    scratch_dir: str | None = None
 
 
 _PARENT_STATE: _ParentState | None = None
@@ -358,26 +297,6 @@ def _check_memory(
         )
 
 
-def _ship_results(
-    results: list[ShardResult], reserved: str | None
-) -> list[ShardResult] | SlabRef:
-    """Return results directly, or publish them into the reserved segment.
-
-    With a zero-copy transport the driver pre-reserved a segment name for
-    this task; the worker serializes its results once into that segment
-    and returns only the tiny ref through the pipe.
-    """
-    if reserved is None:
-        return results
-    state = _PARENT_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited parent state")
-    data = pickle.dumps(results, protocol=pickle.HIGHEST_PROTOCOL)
-    return publish_result_bytes(
-        state.transport, state.scratch_dir, reserved, data
-    )
-
-
 def _materialize_plan(
     source: BaseGraphStore | GraphStream | None,
     plan: ShardPlan | StreamShardPlan,
@@ -396,9 +315,8 @@ def _materialize_plan(
 def _discover_plan_chunk(
     plans: Sequence[ShardPlan | StreamShardPlan],
     attempts: Sequence[int],
-    reserved: str | None = None,
     in_worker: bool = True,
-) -> list[ShardResult] | SlabRef:
+) -> list[ShardResult]:
     """Worker: materialize, columnize and discover a chunk of shards.
 
     A chunk of *consecutive* shard indices shares one engine, so the
@@ -478,50 +396,15 @@ def _discover_plan_chunk(
                 track_values=config.infer_value_profiles,
             )
         results.append(shard)
-    return _ship_results(results, reserved)
-
-
-def _columns_from_handle(
-    handle: ColumnsHandle, slab: Slab
-) -> tuple[NodeColumns, EdgeColumns]:
-    """Rebuild byte-identical columns from read-only slab views."""
-    node_labels = label_space_from_sets(handle.node_label_sets)
-    node_keys = key_space_from_orders(handle.node_key_orders)
-    edge_labels = label_space_from_sets(handle.edge_label_sets)
-    edge_keys = key_space_from_orders(handle.edge_key_orders)
-    ncols = NodeColumns(
-        ids=slab.array(handle.node_ids),
-        label_ids=slab.array(handle.node_label_ids),
-        keyset_ids=slab.array(handle.node_keyset_ids),
-        labels=node_labels,
-        keys=node_keys,
-    )
-    ecols = EdgeColumns(
-        ids=slab.array(handle.edge_ids),
-        source=slab.array(handle.edge_source),
-        target=slab.array(handle.edge_target),
-        label_ids=slab.array(handle.edge_label_ids),
-        src_label_ids=slab.array(handle.edge_src_label_ids),
-        tgt_label_ids=slab.array(handle.edge_tgt_label_ids),
-        keyset_ids=slab.array(handle.edge_keyset_ids),
-        labels=edge_labels,
-        keys=edge_keys,
-    )
-    return ncols, ecols
+    return results
 
 
 def _discover_columns_chunk(
-    payloads: Sequence[ColumnsHandle | tuple[int, NodeColumns, EdgeColumns]],
+    payloads: Sequence[tuple[int, NodeColumns, EdgeColumns]],
     attempts: Sequence[int],
-    reserved: str | None = None,
     in_worker: bool = True,
-) -> list[ShardResult] | SlabRef:
-    """Worker: discover a chunk of pre-columnized shards.
-
-    Under a zero-copy transport the payloads are :class:`ColumnsHandle`
-    offsets into one shared slab; the worker attaches the slab once per
-    chunk, reads the arrays as zero-copy views and detaches when done.
-    """
+) -> list[ShardResult]:
+    """Worker: discover a chunk of pre-columnized shards."""
     state = _PARENT_STATE
     if state is None:
         raise RuntimeError("worker has no inherited parent state")
@@ -529,33 +412,13 @@ def _discover_columns_chunk(
     injector = _worker_injector(config)
     engine = IncrementalDiscovery(config, name="shard")
     results: list[ShardResult] = []
-    slabs: dict[str, Slab] = {}
-    try:
-        for payload, attempt in zip(payloads, attempts):
-            index = _payload_index(payload)
-            if injector is not None:
-                injector.fire("shard", index, attempt, in_worker=in_worker)
-            if isinstance(payload, ColumnsHandle):
-                slab = slabs.get(payload.slab.name)
-                if slab is None:
-                    slab = attach_slab(
-                        payload.slab, injector, index, attempt,
-                        in_worker=in_worker,
-                    )
-                    slabs[payload.slab.name] = slab
-                ncols, ecols = _columns_from_handle(payload, slab)
-            else:
-                _, ncols, ecols = payload
-            _check_memory(config, in_worker, "attach", index)
-            results.append(_discover_one(engine, index, ncols, ecols))
-            _check_memory(config, in_worker, "discovery", index)
-        return _ship_results(results, reserved)
-    finally:
-        # The last iteration's column views still alias the slab buffer;
-        # drop them so close() can release the mapping cleanly.
-        ncols = ecols = None  # type: ignore[assignment]
-        for name in sorted(slabs):
-            slabs[name].close()
+    for (index, ncols, ecols), attempt in zip(payloads, attempts):
+        if injector is not None:
+            injector.fire("shard", index, attempt, in_worker=in_worker)
+        _check_memory(config, in_worker, "payload", index)
+        results.append(_discover_one(engine, index, ncols, ecols))
+        _check_memory(config, in_worker, "discovery", index)
+    return results
 
 
 def _discover_one(
@@ -586,7 +449,7 @@ def _bucket_edges_task(start: int, stop: int) -> list[numpy.ndarray]:
 
 def _payload_index(payload: Payload) -> int:
     """Global shard index of a task payload."""
-    if isinstance(payload, (ShardPlan, StreamShardPlan, ColumnsHandle)):
+    if isinstance(payload, (ShardPlan, StreamShardPlan)):
         return payload.index
     return payload[0]
 
@@ -703,8 +566,8 @@ class ParallelDiscovery:
     types; :class:`repro.core.pipeline.PGHive` consumes the merged stats
     with :func:`~repro.core.postprocess.apply_partial_stats` -- or falls
     back to the serial store-backed passes (columns mode, sampling
-    mode).  See the module docstring for the failure model, the shard
-    transport, and the two-phase memoization protocol.
+    mode).  See the module docstring for the failure model and the
+    two-phase memoization protocol.
     """
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
@@ -749,15 +612,6 @@ class ParallelDiscovery:
         journal.reset()
         return journal, {}
 
-    def _make_registry(self, transport: str) -> SegmentRegistry | None:
-        if transport == "pickle":
-            return None
-        return SegmentRegistry(
-            transport,
-            self.config.checkpoint_dir,
-            _worker_injector(self.config),
-        )
-
     def discover_store(
         self, store: BaseGraphStore, num_batches: int, resume: bool = False
     ) -> DiscoveryResult:
@@ -780,7 +634,6 @@ class ParallelDiscovery:
         """
         started = time.perf_counter()
         config = self.config
-        transport = resolve_transport(config.shard_transport)
         journal, preloaded = self._prepare_journal(
             self._journal_context(
                 store.name, num_batches, config.seed,
@@ -801,27 +654,12 @@ class ParallelDiscovery:
         partition_seconds = time.perf_counter() - partition_started
         plans = store.plan_shards(num_batches, seed=config.seed)
         todo = [plan for plan in plans if plan.index not in preloaded]
-        registry = self._make_registry(transport)
-        try:
-            state = _ParentState(
-                store,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
-            shard_results, failures = self._run_phases(
-                plans, todo, preloaded, state, journal, registry
-            )
-        finally:
-            if registry is not None:
-                registry.close()
+        shard_results, failures = self._run_phases(
+            plans, todo, preloaded, _ParentState(store, config), journal
+        )
         all_results = [preloaded[index] for index in sorted(preloaded)]
         all_results += shard_results
         extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
             "parallel/partition": (
                 f"mode={partition_mode} seconds={partition_seconds:.6f}"
             ),
@@ -850,7 +688,6 @@ class ParallelDiscovery:
         """
         started = time.perf_counter()
         config = self.config
-        transport = resolve_transport(config.shard_transport)
         journal, preloaded = self._prepare_journal(
             self._journal_context(
                 stream.graph.name, stream.num_batches, stream.seed
@@ -861,30 +698,14 @@ class ParallelDiscovery:
         todo = [plan for plan in plans if plan.index not in preloaded]
         chunk = config.chunk_size(stream.num_batches)
         chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-        registry = self._make_registry(transport)
-        try:
-            state = _ParentState(
-                stream,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
-            shard_results, failures = self._run_pool(
-                _discover_plan_chunk, chunks, state, journal, registry
-            )
-        finally:
-            if registry is not None:
-                registry.close()
+        shard_results, failures = self._run_pool(
+            _discover_plan_chunk, chunks, _ParentState(stream, config),
+            journal,
+        )
         all_results = [preloaded[index] for index in sorted(preloaded)]
         all_results += shard_results
-        extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
-        }
         result = self._combine(
-            stream.graph.name, all_results, failures, started, extra
+            stream.graph.name, all_results, failures, started
         )
         self._note_resume(result, journal, preloaded)
         return result
@@ -898,92 +719,31 @@ class ParallelDiscovery:
         """Discover pre-batched data from an arbitrary iterable.
 
         The parent consumes the iterable -- stateful sources must be
-        generated in order -- columnizing each batch once.  Under a
-        zero-copy transport the column arrays are packed into one shared
-        slab and workers receive only :class:`ColumnsHandle` offsets;
-        under ``pickle`` the arrays ship through the pipe as before.
-        Because the parent keeps every payload for the duration of the
-        run, lost or timed-out shards can be re-shipped without
-        re-reading the source.
+        generated in order -- columnizing each batch once; the column
+        arrays ship to the workers through the pool pipe.  Because the
+        parent keeps every payload for the duration of the run, lost or
+        timed-out shards can be re-shipped without re-reading the source.
         """
         started = time.perf_counter()
         config = self.config
-        transport = resolve_transport(config.shard_transport)
-        columnized: list[tuple[int, NodeColumns, EdgeColumns]] = []
-        for index, batch in enumerate(batches):
-            columnized.append(
-                (
-                    index,
-                    node_columns(batch.nodes),
-                    edge_columns(batch.edges, batch.endpoint_labels),
-                )
+        payloads: list[Payload] = [
+            (
+                index,
+                node_columns(batch.nodes),
+                edge_columns(batch.edges, batch.endpoint_labels),
             )
+            for index, batch in enumerate(batches)
+        ]
         chunk = config.chunk_size(
-            total if total is not None else len(columnized)
+            total if total is not None else len(payloads)
         )
-        registry = self._make_registry(transport)
-        try:
-            payloads: list[Payload]
-            if registry is not None and columnized:
-                payloads = self._handles_for_columns(columnized, registry)
-            else:
-                payloads = list(columnized)
-            chunks = [
-                payloads[i : i + chunk]
-                for i in range(0, len(payloads), chunk)
-            ]
-            state = _ParentState(
-                None,
-                config,
-                None,
-                transport,
-                registry.directory if registry is not None else None,
-            )
-            shard_results, failures = self._run_pool(
-                _discover_columns_chunk, chunks, state, registry=registry
-            )
-        finally:
-            if registry is not None:
-                registry.close()
-        extra = {
-            "parallel/transport": (
-                f"requested={config.shard_transport} used={transport}"
-            ),
-        }
-        return self._combine(name, shard_results, failures, started, extra)
-
-    @staticmethod
-    def _handles_for_columns(
-        columnized: Sequence[tuple[int, NodeColumns, EdgeColumns]],
-        registry: SegmentRegistry,
-    ) -> list[Payload]:
-        """Pack every batch's arrays into one slab of handles."""
-        arrays: list[numpy.ndarray] = []
-        for _index, ncols, ecols in columnized:
-            arrays.extend(
-                (
-                    ncols.ids, ncols.label_ids, ncols.keyset_ids,
-                    ecols.ids, ecols.source, ecols.target, ecols.label_ids,
-                    ecols.src_label_ids, ecols.tgt_label_ids,
-                    ecols.keyset_ids,
-                )
-            )
-        slab, refs = registry.publish_arrays(arrays)
-        payloads: list[Payload] = []
-        for position, (index, ncols, ecols) in enumerate(columnized):
-            r = refs[position * 10 : (position + 1) * 10]
-            payloads.append(
-                ColumnsHandle(
-                    index, slab,
-                    r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8],
-                    r[9],
-                    node_label_sets=tuple(ncols.labels.sets),
-                    node_key_orders=tuple(ncols.keys.orders),
-                    edge_label_sets=tuple(ecols.labels.sets),
-                    edge_key_orders=tuple(ecols.keys.orders),
-                )
-            )
-        return payloads
+        chunks = [
+            payloads[i : i + chunk] for i in range(0, len(payloads), chunk)
+        ]
+        shard_results, failures = self._run_pool(
+            _discover_columns_chunk, chunks, _ParentState(None, config)
+        )
+        return self._combine(name, shard_results, failures, started)
 
     @staticmethod
     def _note_resume(
@@ -1076,7 +836,6 @@ class ParallelDiscovery:
         preloaded: dict[int, ShardResult],
         state: _ParentState,
         journal: "_ShardJournal | None",
-        registry: SegmentRegistry | None,
     ) -> tuple[list[ShardResult], list[ShardFailure]]:
         """Run the pool, optionally with the two-phase absorption snapshot.
 
@@ -1092,9 +851,7 @@ class ParallelDiscovery:
         chunk = config.chunk_size(len(plans))
         if not config.memoize_patterns:
             chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-            return self._run_pool(
-                _discover_plan_chunk, chunks, state, journal, registry
-            )
+            return self._run_pool(_discover_plan_chunk, chunks, state, journal)
         seed_index = min(plan.index for plan in plans)
         results: list[ShardResult] = []
         failures: list[ShardFailure] = []
@@ -1106,7 +863,7 @@ class ParallelDiscovery:
                 plan for plan in todo if plan.index == seed_index
             )
             seed_results, seed_failures = self._run_pool(
-                _discover_plan_chunk, [[seed_plan]], state, journal, registry
+                _discover_plan_chunk, [[seed_plan]], state, journal
             )
             results += seed_results
             failures += seed_failures
@@ -1116,7 +873,7 @@ class ParallelDiscovery:
         chunks = [rest[i : i + chunk] for i in range(0, len(rest), chunk)]
         state.snapshot = snapshot
         rest_results, rest_failures = self._run_pool(
-            _discover_plan_chunk, chunks, state, journal, registry
+            _discover_plan_chunk, chunks, state, journal
         )
         return results + rest_results, failures + rest_failures
 
@@ -1125,11 +882,10 @@ class ParallelDiscovery:
     # ------------------------------------------------------------------
     def _run_pool(
         self,
-        worker: Callable[..., "list[ShardResult] | SlabRef"],
+        worker: Callable[..., list[ShardResult]],
         chunks: Sequence[list[Payload]],
         state: _ParentState,
         journal: "_ShardJournal | None" = None,
-        registry: SegmentRegistry | None = None,
     ) -> tuple[list[ShardResult], list[ShardFailure]]:
         """Run the pool to completion, recovering from task failures.
 
@@ -1139,11 +895,6 @@ class ParallelDiscovery:
         and the faulty one then fails alone and is blamed precisely); a
         failed single shard is retried with backoff until its attempt
         budget runs out, then handed to the in-process fallback.
-
-        With a registry, every submit reserves a result segment name;
-        the name is released on any path that abandons the task (error,
-        dead worker, timeout), so crashed workers -- even ones SIGKILLed
-        mid-publish -- cannot leak segments past the run's final sweep.
         """
         if not chunks:
             return [], []
@@ -1160,13 +911,7 @@ class ParallelDiscovery:
             (list(chunk), [0] * len(chunk)) for chunk in chunks
         )
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        running: dict[
-            object, tuple[list[Payload], list[int], float, str | None]
-        ] = {}
-
-        def release(reserved: str | None) -> None:
-            if registry is not None and reserved is not None:
-                registry.release(reserved)
+        running: dict[object, tuple[list[Payload], list[int], float]] = {}
 
         def collect(shards: list[ShardResult], attempts: list[int]) -> None:
             for shard, attempt in zip(shards, attempts):
@@ -1226,18 +971,12 @@ class ParallelDiscovery:
             while pending or running:
                 while pending and len(running) < workers:
                     payloads, attempts = pending.popleft()
-                    reserved = (
-                        registry.reserve() if registry is not None else None
-                    )
                     try:
-                        future = pool.submit(
-                            worker, payloads, attempts, reserved
-                        )
+                        future = pool.submit(worker, payloads, attempts)
                     except BrokenProcessPool:
                         # The pool broke between iterations.  Put the
                         # task back; drain the dead futures through the
                         # wait() below, or respawn at once if none.
-                        release(reserved)
                         pending.appendleft((payloads, attempts))
                         if running:
                             break
@@ -1246,9 +985,7 @@ class ParallelDiscovery:
                             max_workers=workers, mp_context=context
                         )
                         continue
-                    running[future] = (
-                        payloads, attempts, time.monotonic(), reserved
-                    )
+                    running[future] = (payloads, attempts, time.monotonic())
                 done, _ = wait(
                     set(running),
                     timeout=0.05 if timeout else None,
@@ -1256,35 +993,21 @@ class ParallelDiscovery:
                 )
                 broken = False
                 for future in done:
-                    payloads, attempts, _started, reserved = (
-                        running.pop(future)
-                    )
+                    payloads, attempts, _started = running.pop(future)
                     try:
-                        value = future.result()  # type: ignore[attr-defined]
-                        if isinstance(value, SlabRef):
-                            if registry is None:
-                                raise RuntimeError(
-                                    "worker returned a slab ref without a "
-                                    "registry"
-                                )
-                            raw = registry.consume_bytes(
-                                value, index=_payload_index(payloads[0])
-                            )
-                            value = pickle.loads(raw)
-                        collect(value, attempts)
+                        collect(
+                            future.result(),  # type: ignore[attr-defined]
+                            attempts,
+                        )
                     except BrokenProcessPool:
-                        release(reserved)
                         broken = True
                         requeue(payloads, attempts, "worker-lost",
                                 "worker process died")
                     except ShardMemoryError as exc:
-                        release(reserved)
                         requeue(payloads, attempts, "memory", str(exc))
                     except SlabCorruptionError as exc:
-                        release(reserved)
                         quarantine(payloads, attempts, exc)
                     except Exception as exc:
-                        release(reserved)
                         requeue(payloads, attempts, "error",
                                 f"{type(exc).__name__}: {exc}")
                 if broken:
@@ -1292,10 +1015,7 @@ class ParallelDiscovery:
                     # their work is lost, so they requeue through the
                     # same blame path (splitting chunks keeps the
                     # eventual blame per-shard precise).
-                    for payloads, attempts, _started, reserved in (
-                        running.values()
-                    ):
-                        release(reserved)
+                    for payloads, attempts, _started in running.values():
                         requeue(payloads, attempts, "worker-lost",
                                 "worker process died")
                     running.clear()
@@ -1307,29 +1027,20 @@ class ParallelDiscovery:
                     now = time.monotonic()
                     timed_out = [
                         future
-                        for future, (_p, _a, task_started, _r) in (
-                            running.items()
-                        )
+                        for future, (_p, _a, task_started) in running.items()
                         if now - task_started > timeout
                     ]
                     if timed_out:
                         for future in timed_out:
-                            payloads, attempts, _started, reserved = (
-                                running.pop(future)
-                            )
-                            release(reserved)
+                            payloads, attempts, _started = running.pop(future)
                             requeue(
                                 payloads, attempts, "timeout",
                                 f"exceeded shard_timeout={timeout:g}s",
                             )
                         # Innocent in-flight tasks are lost with the
                         # killed pool but not blamed: they requeue whole
-                        # at their current attempts (with fresh result
-                        # segments on resubmission).
-                        for payloads, attempts, _started, reserved in (
-                            running.values()
-                        ):
-                            release(reserved)
+                        # at their current attempts.
+                        for payloads, attempts, _started in running.values():
                             pending.append((payloads, attempts))
                         running.clear()
                         _terminate_pool(pool)
@@ -1344,19 +1055,13 @@ class ParallelDiscovery:
             ):
                 index = _payload_index(payload)
                 try:
-                    shards = worker(
-                        [payload], [attempt], None, in_worker=False
-                    )
+                    shards = worker([payload], [attempt], in_worker=False)
                 except Exception as exc:
                     failures.append(ShardFailure(
                         index, attempt, "fallback-failed",
                         f"{type(exc).__name__}: {exc}",
                     ))
                     continue
-                if isinstance(shards, SlabRef):  # pragma: no cover
-                    raise RuntimeError(
-                        "in-process fallback must not publish segments"
-                    )
                 for shard in shards:
                     shard.report.attempts = attempt + 1
                     results[shard.index] = shard

@@ -8,9 +8,7 @@ in RAM.  The driver's resident set stays O(id arrays + merged schema):
 node/edge *objects* are materialized only inside whichever process
 consumes a shard, property payloads are unpickled row-by-row straight
 out of the mapped heap, and the partition that backs ``plan_shards`` is
-spilled to a scratch file whose byte ranges workers re-map read-only
-(the ``"file"`` flavour of :class:`~repro.core.transport.SlabRef` --
-the zero-copy transport extended all the way back to ingest).
+spilled to a scratch file whose byte ranges workers re-map read-only.
 
 Byte-identity with the in-memory backend is the design invariant, not
 an aspiration: partitioning replays the exact
@@ -21,11 +19,12 @@ source column, ``sample_nodes`` exploits the fact that
 population length only, and the columnize fast path remaps the store's
 global interner ids to the per-batch dense ids the reference loops
 would have assigned (``tests/test_diskstore.py`` property-tests all of
-it across worker counts, chunkings and transports).
+it across worker counts and chunkings).
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 from pathlib import Path
@@ -39,7 +38,6 @@ from repro.core.columns import (
     edge_columns_from_arrays,
     node_columns_from_arrays,
 )
-from repro.core.transport import ArrayRef, Slab, SlabRef
 from repro.graph.io import IngestReport, stream_graph_jsonl
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.slab import (
@@ -58,45 +56,57 @@ _SCRATCH_DIR = "scratch"
 
 
 class _SpilledPartition:
-    """A partition spilled to one scratch file, attached lazily per process.
+    """A partition spilled to one scratch file, mapped lazily per process.
 
-    Holds only the :class:`SlabRef` plus per-shard :class:`ArrayRef`
-    byte ranges; the mmap attachment happens on first use in whichever
+    Holds only the file path plus per-shard ``(offset, count)`` ranges of
+    int64 ids; the read-only mapping happens on first use in whichever
     process reads a shard, so fork-inherited copies in pool workers map
     the file themselves instead of inheriting a parent attachment.
     """
 
-    __slots__ = ("ref", "node_refs", "edge_refs", "_slab")
+    __slots__ = ("path", "node_ranges", "edge_ranges", "_mmap")
 
     def __init__(
         self,
-        ref: SlabRef,
-        node_refs: list[ArrayRef],
-        edge_refs: list[ArrayRef],
+        path: Path,
+        node_ranges: list[tuple[int, int]],
+        edge_ranges: list[tuple[int, int]],
     ) -> None:
-        self.ref = ref
-        self.node_refs = node_refs
-        self.edge_refs = edge_refs
-        self._slab: Slab | None = None
+        self.path = path
+        self.node_ranges = node_ranges
+        self.edge_ranges = edge_ranges
+        self._mmap: mmap.mmap | None = None
 
-    def _attached(self) -> Slab:
-        if self._slab is None:
-            self._slab = Slab(self.ref)
-        return self._slab
+    def _view(self, offset: int, count: int) -> numpy.ndarray:
+        if count == 0:
+            return numpy.empty(0, dtype=numpy.int64)
+        if self._mmap is None:
+            with self.path.open("rb") as handle:
+                self._mmap = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                )
+        return numpy.frombuffer(
+            self._mmap, dtype=numpy.int64, count=count, offset=offset
+        )
 
     def node_array(self, shard: int) -> numpy.ndarray:
         """Shard's node ids (read-only view into the mapped spill file)."""
-        return self._attached().array(self.node_refs[shard])
+        return self._view(*self.node_ranges[shard])
 
     def edge_array(self, shard: int) -> numpy.ndarray:
         """Shard's edge ids (read-only view into the mapped spill file)."""
-        return self._attached().array(self.edge_refs[shard])
+        return self._view(*self.edge_ranges[shard])
 
     def close(self) -> None:
-        """Detach this process's mapping (the file belongs to the store)."""
-        if self._slab is not None:
-            self._slab.close()
-            self._slab = None
+        """Unmap this process's view (the file belongs to the store)."""
+        if self._mmap is not None:
+            try:
+                self._mmap.close()
+            except BufferError:
+                # A live id view still exports the buffer; the mapping
+                # is reclaimed when that view is garbage collected.
+                pass
+            self._mmap = None
 
 
 class SlabIngestError(RuntimeError):
@@ -271,7 +281,7 @@ class DiskGraphStore(BaseGraphStore):
         """Plans for materializing each batch of a sharded scan on demand.
 
         Warms the spilled partition, so forked workers inherit only the
-        tiny :class:`SlabRef` + byte ranges and map the scratch file
+        spill file path + byte ranges and map the scratch file
         themselves.
         """
         if num_shards < 1:
@@ -459,7 +469,7 @@ class DiskGraphStore(BaseGraphStore):
         scratch = self._directory / _SCRATCH_DIR
         scratch.mkdir(parents=True, exist_ok=True)
         file_name = f"partition-{num_shards}-{seed}-{int(shuffle)}.bin"
-        refs: list[ArrayRef] = []
+        ranges: list[tuple[int, int]] = []
         offset = 0
         tmp_path = scratch / (file_name + ".tmp")
         with tmp_path.open("wb") as handle:
@@ -467,18 +477,15 @@ class DiskGraphStore(BaseGraphStore):
                 contiguous = numpy.ascontiguousarray(
                     array, dtype=numpy.int64
                 )
-                refs.append(
-                    ArrayRef(offset, int(contiguous.size), contiguous.dtype.str)
-                )
+                ranges.append((offset, int(contiguous.size)))
                 raw = contiguous.tobytes()
                 handle.write(raw)
                 offset += len(raw)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, scratch / file_name)
-        ref = SlabRef("file", file_name, offset, str(scratch))
         return _SpilledPartition(
-            ref, refs[:num_shards], refs[num_shards:]
+            scratch / file_name, ranges[:num_shards], ranges[num_shards:]
         )
 
     # ------------------------------------------------------------------

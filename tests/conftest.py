@@ -69,54 +69,6 @@ def test_jobs() -> int:
 
 
 @pytest.fixture
-def test_transport() -> str:
-    """Shard transport for the dedicated parallel-discovery tests.
-
-    CI's fault-injection leg re-runs the parallel suite with
-    ``PGHIVE_TEST_TRANSPORT=shm`` so segment lifecycle bugs surface
-    under the same crash scenarios as the pickle path.
-    """
-    return os.environ.get("PGHIVE_TEST_TRANSPORT", "shm")
-
-
-def _segment_litter() -> set[str]:
-    """Every shard-transport artifact currently visible on this host."""
-    import tempfile
-
-    litter: set[str] = set()
-    shm_dir = "/dev/shm"
-    if os.path.isdir(shm_dir):
-        litter.update(
-            f"{shm_dir}/{name}"
-            for name in os.listdir(shm_dir)
-            if name.startswith("pghive")
-        )
-    tmp_root = tempfile.gettempdir()
-    litter.update(
-        f"{tmp_root}/{name}"
-        for name in os.listdir(tmp_root)
-        if name.startswith("pghive-mm-")
-    )
-    return litter
-
-
-@pytest.fixture(autouse=True)
-def assert_no_segment_leaks():
-    """Fail any test that orphans a shared-memory segment or memmap dir.
-
-    The zero-copy shard transport guarantees segment cleanup on every
-    exit path -- success, raised faults, SIGKILLed workers, timeouts.
-    Comparing the host-wide artifact set before and after each test
-    turns any violation into that test's failure instead of silent
-    ``/dev/shm`` growth.
-    """
-    before = _segment_litter()
-    yield
-    leaked = _segment_litter() - before
-    assert not leaked, f"leaked shard-transport segments: {sorted(leaked)}"
-
-
-@pytest.fixture
 def two_type_graph() -> PropertyGraph:
     """A minimal two-type graph with clean separation, handy for units."""
     b = GraphBuilder("twotypes")

@@ -6,7 +6,13 @@ order in which shard results arrive -- and on labeled data it is
 byte-identical to the sequential engine's output.
 """
 
+import dataclasses
+import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -151,55 +157,59 @@ class TestMergeOrderInvariance:
 
 
 class TestTransportInvariance:
-    """The shard transport moves bytes, never schema content."""
+    """Shard results have one handoff -- pickled through the pool's own
+    pipe -- and it moves bytes, never schema content."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm", "memmap"])
+    @pytest.mark.parametrize("transport", ["pickle"])
     def test_byte_identical_to_sequential(
         self, ldbc_graph, sequential_schema, transport
     ):
-        config = PGHiveConfig(jobs=2, shard_transport=transport)
-        result = PGHive(config).discover_incremental(
+        result = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
             GraphStore(ldbc_graph), num_batches=NUM_BATCHES
         )
+        assert result.parallel_fallback is None
+        assert all(r.worker is not None for r in result.batches)
         assert serialize_pg_schema(result.schema) == sequential_schema
-        used = result.parameters["parallel/transport"]
-        assert used.startswith(f"requested={transport}")
+        assert "parallel/transport" not in result.parameters
+        # Each shard result crosses the pipe through this codec; a round
+        # trip must leave every shard's schema content unchanged.
+        codec = importlib.import_module(transport)
+        config = PGHiveConfig(post_processing=False)
+        for shard in _shard_results(ldbc_graph, config):
+            shipped = codec.loads(codec.dumps(shard))
+            assert shipped.index == shard.index
+            assert serialize_pg_schema(shipped.schema) == (
+                serialize_pg_schema(shard.schema)
+            )
 
-    def test_env_transport_matches_sequential(
-        self, ldbc_graph, sequential_schema, test_jobs, test_transport
-    ):
-        """The CI-configured transport (PGHIVE_TEST_TRANSPORT) agrees."""
-        config = PGHiveConfig(jobs=test_jobs, shard_transport=test_transport)
-        result = PGHive(config).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
-        )
-        assert serialize_pg_schema(result.schema) == sequential_schema
-
-    @pytest.mark.parametrize("transport", ["shm", "memmap"])
-    def test_columns_mode_ships_handles(self, transport):
-        """Zero-copy columns mode equals the pickled-arrays mode."""
+    def test_env_transport_matches_sequential(self, test_jobs):
+        """Columns mode ships column arrays to the workers through the
+        same pipe; at the CI-configured worker count (PGHIVE_TEST_JOBS)
+        it still equals the sequential engine."""
         spec = dataset_spec("ldbc")
-        reference = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2,
-                         shard_transport="pickle")
-        ).discover_batches(
-            GraphStream(spec, num_batches=5, seed=3).batches(),
-            name="s", total=5,
-        )
+        config = PGHiveConfig(post_processing=False)
+        engine = IncrementalDiscovery(config, name="s")
+        for batch in GraphStream(spec, num_batches=5, seed=3).batches():
+            engine.process_batch(
+                batch.nodes, batch.edges, batch.endpoint_labels
+            )
         result = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2,
-                         shard_transport=transport)
+            PGHiveConfig(post_processing=False, jobs=test_jobs)
         ).discover_batches(
             GraphStream(spec, num_batches=5, seed=3).batches(),
             name="s", total=5,
         )
         assert serialize_pg_schema(result.schema) == serialize_pg_schema(
-            reference.schema
+            engine.schema
         )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PGHiveConfig(shard_transport="carrier-pigeon")
+        """No option selects a handoff; the worker memory budget is
+        still validated."""
+        assert not [
+            f.name for f in dataclasses.fields(PGHiveConfig)
+            if "transport" in f.name
+        ]
         with pytest.raises(ValueError):
             PGHiveConfig(shard_memory_limit_mb=0)
 
@@ -238,6 +248,54 @@ class TestMemoryGuard:
         assert not result.shard_failures
 
 
+# Runs one jobs=2 discovery in a fresh interpreter and prints the pid of
+# multiprocessing's resource tracker (None when nothing started it).
+_TRACKER_PROBE = """
+import sys, tempfile
+from multiprocessing import resource_tracker
+from repro.core import PGHive, PGHiveConfig
+from repro.datasets import get_dataset
+from repro.graph.diskstore import write_graph_to_slabs
+from repro.graph.store import GraphStore
+
+graph = get_dataset("ldbc", scale=1, seed=0).graph
+with tempfile.TemporaryDirectory() as directory:
+    if sys.argv[1] == "disk":
+        store = write_graph_to_slabs(graph, directory)
+    else:
+        store = GraphStore(graph)
+    result = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
+        store, num_batches=4
+    )
+    assert all(r.worker is not None for r in result.batches)
+    if sys.argv[1] == "disk":
+        store.close()
+print(resource_tracker._resource_tracker._pid)
+"""
+
+
+class TestNoResourceTracker:
+    """Shard results travel through the pool pipe alone: a pooled run
+    creates no shared-memory segment, so multiprocessing never starts
+    the resource tracker process that would outlive the run."""
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_pool_run_starts_no_resource_tracker(self, store):
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        probe = subprocess.run(
+            [sys.executable, "-c", _TRACKER_PROBE, store],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "None"
+
+
 class TestStreamParallel:
     def test_columns_mode_matches_sequential_engine(self):
         spec = dataset_spec("ldbc")
@@ -255,16 +313,13 @@ class TestStreamParallel:
             engine.schema
         )
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm", "memmap"])
-    def test_stream_pipeline_matches_sequential(self, transport):
+    def test_stream_pipeline_matches_sequential(self):
         """Seeded replay on the pool equals consuming the live stream."""
         spec = dataset_spec("ldbc")
         seq = PGHive(PGHiveConfig(jobs=1)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
         )
-        par = PGHive(
-            PGHiveConfig(jobs=2, shard_transport=transport)
-        ).discover_incremental(
+        par = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
         )
         assert par.parallel_fallback is None

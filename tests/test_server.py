@@ -298,15 +298,21 @@ class TestConcurrency:
         with SchemaServer(config).start_background() as server:
             client = _Client(server)
             client.call("POST", "/sessions", {"name": "full"})
-            statuses = []
-            for batch_number in range(8):
-                status, _ = client.call(
-                    "POST", "/sessions/full/batches",
-                    _batch(start=batch_number * 30, count=25),
-                )
-                statuses.append(status)
-            assert 503 in statuses  # shed load past the queue depth
-            assert statuses[0] == 202  # but the first post was accepted
+            # Occupy the lone worker so no posted batch can drain: the
+            # session queue then fills to exactly its depth.
+            gate = threading.Event()
+            server.service.sessions._pool.dispatch(gate.wait)
+            try:
+                statuses = [
+                    client.call(
+                        "POST", "/sessions/full/batches",
+                        _batch(start=batch_number * 30, count=25),
+                    )[0]
+                    for batch_number in range(4)
+                ]
+            finally:
+                gate.set()
+            assert statuses == [202, 202, 503, 503]
 
 
 class TestEquivalenceAndRestart:
