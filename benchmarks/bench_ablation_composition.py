@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.columns import edge_columns, node_columns
 from repro.core.incremental import IncrementalDiscovery
-from repro.core.type_extraction import build_node_clusters, extract_types
+from repro.core.type_extraction import (
+    build_node_clusters_from_columns,
+    extract_types,
+)
 from repro.core.vectorize import NodeVectorizer
 from repro.datasets import get_dataset, inject_noise
 from repro.evaluation.f1star import majority_f1
@@ -46,10 +50,13 @@ def test_ablation_signature_composition(benchmark, scale):
                 get_dataset(name, scale=scale, seed=1), 0.2, 1.0, seed=2
             )
             nodes = list(dataset.graph.nodes())
-            engine = IncrementalDiscovery()
-            embedder = engine._fit_embedder(
-                nodes, list(dataset.graph.edges()),
-                {n.id: n.labels for n in nodes},
+            ncols = node_columns(nodes)
+            embedder, _ = IncrementalDiscovery()._fit_embedder_columns(
+                ncols,
+                edge_columns(
+                    list(dataset.graph.edges()),
+                    {n.id: n.labels for n in nodes},
+                ),
             )
             keys = sorted({k for n in nodes for k in n.properties})
             vectors = NodeVectorizer(keys, embedder).vectorize(nodes)
@@ -63,7 +70,9 @@ def test_ablation_signature_composition(benchmark, scale):
             signatures = lsh.signatures(vectors)
             for composition in COMPOSITIONS:
                 assignment = _cluster(signatures, composition)
-                clusters = build_node_clusters(nodes, assignment)
+                clusters = build_node_clusters_from_columns(
+                    ncols, assignment
+                )
                 schema = extract_types(clusters, [])
                 pre_merge = len(set(assignment.tolist()))
                 assignment_map = {

@@ -39,13 +39,16 @@ def test_fig6_parameter_heatmap(benchmark, scale, datasets):
             dataset = get_dataset(name, scale=min(scale, 0.4), seed=1)
             # The alpha grid scales the same adaptive base bucket (1.2 mu)
             # the pipeline would use, so the axes match section 4.2.
+            from repro.core.columns import edge_columns, node_columns
             from repro.core.incremental import IncrementalDiscovery
 
-            engine = IncrementalDiscovery()
             nodes = list(dataset.graph.nodes())
-            embedder = engine._fit_embedder(
-                nodes, list(dataset.graph.edges()),
-                {n.id: n.labels for n in nodes},
+            embedder, _ = IncrementalDiscovery()._fit_embedder_columns(
+                node_columns(nodes),
+                edge_columns(
+                    list(dataset.graph.edges()),
+                    {n.id: n.labels for n in nodes},
+                ),
             )
             from repro.core.vectorize import NodeVectorizer
 

@@ -1,12 +1,13 @@
 """Hot-path kernel benchmark: reference loops vs. batch-vectorized kernels.
 
 Runs static discovery on the LDBC and IYP generators at two scales for
-both LSH methods, once with ``kernels="reference"`` (the element-at-a-time
-loops, i.e. the pre-kernel implementation) and once with
-``kernels="vectorized"`` (distinct-pattern compaction, CSR MinHash,
-vectorized banding, embedder reuse).  Both modes must produce
-byte-identical serialized schemas; the speedup table is written to
-``BENCH_hotpath.json`` at the repository root.
+both LSH methods, once on the reference engine of ``tests/oracles/`` (the
+element-at-a-time loops, i.e. the pre-kernel implementation) and once on
+the production engine (distinct-pattern compaction, CSR MinHash,
+vectorized banding, embedder reuse).  Both must produce byte-identical
+serialized schemas; the speedup table is written to
+``BENCH_hotpath.json`` at the repository root.  The ``reference_*`` and
+``vectorized_*`` keys name the two engines.
 
 Usage:
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -32,21 +34,34 @@ from repro.graph.store import GraphStore
 from repro.schema import serialize_pg_schema
 from repro.util.tables import render_table
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    # The reference engine is a test oracle, not part of the package.
+    sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import discover_reference  # noqa: E402
+
 BASE_SCALES = (2.0, 8.0)
 DATASETS = ("LDBC", "IYP")
 REPEATS = 3
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+OUTPUT = REPO_ROOT / "BENCH_hotpath.json"
 
 
 def _run_once(store: GraphStore, method: LSHMethod, kernels: str):
-    """One discovery run; returns (seconds, serialized schema, report)."""
-    config = PGHiveConfig(
-        method=method, post_processing=False, kernels=kernels
-    )
+    """One discovery run; returns (seconds, serialized schema, report).
+
+    ``kernels`` is ``"reference"`` (the oracle engine) or
+    ``"vectorized"`` (``PGHive``, the production engine).
+    """
+    config = PGHiveConfig(method=method, post_processing=False)
     started = time.perf_counter()
-    result = PGHive(config).discover(store)
+    if kernels == "reference":
+        engine = discover_reference(store, config)
+        schema, report = engine.schema, engine.reports[0]
+    else:
+        result = PGHive(config).discover(store)
+        schema, report = result.schema, result.batches[0]
     elapsed = time.perf_counter() - started
-    return elapsed, serialize_pg_schema(result.schema), result.batches[0]
+    return elapsed, serialize_pg_schema(schema), report
 
 
 def run_hotpath_bench(multiplier: float, repeats: int = REPEATS) -> dict:
@@ -103,9 +118,9 @@ def run_hotpath_bench(multiplier: float, repeats: int = REPEATS) -> dict:
     return {
         "description": (
             "Static-discovery wall-clock of the element-at-a-time reference "
-            "loops (kernels='reference', the pre-kernel implementation) vs. "
-            "the batch-vectorized kernels (kernels='vectorized'); best of "
-            f"{repeats} runs each, identical seeds, byte-compared schemas."
+            "loops (the tests/oracles engine, the pre-kernel implementation) "
+            "vs. the batch-vectorized kernels (the production engine); best "
+            f"of {repeats} runs each, identical seeds, byte-compared schemas."
         ),
         "scale_multiplier": multiplier,
         "repeats": repeats,
@@ -163,7 +178,7 @@ def main() -> None:
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
     if not all(run["schemas_identical"] for run in payload["runs"]):
-        raise SystemExit("schema mismatch between kernels modes")
+        raise SystemExit("schema mismatch between the two engines")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ guarantee silently dies:
   reruns and workers from the master seed;
 * ``unsorted-iteration`` -- set iteration order depends on the
   per-process string hash seed (``PYTHONHASHSEED``), so materializing a
-  ``set``/``frozenset`` into anything ordered without ``sorted()``
-  produces run-dependent output;
+  ``set``/``frozenset`` into anything ordered (a ``list``/``tuple`` call,
+  ``str.join``, ``enumerate`` or a list comprehension) without
+  ``sorted()`` produces run-dependent output;
 * ``id-keyed-dict`` -- ``id()`` values differ between processes and
   runs, so keying on them breaks replay and cross-worker merging;
 * ``env-read`` -- environment reads outside the two sanctioned modules
@@ -232,7 +233,8 @@ class UnsortedIterationRule(FileRule):
     name = "unsorted-iteration"
     description = (
         "materializing a set/frozenset into list/tuple/join/enumerate "
-        "without sorted() produces hash-seed-dependent order"
+        "or a list comprehension without sorted() produces "
+        "hash-seed-dependent order"
     )
     rationale = (
         "set iteration order varies with PYTHONHASHSEED and across "
@@ -249,6 +251,15 @@ class UnsortedIterationRule(FileRule):
         imports = build_import_table(module.tree)
         tracker = _SetTracker(module.tree, imports)
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.ListComp):
+                if tracker.is_setlike(node.generators[0].iter):
+                    yield self.finding(
+                        module, node,
+                        "list comprehension over a set has "
+                        "hash-seed-dependent order; iterate sorted() "
+                        "instead",
+                    )
+                continue
             if not isinstance(node, ast.Call):
                 continue
             origin = resolve_dotted(node.func, imports)

@@ -151,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     discover.add_argument("--jobs", type=int, default=1,
                           help="worker processes for incremental discovery "
                                "(with --batches; 1 = sequential)")
-    discover.add_argument("--kernels", choices=["vectorized", "reference"],
-                          default="vectorized",
-                          help="hot-path implementation: batch numpy "
-                               "kernels (default) or the pure-python "
-                               "reference loops")
     discover.add_argument("--parallel-chunk", default="auto",
                           help="shards per pool task ('auto' or a "
                                "positive integer; with --jobs > 1)")
@@ -287,11 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--mode", choices=["STRICT", "LOOSE"],
                           default="STRICT",
                           help="PG-Schema conformance strictness")
-    validate.add_argument("--engine", choices=["columns", "reference"],
-                          default="columns",
-                          help="bulk columnar checker (default) or the "
-                               "per-element reference loop; reports are "
-                               "identical")
     validate.add_argument("--max-violations", type=int, default=20,
                           help="print at most this many violations")
     validate.add_argument("--scale", type=float, default=1.0,
@@ -320,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "before posts get 503")
     serve.add_argument("--method", choices=["elsh", "minhash"],
                        default="elsh")
-    serve.add_argument("--kernels", choices=["vectorized", "reference"],
-                       default="vectorized")
     serve.add_argument("--profiles", action="store_true",
                        help="infer value profiles (enums, ranges)")
     serve.add_argument("--checkpoint-dir",
@@ -402,7 +390,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         infer_value_profiles=args.profiles,
         exact_cardinality_bounds=args.bounds,
         memoize_patterns=args.memoize,
-        kernels=args.kernels,
         jobs=args.jobs,
         parallel_chunk=args.parallel_chunk,
         shard_timeout=args.shard_timeout,
@@ -592,24 +579,14 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.schema.persist import load_schema
-    from repro.schema.validate import (
-        ValidationMode,
-        validate_batch,
-        validate_elements,
-    )
+    from repro.schema.validate import ValidationMode, validate_batch
 
     store = _load_input(args)
     schema = load_schema(args.schema)
     mode = ValidationMode(args.mode)
     nodes = list(store.scan_nodes())
     edges = list(store.scan_edges())
-    endpoint_labels = {node.id: node.labels for node in nodes}
-    if args.engine == "reference":
-        report = validate_elements(
-            nodes, edges, schema, mode, endpoint_labels
-        )
-    else:
-        report = validate_batch(nodes, edges, schema, mode, endpoint_labels)
+    report = validate_batch(nodes, edges, schema, mode)
     verdict = "conforms" if report.is_valid else "violates"
     print(
         f"{store.name}: {verdict} {schema.name!r} in {mode.value} mode "
@@ -638,7 +615,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = PGHiveConfig(
         method=LSHMethod(args.method),
         seed=args.seed,
-        kernels=args.kernels,
         infer_value_profiles=args.profiles,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,

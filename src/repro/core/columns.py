@@ -17,8 +17,9 @@ pipeline needs in a *single* pass:
 A batch of a hundred thousand elements typically has only dozens of
 distinct (label set, key set) patterns, which is what makes the
 compaction worthwhile.  All kernels built on these columns are
-output-equivalent (byte-identical arrays and schemas) to the reference
-loops they replace; ``tests/test_hotpath_kernels.py`` enforces this.
+output-equivalent (byte-identical arrays and schemas) to the
+element-at-a-time loops they replaced, which live on as test oracles in
+``tests/oracles/``; ``tests/test_hotpath_kernels.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class KeySpace:
     """Interner for property-key sets, keeping the first-seen key order.
 
     The order matters for byte-identical MinHash feature interning: the
-    reference loop interns ``nk:<key>`` features in dictionary order of
+    element-order loop interns ``nk:<key>`` features in dictionary order of
     the first element carrying a key set, so the compact path must replay
     exactly that order.
     """
@@ -235,14 +236,14 @@ def node_columns_from_arrays(
     The disk backend stores every node as ``(id, global label-set id,
     global key-set id)`` against store-wide interner tables.  This
     constructor remaps those *global* ids to the per-batch dense ids the
-    reference loop would have assigned -- first appearance within the
-    batch, in row order -- and re-interns the actual sets in that order,
-    so the result is byte-identical to
+    per-row interning of :func:`node_columns` would have assigned --
+    first appearance within the batch, in row order -- and re-interns
+    the actual sets in that order, so the result is byte-identical to
     ``node_columns([store.node(i) for i in ids])`` without materializing
     a single :class:`~repro.graph.model.Node`.
 
     ``key_order_at`` maps a batch *position* to that row's property-key
-    iteration order.  The reference :class:`KeySpace` records the key
+    iteration order.  The row-by-row :class:`KeySpace` records the key
     order of the first row carrying each key set, and two rows with the
     same key *set* may order their dicts differently -- so the order
     must come from the batch's own representative row, not from a
@@ -276,7 +277,7 @@ def edge_columns_from_arrays(
 ) -> EdgeColumns:
     """Columnize an edge batch from pre-interned id arrays (no objects).
 
-    The reference loop interns, per row, the edge's label set followed
+    :func:`edge_columns` interns, per row, the edge's label set followed
     by the source and target endpoint label sets into *one* shared
     :class:`LabelSpace` -- identical sets collapse to one dense id even
     when one comes from the edge table and another from the node table.
@@ -334,8 +335,8 @@ def dense_first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids for a value array, numbered in first-appearance order.
 
     This is the numpy analogue of the ``setdefault(key, len(mapping))``
-    idiom used throughout the reference loops, so kernels built on it
-    reproduce the reference cluster numbering exactly.
+    idiom of the element-at-a-time loops, so kernels built on it
+    reproduce their cluster numbering exactly.
 
     Returns:
         ``(dense_ids, representatives)``: ``dense_ids[i]`` is the id of

@@ -56,13 +56,6 @@ class PGHiveConfig:
         infer_datatypes_by_sampling: Use the sampled datatype mode.
         datatype_sample_fraction / datatype_sample_minimum: Its parameters
             (paper: 10 % of the properties, at least 1000).
-        kernels: ``"vectorized"`` (default) runs the hot path through the
-            batch-level numpy kernels (distinct-pattern compaction, CSR
-            MinHash, vectorized banding and refinement, embedder reuse);
-            ``"reference"`` runs the element-at-a-time reference loops the
-            kernels are tested against.  Both produce byte-identical
-            schemas for a fixed seed; the reference path is the
-            measurement baseline of ``benchmarks/bench_hotpath.py``.
         jobs: Worker processes for incremental discovery.  ``1`` (default)
             keeps the fully sequential engine (byte-identical to previous
             releases); ``N > 1`` runs batch schemas in a process pool and
@@ -178,7 +171,6 @@ class PGHiveConfig:
     infer_datatypes_by_sampling: bool = False
     datatype_sample_fraction: float = 0.1
     datatype_sample_minimum: int = 1000
-    kernels: str = "vectorized"
     jobs: int = 1
     parallel_chunk: str = "auto"
     shard_timeout: float | None = None
@@ -214,8 +206,6 @@ class PGHiveConfig:
             raise ValueError("label_weight must be non-negative")
         if self.minhash_rows_per_band < 1:
             raise ValueError("minhash_rows_per_band must be >= 1")
-        if self.kernels not in ("vectorized", "reference"):
-            raise ValueError("kernels must be 'vectorized' or 'reference'")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.parallel_chunk != "auto":

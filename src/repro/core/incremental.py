@@ -9,22 +9,17 @@ schema therefore forms the monotone chain S_1 <= S_2 <= ... of the paper.
 The engine is deliberately independent of :class:`PGHive` so it can be
 driven directly by streaming code (see ``examples/incremental_streaming``).
 
-Two execution modes exist, selected by ``PGHiveConfig.kernels``:
+Each batch is columnized once (:mod:`repro.core.columns`) and every
+expensive stage -- embedding corpus construction, vectorization, LSH
+hashing, mu estimation, refinement and cluster summarization -- runs once
+per *distinct pattern* and expands to elements with fancy indexing.  A
+trained embedder is also reused across batches whose deduplicated
+sentence corpus is unchanged (stable-vocabulary streams skip Word2Vec
+retraining entirely).
 
-* ``"vectorized"`` (default): each batch is columnized once
-  (:mod:`repro.core.columns`) and every expensive stage -- embedding
-  corpus construction, vectorization, LSH hashing, mu estimation,
-  refinement and cluster summarization -- runs once per *distinct
-  pattern* and expands to elements with fancy indexing.  A trained
-  embedder is also reused across batches whose deduplicated sentence
-  corpus is unchanged (stable-vocabulary streams skip Word2Vec
-  retraining entirely).
-* ``"reference"``: the original element-at-a-time loops, kept as the
-  executable specification and as the measurement baseline of
-  ``benchmarks/bench_hotpath.py``.
-
-Both modes produce byte-identical schemas for a fixed seed
-(``tests/test_hotpath_kernels.py`` enforces this).
+The element-at-a-time loops these kernels replaced live on as test
+oracles (``tests/oracles/``); ``tests/test_hotpath_kernels.py`` asserts
+that both produce byte-identical schemas for a fixed seed.
 """
 
 from __future__ import annotations
@@ -47,9 +42,7 @@ from repro.core.columns import (
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.result import BatchReport
 from repro.core.type_extraction import (
-    build_edge_clusters,
     build_edge_clusters_from_columns,
-    build_node_clusters,
     build_node_clusters_from_columns,
     extract_edge_types,
     extract_node_types,
@@ -62,12 +55,8 @@ from repro.core.vectorize import (
     NodeVectorizer,
 )
 from repro.embeddings.embedder import LabelEmbedder
-from repro.graph.model import Edge, Node, canonical_label
-from repro.lsh.buckets import (
-    cluster_by_band_union,
-    cluster_by_band_union_reference,
-    cluster_by_full_signature,
-)
+from repro.graph.model import Edge, Node
+from repro.lsh.buckets import cluster_by_band_union, cluster_by_full_signature
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.schema.merge import merge_schemas
@@ -75,41 +64,21 @@ from repro.schema.model import SchemaGraph
 from repro.util.timing import StageTimer
 
 
-def _refine_by_labels(elements: Sequence, assignment: np.ndarray) -> np.ndarray:
-    """Split each LSH cluster by canonical label token.
+def _refine_by_label_ids(
+    assignment: np.ndarray, label_ids: np.ndarray, num_label_sets: int
+) -> np.ndarray:
+    """Split each LSH cluster by label set (interned label-set ids).
 
     Per Definitions 3.2/3.3, elements with different label sets belong to
     different types; an (unlikely) LSH collision between them must not
     survive into type extraction, where merging is union-only.  Unlabeled
-    elements (empty token) keep their structural cluster, so the
-    Jaccard-based merging of section 4.3 still sees them whole.
-
-    This is the element-at-a-time reference; the vectorized engine uses
-    :func:`_refine_by_label_ids` over interned label ids instead.
-    """
-    if assignment.size == 0:
-        return assignment
-    # Keyed on the label *frozenset* (not the concatenated token), so a
-    # literal "A&B" label never aliases the {A, B} label set.
-    refined: dict[tuple[int, frozenset], int] = {}
-    out = np.empty_like(assignment)
-    for index, (element, cluster_id) in enumerate(
-        zip(elements, assignment.tolist())
-    ):
-        key = (int(cluster_id), element.labels)
-        out[index] = refined.setdefault(key, len(refined))
-    return out
-
-
-def _refine_by_label_ids(
-    assignment: np.ndarray, label_ids: np.ndarray, num_label_sets: int
-) -> np.ndarray:
-    """Vectorized :func:`_refine_by_labels` over interned label-set ids.
+    elements (the empty label set) keep their structural cluster, so the
+    Jaccard-based merging of section 4.3 still sees them whole.  Keying on
+    interned label *sets* (not concatenated tokens) keeps a literal
+    ``"A&B"`` label apart from the ``{A, B}`` label set.
 
     Each (cluster id, label-set id) pair becomes one refined cluster,
-    numbered densely in first-appearance order -- exactly the
-    ``setdefault(key, len(refined))`` numbering of the reference loop,
-    because interned ids are in bijection with the label frozensets.
+    numbered densely in first-appearance order.
     """
     if assignment.size == 0:
         return assignment
@@ -141,10 +110,10 @@ class IncrementalDiscovery:
         self.reports: list[BatchReport] = []
         self.parameters: dict[str, str] = {}
         self._batch_counter = 0
-        # Embedder reuse across batches (vectorized mode): key is the
-        # deduplicated, sorted sentence corpus; Word2Vec training is
-        # deterministic, so an unchanged corpus implies identical
-        # embeddings and retraining would be pure waste.
+        # Embedder reuse across batches: key is the deduplicated, sorted
+        # sentence corpus; Word2Vec training is deterministic, so an
+        # unchanged corpus implies identical embeddings and retraining
+        # would be pure waste.
         self._embedder_corpus_key: tuple | None = None
         self._cached_embedder: LabelEmbedder | None = None
 
@@ -272,17 +241,14 @@ class IncrementalDiscovery:
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
         batch_schema = SchemaGraph(f"batch{self._batch_counter}")
-        embedder_reused = False
-        if self.config.kernels == "vectorized":
-            node_clusters, edge_clusters, embedder_reused = (
-                self._process_batch_vectorized(
-                    nodes, edges, endpoint_labels, batch_schema, stages
-                )
+        with stages.stage("vectorize"):
+            ncols = node_columns(nodes)
+            ecols = edge_columns(edges, endpoint_labels)
+        node_clusters, edge_clusters, embedder_reused = (
+            self._process_batch_from_columns(
+                ncols, ecols, batch_schema, stages
             )
-        else:
-            node_clusters, edge_clusters = self._process_batch_reference(
-                nodes, edges, endpoint_labels, batch_schema, stages
-            )
+        )
         with stages.stage("merge"):
             merge_schemas(
                 self.schema,
@@ -309,24 +275,8 @@ class IncrementalDiscovery:
         return report
 
     # ------------------------------------------------------------------
-    # Batch bodies (vectorized kernels vs. reference loops)
+    # Batch body
     # ------------------------------------------------------------------
-    def _process_batch_vectorized(
-        self,
-        nodes: Sequence[Node],
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        batch_schema: SchemaGraph,
-        stages: StageTimer,
-    ) -> tuple[list, list, bool]:
-        """Columnized pipeline: every stage works per distinct pattern."""
-        with stages.stage("vectorize"):
-            ncols = node_columns(nodes)
-            ecols = edge_columns(edges, endpoint_labels)
-        return self._process_batch_from_columns(
-            ncols, ecols, batch_schema, stages
-        )
-
     def _process_batch_from_columns(
         self,
         ncols: NodeColumns,
@@ -334,9 +284,10 @@ class IncrementalDiscovery:
         batch_schema: SchemaGraph,
         stages: StageTimer,
     ) -> tuple[list, list, bool]:
-        """Vectorized batch body over pre-built columns.
+        """The batch body: cluster and extract types over columns.
 
-        This is the worker payload contract of the parallel driver
+        Every batch runs through here, sequential or not.  It is also the
+        worker payload contract of the parallel driver
         (:mod:`repro.core.parallel`): everything downstream of
         columnization needs only the compact integer-id arrays, never the
         original :class:`Node`/:class:`Edge` objects.
@@ -362,6 +313,10 @@ class IncrementalDiscovery:
             extract_node_types(
                 batch_schema, node_clusters, self.config.jaccard_threshold
             )
+        # Hybrid step: endpoints whose labels are missing are typed by the
+        # node *type* they were extracted into, so edge vectors and
+        # edge-type merging still see structural endpoint identity at 0 %
+        # label availability.
         overrides = self._endpoint_label_overrides_columns(
             batch_schema, ncols
         )
@@ -385,55 +340,6 @@ class IncrementalDiscovery:
             )
             resolve_edge_endpoints(batch_schema)
         return node_clusters, edge_clusters, embedder_reused
-
-    def _process_batch_reference(
-        self,
-        nodes: Sequence[Node],
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        batch_schema: SchemaGraph,
-        stages: StageTimer,
-    ) -> tuple[list, list]:
-        """Element-at-a-time pipeline (the pre-kernel implementation)."""
-        with stages.stage("embed"):
-            embedder = self._fit_embedder(nodes, edges, endpoint_labels)
-        # Nodes first: cluster, then extract node types so the edge stage
-        # can reuse them.  Clusters are refined by label token: Definition
-        # 3.2 makes distinct label sets distinct types, so a rare LSH
-        # collision between differently-labeled elements must not merge
-        # them (unlabeled elements keep their structural cluster).
-        raw_nodes = self._cluster_nodes(nodes, embedder, stages)
-        with stages.stage("cluster"):
-            node_assignment = _refine_by_labels(nodes, raw_nodes)
-        with stages.stage("extract"):
-            node_clusters = build_node_clusters(nodes, node_assignment)
-            extract_node_types(
-                batch_schema, node_clusters, self.config.jaccard_threshold
-            )
-        # Hybrid step: endpoints whose labels are missing are typed by the
-        # node *type* they were extracted into, so edge vectors and
-        # edge-type merging still see structural endpoint identity at 0 %
-        # label availability.
-        effective_labels = self._effective_endpoint_labels(
-            batch_schema, nodes, endpoint_labels
-        )
-        raw_edges = self._cluster_edges(
-            edges, effective_labels, embedder, stages
-        )
-        with stages.stage("cluster"):
-            edge_assignment = _refine_by_labels(edges, raw_edges)
-        with stages.stage("extract"):
-            edge_clusters = build_edge_clusters(
-                edges, edge_assignment, effective_labels
-            )
-            extract_edge_types(
-                batch_schema,
-                edge_clusters,
-                self.config.jaccard_threshold,
-                self.config.endpoint_jaccard_threshold,
-            )
-            resolve_edge_endpoints(batch_schema)
-        return node_clusters, edge_clusters
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -502,11 +408,8 @@ class IncrementalDiscovery:
                 remaining_edges.append(edge)
         return remaining_nodes, remaining_edges, node_hits, edge_hits
 
-    def _endpoint_label_overrides(
-        self,
-        batch_schema: SchemaGraph,
-        nodes: Sequence[Node],
-        endpoint_labels: dict[int, frozenset[str]],
+    def _endpoint_label_overrides_columns(
+        self, batch_schema: SchemaGraph, ncols: NodeColumns
     ) -> dict[int, frozenset[str]]:
         """Type-derived label overrides for this batch's unlabeled nodes.
 
@@ -515,37 +418,10 @@ class IncrementalDiscovery:
         labels as its effective endpoint identity.  Unlabeled nodes in
         ABSTRACT types get the type's pseudo cluster token instead, so edges
         still see structural endpoint identity at 0 % label availability.
-        Only changed entries are returned; endpoints outside this batch
-        (possible for cross-batch edges) keep whatever labels the stream
-        reported for them.
-        """
-        from repro.core.type_extraction import PSEUDO_PREFIX
-
-        batch_tag = f"b{self._batch_counter}"
-        node_token: dict[int, frozenset[str]] = {}
-        for node_type in batch_schema.node_types.values():
-            if node_type.labels:
-                token_set = node_type.labels
-            else:
-                token = f"{PSEUDO_PREFIX}{batch_tag}:{node_type.name}"
-                node_type.cluster_tokens.add(token)
-                token_set = frozenset({token})
-            for member in node_type.members:
-                node_token[member] = token_set
-        return {
-            node.id: node_token[node.id]
-            for node in nodes
-            if not node.labels and node.id in node_token
-        }
-
-    def _endpoint_label_overrides_columns(
-        self, batch_schema: SchemaGraph, ncols: NodeColumns
-    ) -> dict[int, frozenset[str]]:
-        """Columnized :meth:`_endpoint_label_overrides`.
-
-        Identical output: only unlabeled batch nodes (empty canonical
-        token) that were extracted into a node type receive an override,
-        in batch node order.
+        Only unlabeled batch nodes (empty canonical token) that were
+        extracted into a node type receive an override, in batch node
+        order; endpoints outside this batch (possible for cross-batch
+        edges) keep whatever labels the stream reported for them.
         """
         from repro.core.type_extraction import PSEUDO_PREFIX
 
@@ -614,75 +490,19 @@ class IncrementalDiscovery:
         self._batch_counter += 1
         return batch_schema, report
 
-    def _effective_endpoint_labels(
-        self,
-        batch_schema: SchemaGraph,
-        nodes: Sequence[Node],
-        endpoint_labels: dict[int, frozenset[str]],
-    ) -> dict[int, frozenset[str]]:
-        """Endpoint labels with type-derived pseudo-labels for unlabeled nodes."""
-        effective = dict(endpoint_labels)
-        effective.update(
-            self._endpoint_label_overrides(batch_schema, nodes, endpoint_labels)
-        )
-        return effective
-
-    def _fit_embedder(
-        self,
-        nodes: Sequence[Node],
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-    ) -> LabelEmbedder:
-        """Train Word2Vec on this batch's label co-occurrences.
-
-        Sentences are deduplicated: thousands of edges share the handful of
-        distinct (src, edge, tgt) label-token triples, and training once per
-        distinct triple preserves the co-occurrence structure at a fraction
-        of the cost.
-        """
-        token_cache: dict[frozenset[str], str] = {}
-        empty: frozenset[str] = frozenset()
-
-        def token_of(labels: frozenset[str]) -> str:
-            cached = token_cache.get(labels)
-            if cached is None:
-                cached = canonical_label(labels)
-                token_cache[labels] = cached
-            return cached
-
-        sentences: set[tuple[str, ...]] = set()
-        for edge in edges:
-            sentence = tuple(
-                token
-                for token in (
-                    token_of(endpoint_labels.get(edge.source, empty)),
-                    token_of(edge.labels),
-                    token_of(endpoint_labels.get(edge.target, empty)),
-                )
-                if token
-            )
-            if sentence:
-                sentences.add(sentence)
-        for node in nodes:
-            token = token_of(node.labels)
-            if token:
-                sentences.add((token,))
-        embedder = LabelEmbedder(self.config.word2vec)
-        embedder.fit_tokens([list(s) for s in sorted(sentences)])
-        return embedder
-
     def _fit_embedder_columns(
         self, ncols: NodeColumns, ecols: EdgeColumns
     ) -> tuple[LabelEmbedder, bool]:
-        """Columnized corpus build + cross-batch embedder reuse.
+        """Train Word2Vec on this batch's label co-occurrences, or reuse.
 
         The sentence corpus is assembled from *distinct* (src, edge, tgt)
-        label-id triples and distinct node label ids -- the same
-        deduplicated, sorted corpus the reference builds one element at a
-        time.  If it matches the previous batch's corpus, the cached
-        trained embedder is returned (Word2Vec training is deterministic,
-        so the embeddings are identical to a fresh fit); otherwise a fresh
-        embedder is fitted and cached.
+        label-id triples and distinct node label ids: thousands of edges
+        share a handful of triples, and training once per distinct
+        sentence preserves the co-occurrence structure at a fraction of
+        the cost.  If the sorted corpus matches the previous batch's, the
+        cached trained embedder is returned (Word2Vec training is
+        deterministic, so the embeddings are identical to a fresh fit);
+        otherwise a fresh embedder is fitted and cached.
 
         Returns:
             ``(embedder, reused)``.
@@ -727,31 +547,6 @@ class IncrementalDiscovery:
         self._cached_embedder = embedder
         return embedder, False
 
-    def _cluster_nodes(
-        self,
-        nodes: Sequence[Node],
-        embedder: LabelEmbedder,
-        stages: StageTimer,
-    ) -> np.ndarray:
-        """Reference node clustering; returns dense cluster ids."""
-        if not nodes:
-            return np.empty(0, dtype=np.int64)
-        property_keys = sorted({k for n in nodes for k in n.properties})
-        num_labels = len({label for n in nodes for label in n.labels})
-        vectorizer = NodeVectorizer(
-            property_keys, embedder, self.config.label_weight
-        )
-        if self.config.method is LSHMethod.ELSH:
-            with stages.stage("vectorize"):
-                vectors = vectorizer.vectorize_reference(nodes)
-            with stages.stage("cluster"):
-                return self._elsh_assign(vectors, num_labels, kind="node")
-        with stages.stage("vectorize"):
-            interner = FeatureInterner()
-            feature_sets = vectorizer.feature_sets_reference(nodes, interner)
-        with stages.stage("cluster"):
-            return self._minhash_assign(feature_sets, len(nodes), kind="node")
-
     def _cluster_nodes_columns(
         self,
         columns: NodeColumns,
@@ -787,36 +582,6 @@ class IncrementalDiscovery:
             return self._minhash_assign(
                 compact_sets, count, kind="node", pattern_ids=pattern_ids
             )
-
-    def _cluster_edges(
-        self,
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        embedder: LabelEmbedder,
-        stages: StageTimer,
-    ) -> np.ndarray:
-        """Reference edge clustering; returns dense cluster ids."""
-        if not edges:
-            return np.empty(0, dtype=np.int64)
-        property_keys = sorted({k for e in edges for k in e.properties})
-        num_labels = len({label for e in edges for label in e.labels})
-        vectorizer = EdgeVectorizer(
-            property_keys, embedder, self.config.label_weight
-        )
-        if self.config.method is LSHMethod.ELSH:
-            with stages.stage("vectorize"):
-                vectors = vectorizer.vectorize_reference(
-                    edges, endpoint_labels
-                )
-            with stages.stage("cluster"):
-                return self._elsh_assign(vectors, num_labels, kind="edge")
-        with stages.stage("vectorize"):
-            interner = FeatureInterner()
-            feature_sets = vectorizer.feature_sets_reference(
-                edges, endpoint_labels, interner
-            )
-        with stages.stage("cluster"):
-            return self._minhash_assign(feature_sets, len(edges), kind="edge")
 
     def _cluster_edges_columns(
         self,
@@ -923,16 +688,9 @@ class IncrementalDiscovery:
             f"minhash T={num_hashes} r={self.config.minhash_rows_per_band}"
         )
         lsh = MinHashLSH(num_hashes=num_hashes, seed=self.config.seed)
-        if self.config.kernels == "vectorized":
-            signatures = lsh.signatures(feature_sets)
-            groups = cluster_by_band_union(
-                signatures, self.config.minhash_rows_per_band
-            )
-        else:
-            signatures = lsh.signatures_reference(feature_sets)
-            groups = cluster_by_band_union_reference(
-                signatures, self.config.minhash_rows_per_band
-            )
+        groups = cluster_by_band_union(
+            lsh.signatures(feature_sets), self.config.minhash_rows_per_band
+        )
         if pattern_ids is None:
             return groups
         return groups[pattern_ids]

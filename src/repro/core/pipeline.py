@@ -339,8 +339,7 @@ class PGHive:
         sequential path, whose output the parallel path matches byte for
         byte on labeled data).  Parallel sharding requires independent
         batch schemas, so per-batch post-processing forces the
-        sequential engine, as does the reference-kernel mode (the worker
-        payload is columnized).  Pattern memoization no longer forces it
+        sequential engine.  Pattern memoization no longer forces it
         for stores: the pool decouples it through the two-phase snapshot
         protocol of :mod:`repro.core.absorption` (stream batches still
         couple to the running schema, so memoized streams stay
@@ -362,8 +361,6 @@ class PGHive:
                 "pattern memoization couples stream batches to the "
                 "running schema"
             )
-        if self.config.kernels != "vectorized":
-            return "reference kernels only run on the sequential engine"
         if not fork_available():
             return "fork start method unavailable on this platform"
         return None

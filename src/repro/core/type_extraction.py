@@ -28,7 +28,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.core.columns import EdgeColumns, NodeColumns
 
-from repro.graph.model import Edge, Node, canonical_label
+from repro.graph.model import canonical_label
 from repro.schema.merge import (
     EdgeTypeIndex,
     NodeTypeIndex,
@@ -71,88 +71,6 @@ class CandidateCluster:
         return len(self.members)
 
 
-def build_node_clusters(
-    nodes: Sequence[Node],
-    assignment: np.ndarray,
-    pseudo_tag: str = "",
-) -> list[CandidateCluster]:
-    """Summarize an LSH node assignment into candidate clusters.
-
-    Args:
-        nodes: The clustered nodes.
-        assignment: Dense cluster ids aligned with ``nodes``.
-        pseudo_tag: When non-empty, clusters whose members are all unlabeled
-            receive the internal pseudo-label ``~{pseudo_tag}{cluster_id}``
-            as their cluster token, which the edge stage uses to type
-            endpoints structurally.
-    """
-    clusters: dict[int, CandidateCluster] = {}
-    for node, cluster_id in zip(nodes, assignment.tolist()):
-        cluster = clusters.get(int(cluster_id))
-        if cluster is None:
-            cluster = CandidateCluster(kind="node")
-            clusters[int(cluster_id)] = cluster
-        cluster.labels = cluster.labels | node.labels
-        cluster.property_keys = cluster.property_keys | node.property_keys
-        cluster.members.append(node.id)
-        cluster.property_counts.update(node.properties.keys())
-    if pseudo_tag:
-        for cluster_id, cluster in clusters.items():
-            if not cluster.labels:
-                cluster.cluster_tokens = frozenset(
-                    {f"{PSEUDO_PREFIX}{pseudo_tag}{cluster_id}"}
-                )
-    return [clusters[cid] for cid in sorted(clusters)]
-
-
-def build_edge_clusters(
-    edges: Sequence[Edge],
-    assignment: np.ndarray,
-    endpoint_labels: dict[int, frozenset[str]],
-) -> list[CandidateCluster]:
-    """Summarize an LSH edge assignment into candidate clusters.
-
-    ``endpoint_labels`` may contain pseudo-labels (``~``-prefixed cluster
-    tokens) for unlabeled endpoints; they are separated into the clusters'
-    token sets so they inform endpoint compatibility without polluting the
-    schema's label sets.
-    """
-    clusters: dict[int, CandidateCluster] = {}
-    empty: frozenset[str] = frozenset()
-    split_cache: dict[frozenset[str], tuple[frozenset[str], frozenset[str]]] = {}
-
-    def split(labels: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-        cached = split_cache.get(labels)
-        if cached is None:
-            cached = _split_pseudo(labels)
-            split_cache[labels] = cached
-        return cached
-
-    for edge, cluster_id in zip(edges, assignment.tolist()):
-        cluster = clusters.get(int(cluster_id))
-        if cluster is None:
-            cluster = CandidateCluster(kind="edge")
-            clusters[int(cluster_id)] = cluster
-        if not edge.labels <= cluster.labels:
-            cluster.labels = cluster.labels | edge.labels
-        keys = edge.property_keys
-        if not keys <= cluster.property_keys:
-            cluster.property_keys = cluster.property_keys | keys
-        cluster.members.append(edge.id)
-        cluster.property_counts.update(edge.properties.keys())
-        src_labels, src_tokens = split(endpoint_labels.get(edge.source, empty))
-        tgt_labels, tgt_tokens = split(endpoint_labels.get(edge.target, empty))
-        if not src_labels <= cluster.source_labels:
-            cluster.source_labels = cluster.source_labels | src_labels
-        if not tgt_labels <= cluster.target_labels:
-            cluster.target_labels = cluster.target_labels | tgt_labels
-        if not src_tokens <= cluster.source_tokens:
-            cluster.source_tokens = cluster.source_tokens | src_tokens
-        if not tgt_tokens <= cluster.target_tokens:
-            cluster.target_tokens = cluster.target_tokens | tgt_tokens
-    return [clusters[cid] for cid in sorted(clusters)]
-
-
 def _split_pseudo(
     labels: frozenset[str],
 ) -> tuple[frozenset[str], frozenset[str]]:
@@ -167,13 +85,22 @@ def build_node_clusters_from_columns(
     assignment: np.ndarray,
     pseudo_tag: str = "",
 ) -> list[CandidateCluster]:
-    """Batch kernel equivalent of :func:`build_node_clusters`.
+    """Summarize an LSH node assignment into candidate clusters.
+
+    Args:
+        columns: The clustered nodes, columnized.
+        assignment: Dense cluster ids aligned with the node rows.
+        pseudo_tag: When non-empty, clusters whose members are all unlabeled
+            receive the internal pseudo-label ``~{pseudo_tag}{cluster_id}``
+            as their cluster token, which the edge stage uses to type
+            endpoints structurally.
 
     Aggregates per distinct (cluster, label set) and (cluster, key set)
     pair instead of per element: members come from one stable argsort,
     label/key unions and property counts from ``np.unique`` over combined
-    id arrays.  Output-equivalent to the reference builder (same clusters,
-    same member order, same counters).
+    id arrays.  Output-equivalent to the element-at-a-time oracle in
+    ``tests/oracles/kernels.py`` (same clusters, same member order, same
+    counters).
     """
     n = len(columns)
     if n == 0:
@@ -227,11 +154,13 @@ def build_edge_clusters_from_columns(
     columns: "EdgeColumns",
     assignment: np.ndarray,
 ) -> list[CandidateCluster]:
-    """Batch kernel equivalent of :func:`build_edge_clusters`.
+    """Summarize an LSH edge assignment into candidate clusters.
 
-    Endpoint label sets (possibly containing ``~``-prefixed pseudo tokens)
-    are aggregated per distinct (cluster, endpoint label set) pair; the
-    real/pseudo split happens once per distinct label set.
+    Endpoint label sets may contain pseudo-labels (``~``-prefixed cluster
+    tokens) for unlabeled endpoints; they are separated into the clusters'
+    token sets so they inform endpoint compatibility without polluting the
+    schema's label sets.  Aggregation runs per distinct (cluster, endpoint
+    label set) pair, and the real/pseudo split once per distinct label set.
     """
     m = len(columns)
     if m == 0:

@@ -18,12 +18,11 @@ interned ids for each property key plus role-tagged ids for the label
 tokens (``label:``, ``src:``, ``tgt:`` prefixes), so Jaccard similarity
 sees both structure and semantics.
 
-Two implementations coexist.  The batch kernels (`vectorize`,
-`feature_sets`, and the ``*_patterns`` compact variants) do the expensive
-work once per distinct (label set, key set) pattern and scatter with fancy
-indexing; the ``*_reference`` methods keep the original element-at-a-time
-loops as the executable specification the kernels are property-tested
-against (see ``tests/test_hotpath_kernels.py``).
+The batch kernels (`vectorize`, `feature_sets`, and the ``*_patterns``
+compact variants the engine uses) do the expensive work once per distinct
+(label set, key set) pattern and scatter with fancy indexing.  They are
+property-tested byte for byte against the original element-at-a-time
+loops, which live in ``tests/oracles/kernels.py``.
 """
 
 from __future__ import annotations
@@ -137,8 +136,7 @@ class NodeVectorizer:
         """(n, d+K) hybrid feature matrix for a batch of nodes.
 
         Batch kernel: embeds each distinct label set once and scatters
-        pattern rows with fancy indexing.  Output-equivalent to
-        :meth:`vectorize_reference`.
+        pattern rows with fancy indexing.
         """
         if not nodes:
             return np.zeros((0, self.dimension))
@@ -169,20 +167,6 @@ class NodeVectorizer:
                 out[row, d + cols] = 1.0
         return out, pattern_ids
 
-    def vectorize_reference(self, nodes: Sequence[Node]) -> np.ndarray:
-        """Element-at-a-time reference implementation of :meth:`vectorize`."""
-        d = self.embedder.dimension
-        out = np.zeros((len(nodes), self.dimension))
-        embedding_cache = self._cache
-        key_index = self._key_index
-        for row, node in enumerate(nodes):
-            out[row, :d] = embedding_cache.for_labels(node.labels)
-            for key in node.properties:
-                index = key_index.get(key)
-                if index is not None:
-                    out[row, d + index] = 1.0
-        return out
-
     def feature_sets(
         self, nodes: Sequence[Node], interner: FeatureInterner
     ) -> list[set[int]]:
@@ -190,9 +174,9 @@ class NodeVectorizer:
 
         Batch kernel: each distinct (label set, key set) pattern builds its
         set once; repeats receive copies.  Interner state and set contents
-        are byte-identical to :meth:`feature_sets_reference` because
-        patterns are visited in first-appearance order with the first
-        carrier's key order.
+        match an element-order loop byte for byte because patterns are
+        visited in first-appearance order with the first carrier's key
+        order.
         """
         sets: list[set[int]] = []
         by_pattern: dict[tuple[frozenset, frozenset], set[int]] = {}
@@ -211,8 +195,8 @@ class NodeVectorizer:
         """Distinct-pattern feature sets + per-node pattern ids.
 
         ``sets[pattern_ids[i]]`` is node ``i``'s feature set.  Interner
-        state matches the reference loop exactly (patterns are interned in
-        first-appearance order).
+        state matches an element-order loop exactly (patterns are interned
+        in first-appearance order).
         """
         pattern_ids, representatives = columns.pattern_ids()
         sets: list[set[int]] = []
@@ -226,12 +210,6 @@ class NodeVectorizer:
                 features.add(interner.intern(f"label:{token}"))
             sets.append(features)
         return sets, pattern_ids
-
-    def feature_sets_reference(
-        self, nodes: Sequence[Node], interner: FeatureInterner
-    ) -> list[set[int]]:
-        """Element-at-a-time reference for :meth:`feature_sets`."""
-        return [self._node_feature_set(node, interner) for node in nodes]
 
     def _node_feature_set(
         self, node: Node, interner: FeatureInterner
@@ -276,7 +254,7 @@ class EdgeVectorizer:
         """(m, 3d+Q) hybrid feature matrix for a batch of edges.
 
         Batch kernel over distinct (edge labels, endpoint labels, keys)
-        patterns; output-equivalent to :meth:`vectorize_reference`.
+        patterns.
 
         Args:
             edges: The edges to vectorize.
@@ -313,31 +291,6 @@ class EdgeVectorizer:
                 out[row, 3 * d + cols] = 1.0
         return out, pattern_ids
 
-    def vectorize_reference(
-        self,
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-    ) -> np.ndarray:
-        """Element-at-a-time reference implementation of :meth:`vectorize`."""
-        d = self.embedder.dimension
-        out = np.zeros((len(edges), self.dimension))
-        embedding_cache = self._cache
-        empty = frozenset()
-        key_index = self._key_index
-        for row, edge in enumerate(edges):
-            out[row, :d] = embedding_cache.for_labels(edge.labels)
-            out[row, d:2 * d] = embedding_cache.for_labels(
-                endpoint_labels.get(edge.source, empty)
-            )
-            out[row, 2 * d:3 * d] = embedding_cache.for_labels(
-                endpoint_labels.get(edge.target, empty)
-            )
-            for key in edge.properties:
-                index = key_index.get(key)
-                if index is not None:
-                    out[row, 3 * d + index] = 1.0
-        return out
-
     def feature_sets(
         self,
         edges: Sequence[Edge],
@@ -347,7 +300,7 @@ class EdgeVectorizer:
         """MinHash feature sets: keys, edge label, and endpoint labels.
 
         Batch kernel deduplicating by distinct pattern; interner state and
-        sets match :meth:`feature_sets_reference` byte for byte.
+        sets match an element-order loop byte for byte.
         """
         sets: list[set[int]] = []
         empty: frozenset[str] = frozenset()
@@ -391,24 +344,6 @@ class EdgeVectorizer:
                 features.add(interner.intern(f"tgt:{tgt_token}"))
             sets.append(features)
         return sets, pattern_ids
-
-    def feature_sets_reference(
-        self,
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        interner: FeatureInterner,
-    ) -> list[set[int]]:
-        """Element-at-a-time reference for :meth:`feature_sets`."""
-        sets: list[set[int]] = []
-        empty: frozenset[str] = frozenset()
-        for edge in edges:
-            sets.append(self._edge_feature_set(
-                edge,
-                endpoint_labels.get(edge.source, empty),
-                endpoint_labels.get(edge.target, empty),
-                interner,
-            ))
-        return sets
 
     def _edge_feature_set(
         self,

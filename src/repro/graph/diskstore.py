@@ -17,9 +17,9 @@ list, edge bucketing is the same stable-argsort math over the mapped
 source column, ``sample_nodes`` exploits the fact that
 ``random.Random(seed).sample`` chooses *positions* as a function of
 population length only, and the columnize fast path remaps the store's
-global interner ids to the per-batch dense ids the reference loops
-would have assigned (``tests/test_diskstore.py`` property-tests all of
-it across worker counts and chunkings).
+global interner ids to the per-batch dense ids ``node_columns`` /
+``edge_columns`` would have assigned (``tests/test_diskstore.py``
+property-tests all of it across worker counts and chunkings).
 """
 
 from __future__ import annotations

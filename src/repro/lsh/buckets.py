@@ -68,10 +68,10 @@ def cluster_by_band_union(
     Batch kernel: each band's buckets come from ``np.unique`` over the band
     slice (every row is anchored to the first row sharing its band value),
     and the OR across bands is a single connected-components pass over the
-    resulting anchor edges.  Output-equivalent to
-    :func:`cluster_by_band_union_reference` -- the partition is the same
-    union closure and ids are renumbered in first-appearance order either
-    way.
+    resulting anchor edges.  Output-equivalent to a row-at-a-time
+    union-find over band buckets (the oracle in ``tests/oracles/``): the
+    partition is the same union closure and ids are renumbered in
+    first-appearance order either way.
     """
     if rows_per_band < 1:
         raise ValueError("rows_per_band must be >= 1")
@@ -103,28 +103,6 @@ def cluster_by_band_union(
     )
     _, components = connected_components(graph, directed=False)
     return _dense_first_appearance(components)
-
-
-def cluster_by_band_union_reference(
-    signatures: np.ndarray, rows_per_band: int
-) -> np.ndarray:
-    """Row-at-a-time reference for :func:`cluster_by_band_union`."""
-    if rows_per_band < 1:
-        raise ValueError("rows_per_band must be >= 1")
-    signatures = np.atleast_2d(signatures)
-    n, width = signatures.shape
-    num_bands = max(1, width // rows_per_band)
-    uf = UnionFind(n)
-    for band in range(num_bands):
-        start = band * rows_per_band
-        stop = start + rows_per_band if band < num_bands - 1 else width
-        first_in_bucket: dict[tuple[int, ...], int] = {}
-        for row_index in range(n):
-            key = tuple(int(v) for v in signatures[row_index, start:stop])
-            anchor = first_in_bucket.setdefault(key, row_index)
-            if anchor != row_index:
-                uf.union(anchor, row_index)
-    return _renumber(uf, n)
 
 
 def groups_from_assignment(assignment: np.ndarray) -> list[list[int]]:

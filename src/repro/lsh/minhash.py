@@ -18,9 +18,10 @@ bucket (classic LSH banding: AND within a band, OR over bands).
 :meth:`MinHashLSH.signatures` is a batch kernel: it flattens all sets into
 one CSR-style ragged array, bit-mixes and hashes every feature in a single
 vectorized pass, and takes all ``n x T`` minima with
-``np.minimum.reduceat``.  :meth:`MinHashLSH.signatures_reference` keeps the
-set-at-a-time loop as the executable specification; both return bit-equal
-matrices (min-wise hashing is order- and duplicate-independent).
+``np.minimum.reduceat``.  It is bit-equal to stacking
+:meth:`MinHashLSH.signature` set by set (min-wise hashing is order- and
+duplicate-independent); ``tests/oracles/kernels.py`` keeps that loop as
+the oracle.
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ class MinHashLSH:
         minima = np.minimum.reduceat(hashed, starts, axis=1)
         out[nonempty] = minima.T.astype(np.int64)
         return out
-
-    def signatures_reference(
-        self, feature_sets: Sequence[Iterable[int]]
-    ) -> np.ndarray:
-        """Set-at-a-time reference implementation of :meth:`signatures`."""
-        if not feature_sets:
-            return np.empty((0, self.num_hashes), dtype=np.int64)
-        return np.vstack([self.signature(s) for s in feature_sets])
 
     @staticmethod
     def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:

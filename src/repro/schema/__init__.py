@@ -28,7 +28,6 @@ from repro.schema.validate import (
     Violation,
     validate_batch,
     validate_columns,
-    validate_elements,
     validate_graph,
 )
 from repro.schema.diff import SchemaDiff, diff_schemas
@@ -89,6 +88,5 @@ __all__ = [
     "summarize_schema",
     "validate_batch",
     "validate_columns",
-    "validate_elements",
     "validate_graph",
 ]

@@ -161,8 +161,12 @@ class NodeTypeIndex:
                 names |= self._by_key.get(key, set())
         else:
             names = set(self._empty_key)
+        # Sorted: hosts with tied Jaccard scores resolve by iteration
+        # order, which must not depend on the string hash seed.
         node_types = self._schema.node_types
-        return [node_types[name] for name in names if name in node_types]
+        return [
+            node_types[name] for name in sorted(names) if name in node_types
+        ]
 
 
 class EdgeTypeIndex:
@@ -238,7 +242,9 @@ class EdgeTypeIndex:
             by_tgt = self._all
         names = by_key & by_src & by_tgt
         edge_types = self._schema.edge_types
-        return [edge_types[name] for name in names if name in edge_types]
+        return [
+            edge_types[name] for name in sorted(names) if name in edge_types
+        ]
 
 
 def merge_schemas(

@@ -12,21 +12,19 @@ module closes that loop.  Validation runs in two modes mirroring PG-Schema:
 The validator returns a structured report rather than raising, because
 noisy real datasets are expected to violate STRICT schemas (section 4.5).
 
-Two engines produce identical reports:
-
-* :func:`validate_graph` / :func:`validate_elements` -- the per-element
-  reference loop, retained as the semantics oracle;
-* :func:`validate_columns` (and its columnizing wrapper
-  :func:`validate_batch`) -- the bulk admission checker behind the
-  service's validate endpoint.  Candidate-type matching is computed once
-  per distinct (label set, key set[, endpoint labels]) pattern over
-  :class:`~repro.core.columns.NodeColumns` /
-  :class:`~repro.core.columns.EdgeColumns`, so a batch of N rows costs
-  O(distinct patterns) for coverage, candidate ranking, mandatory and
-  endpoint checks; only rows whose candidate types declare checkable
-  datatypes for the pattern's keys are touched individually (value
-  compatibility is inherently per-value).  ``tests/test_validate_columns.py``
-  property-tests the two engines byte-identical.
+One engine, :func:`validate_columns`, checks every batch; its wrappers
+:func:`validate_batch` (explicit node/edge lists: the service's validate
+endpoint and ``pghive validate``) and :func:`validate_graph` (a whole
+graph) columnize first.  Candidate-type matching is computed once per
+distinct (label set, key set[, endpoint labels]) pattern over
+:class:`~repro.core.columns.NodeColumns` /
+:class:`~repro.core.columns.EdgeColumns`, so a batch of N rows costs
+O(distinct patterns) for coverage, candidate ranking, mandatory and
+endpoint checks; only rows whose candidate types declare checkable
+datatypes for the pattern's keys are touched individually (value
+compatibility is inherently per-value).  ``tests/test_validate_columns.py``
+property-tests the reports byte-identical to a per-element oracle
+(``tests/oracles/validate.py``).
 """
 
 from __future__ import annotations
@@ -133,130 +131,9 @@ def validate_graph(
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> ValidationReport:
     """Check every node and edge of ``graph`` against ``schema``."""
-    nodes = list(graph.nodes())
-    return validate_elements(
-        nodes,
-        list(graph.edges()),
-        schema,
-        mode,
-        endpoint_labels={node.id: node.labels for node in nodes},
+    return validate_batch(
+        list(graph.nodes()), list(graph.edges()), schema, mode
     )
-
-
-def validate_elements(
-    nodes: Sequence[Node],
-    edges: Sequence[Edge],
-    schema: SchemaGraph,
-    mode: ValidationMode = ValidationMode.STRICT,
-    endpoint_labels: Mapping[int, frozenset[str]] | None = None,
-) -> ValidationReport:
-    """Per-element reference validation of a batch of elements.
-
-    Args:
-        nodes: Batch nodes.
-        edges: Batch edges (endpoints may live outside the batch).
-        schema: The schema to conform to.
-        mode: PG-Schema strictness.
-        endpoint_labels: node id -> label set for edge endpoints; defaults
-            to the labels of the batch's own nodes.  Unknown endpoints
-            validate as unlabeled (endpoint checks are skipped for them,
-            matching how an absent label set behaves in the paper's LOOSE
-            reading).
-    """
-    if endpoint_labels is None:
-        endpoint_labels = {node.id: node.labels for node in nodes}
-    empty: frozenset[str] = frozenset()
-    report = ValidationReport(mode=mode)
-    for node in nodes:
-        report.checked += 1
-        _validate_node(node, schema, mode, report)
-    for edge in edges:
-        report.checked += 1
-        _validate_edge(
-            edge,
-            endpoint_labels.get(edge.source, empty),
-            endpoint_labels.get(edge.target, empty),
-            schema,
-            mode,
-            report,
-        )
-    return report
-
-
-def _validate_node(
-    node: Node,
-    schema: SchemaGraph,
-    mode: ValidationMode,
-    report: ValidationReport,
-) -> None:
-    """An element conforms when *some* covering type accepts it.
-
-    When every covering type rejects the node, the violations of the
-    least-violating candidate are reported (the most informative failure).
-    """
-    candidates = _covering_node_types_for(
-        node.labels, node.property_keys, schema
-    )
-    if not candidates:
-        report.violations.append(
-            _no_type_violation("node", node.id, node.labels,
-                               node.property_keys)
-        )
-        return
-    if mode is not ValidationMode.STRICT:
-        return
-    best_failures: list[Violation] | None = None
-    for node_type in candidates:
-        failures: list[Violation] = []
-        _check_mandatory(
-            node.property_keys, node_type, "node", node.id, failures
-        )
-        _check_datatypes(
-            node.properties, node_type, "node", node.id, failures
-        )
-        if not failures:
-            return
-        if best_failures is None or len(failures) < len(best_failures):
-            best_failures = failures
-    report.violations.extend(best_failures or [])
-
-
-def _validate_edge(
-    edge: Edge,
-    source_labels: frozenset[str],
-    target_labels: frozenset[str],
-    schema: SchemaGraph,
-    mode: ValidationMode,
-    report: ValidationReport,
-) -> None:
-    """Find a covering edge type accepting the edge, or report failures."""
-    candidates = _covering_edge_types_for(
-        edge.labels, edge.property_keys, schema
-    )
-    if not candidates:
-        report.violations.append(
-            _no_type_violation("edge", edge.id, edge.labels, None)
-        )
-        return
-    if mode is not ValidationMode.STRICT:
-        return
-    best_failures: list[Violation] | None = None
-    for edge_type in candidates:
-        failures = []
-        _check_mandatory(
-            edge.property_keys, edge_type, "edge", edge.id, failures
-        )
-        _check_datatypes(
-            edge.properties, edge_type, "edge", edge.id, failures
-        )
-        _check_endpoints(
-            edge.id, edge_type, source_labels, target_labels, failures
-        )
-        if not failures:
-            return
-        if best_failures is None or len(failures) < len(best_failures):
-            best_failures = failures
-    report.violations.extend(best_failures or [])
 
 
 def _no_type_violation(
@@ -425,8 +302,8 @@ class _CandidatePlan:
     """One covering type's pattern-level failure components."""
 
     type_record: NodeType | EdgeType
-    # Pattern-constant violation details (mandatory + endpoint), in the
-    # exact order the reference loop emits them relative to datatypes.
+    # Pattern-constant violation details (mandatory + endpoint); a row
+    # emits them around its datatype failures (see _check_row).
     mandatory_details: list[str] = field(default_factory=list)
     endpoint_details: list[str] = field(default_factory=list)
     # Whether any of the pattern's keys has a checkable declared datatype
@@ -443,9 +320,19 @@ def validate_batch(
 ) -> ValidationReport:
     """Columnize a batch and run the bulk admission checker.
 
-    Result-identical to :func:`validate_elements` on the same inputs
-    (property-tested); the convenience entry point of the service's
-    validate endpoint and the ``pghive validate`` CLI.
+    The convenience entry point of the service's validate endpoint and
+    the ``pghive validate`` CLI.
+
+    Args:
+        nodes: Batch nodes.
+        edges: Batch edges (endpoints may live outside the batch).
+        schema: The schema to conform to.
+        mode: PG-Schema strictness.
+        endpoint_labels: node id -> label set for edge endpoints; defaults
+            to the labels of the batch's own nodes.  Unknown endpoints
+            validate as unlabeled (endpoint checks are skipped for them,
+            matching how an absent label set behaves in the paper's LOOSE
+            reading).
     """
     if endpoint_labels is None:
         endpoint_labels = {node.id: node.labels for node in nodes}
@@ -479,8 +366,10 @@ def validate_columns(
     datatype check (their key sets still drive coverage/mandatory), so
     callers that columnized away the values can still screen traffic.
 
-    Returns a report byte-identical to the per-element reference over
-    the same elements: same violations, in the same order.
+    An element conforms when *some* covering type accepts it.  When
+    every covering type rejects it, the violations of the first
+    least-violating candidate are reported (the most informative
+    failure), elements in row order, nodes before edges.
     """
     report = ValidationReport(mode=mode)
     report.checked = len(ncols) + len(ecols)
@@ -527,9 +416,9 @@ def _check_row(
 ) -> None:
     """Evaluate one row against its pattern's pre-ranked candidates.
 
-    Mirrors the reference loop exactly: first candidate with zero
-    failures accepts; otherwise the first least-failing candidate's
-    violations are reported, in mandatory -> datatype -> endpoint order.
+    The first candidate with zero failures accepts; otherwise the first
+    least-failing candidate's violations are reported, in mandatory ->
+    datatype -> endpoint order.
     """
     kind = plan.kind
     best: list[Violation] | None = None
@@ -624,10 +513,10 @@ def _build_plan(
             for key in keys
         )
         if not mandatory and not endpoint and not needs_values:
-            # Guaranteed acceptance: the reference loop reaches this
-            # candidate with zero failures for every row of the pattern
-            # (datatype failures are impossible without checkable keys),
-            # so no row of the pattern can ever emit a violation.
+            # Guaranteed acceptance: every row of the pattern reaches this
+            # candidate with zero failures (datatype failures are
+            # impossible without checkable keys), so no row of the
+            # pattern can ever emit a violation.
             return _PatternPlan("accept", kind)
         plans.append(_CandidatePlan(
             type_record,

@@ -131,6 +131,18 @@ def test_undocumented_subcommand_is_flagged(bad_findings):
     )
 
 
+def test_set_comprehension_leak_is_flagged(bad_findings):
+    # A list comprehension over a set is a sink of its own (the form
+    # that hid the tied-Jaccard host bug in schema/merge.py); iterating
+    # sorted() over the same set is not.
+    hits = [
+        f for f in bad_findings
+        if f.rule == "unsorted-iteration" and "comprehension" in f.message
+    ]
+    assert len(hits) == 1
+    assert Path(hits[0].path).as_posix().endswith("core/ordering.py")
+
+
 def test_documented_env_var_is_not_flagged(bad_findings):
     messages = [f.message for f in bad_findings if f.rule == "env-var-docs"]
     assert all("PGHIVE_DOCUMENTED" not in m for m in messages)

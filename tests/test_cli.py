@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.datasets import get_dataset
 from repro.graph.io import save_graph_jsonl
+from tests.oracles import validate_elements
 
 
 class TestCli:
@@ -151,6 +152,25 @@ class TestCli:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("SchemI")]
         assert lines and "-" in lines[0]
+
+
+class TestOneEngine:
+    """Discovery and validation have one engine each; no flag picks another."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover", "POLE", "--kernels", "reference"],
+            ["serve", "--port", "0", "--kernels", "reference"],
+            ["validate", "POLE", "schema.json", "--engine", "reference"],
+        ],
+        ids=["discover-kernels", "serve-kernels", "validate-engine"],
+    )
+    def test_engine_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCliFailureHandling:
@@ -328,7 +348,8 @@ class TestValidateCommand:
         ]) == 0
         capsys.readouterr()
 
-    def test_engines_report_identically(self, tmp_path, capsys):
+    def test_engines_report_identically(self, tmp_path, capsys, monkeypatch):
+        """``pghive validate`` prints what the per-element oracle reports."""
         schema = self._saved_schema(tmp_path, capsys)
         graph = tmp_path / "g.jsonl"
         assert main([
@@ -336,12 +357,13 @@ class TestValidateCommand:
             "--scale", "0.15", "--noise", "0.3", "--seed", "9",
         ]) == 0
         capsys.readouterr()
-        main(["validate", str(graph), str(schema), "--max-violations", "0"])
+        argv = ["validate", str(graph), str(schema), "--max-violations", "5"]
+        assert main(argv) == 1
         columns_out = capsys.readouterr().out
-        main([
-            "validate", str(graph), str(schema),
-            "--max-violations", "0", "--engine", "reference",
-        ])
+        monkeypatch.setattr(
+            "repro.schema.validate.validate_batch", validate_elements
+        )
+        assert main(argv) == 1
         assert capsys.readouterr().out == columns_out
 
     def test_missing_schema_file_exits_1(self, capsys):

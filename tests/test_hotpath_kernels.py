@@ -1,10 +1,11 @@
 """Equivalence tests: batch-vectorized kernels vs. reference loops.
 
-Every hot-path kernel (vectorization, MinHash feature sets and signatures,
-banding, label refinement, cluster summarization) has an element-at-a-time
-reference implementation; these properties assert byte-identical outputs
-on random graphs, and that the two engine modes (``kernels="vectorized"``
-vs ``kernels="reference"``) discover byte-identical schemas end to end.
+Every hot-path kernel (vectorization, MinHash feature sets, banding,
+label refinement, cluster summarization) has an element-at-a-time oracle
+in ``tests/oracles/``; these properties assert byte-identical outputs on
+random graphs, and that the production engine and the reference engine
+(:class:`tests.oracles.ReferenceDiscovery`) discover byte-identical
+schemas end to end.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ from hypothesis import strategies as st
 
 from repro.core.columns import edge_columns, node_columns
 from repro.core.config import LSHMethod, PGHiveConfig
-from repro.core.incremental import (
-    IncrementalDiscovery,
-    _refine_by_label_ids,
-    _refine_by_labels,
-)
+from repro.core.incremental import IncrementalDiscovery, _refine_by_label_ids
 from repro.core.pipeline import PGHive
 from repro.core.type_extraction import (
-    build_edge_clusters,
     build_edge_clusters_from_columns,
-    build_node_clusters,
     build_node_clusters_from_columns,
 )
 from repro.core.vectorize import EdgeVectorizer, FeatureInterner, NodeVectorizer
@@ -32,11 +27,22 @@ from repro.embeddings.embedder import LabelEmbedder
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Edge, Node
 from repro.graph.store import GraphStore
-from repro.lsh.buckets import (
-    cluster_by_band_union,
-    cluster_by_band_union_reference,
-)
+from repro.lsh.buckets import cluster_by_band_union
 from repro.schema import serialize_pg_schema
+from tests.oracles import ReferenceDiscovery, discover_reference
+from tests.oracles.kernels import (
+    build_edge_clusters,
+    build_node_clusters,
+    cluster_by_band_union_reference,
+    edge_feature_sets_reference,
+    node_feature_sets_reference,
+    refine_by_labels,
+    vectorize_edges_reference,
+    vectorize_nodes_reference,
+)
+
+#: Engine classes keyed by the mode names the loops below iterate.
+ENGINES = {"vectorized": IncrementalDiscovery, "reference": ReferenceDiscovery}
 
 _LABELS = ["Person", "Org", "Post", ""]
 _KEYS = ["name", "age", "url", "score"]
@@ -115,7 +121,7 @@ class TestVectorizeKernels:
     def test_node_vectorize_matches_reference(self, nodes):
         vectorizer = NodeVectorizer(_KEYS, _embedder())
         batch = vectorizer.vectorize(nodes)
-        reference = vectorizer.vectorize_reference(nodes)
+        reference = vectorize_nodes_reference(vectorizer, nodes)
         assert batch.tobytes() == reference.tobytes()
         if nodes:
             compact, pattern_ids = vectorizer.vectorize_patterns(
@@ -129,7 +135,9 @@ class TestVectorizeKernels:
         edges, endpoint_labels = batch
         vectorizer = EdgeVectorizer(["since", "w"], _embedder())
         vectorized = vectorizer.vectorize(edges, endpoint_labels)
-        reference = vectorizer.vectorize_reference(edges, endpoint_labels)
+        reference = vectorize_edges_reference(
+            vectorizer, edges, endpoint_labels
+        )
         assert vectorized.tobytes() == reference.tobytes()
         if edges:
             compact, pattern_ids = vectorizer.vectorize_patterns(
@@ -145,8 +153,8 @@ class TestVectorizeKernels:
         batch_interner = FeatureInterner()
         reference_interner = FeatureInterner()
         batch = vectorizer.feature_sets(nodes, batch_interner)
-        reference = vectorizer.feature_sets_reference(
-            nodes, reference_interner
+        reference = node_feature_sets_reference(
+            vectorizer, nodes, reference_interner
         )
         assert batch == reference
         assert batch_interner._ids == reference_interner._ids
@@ -166,8 +174,8 @@ class TestVectorizeKernels:
         batch_interner = FeatureInterner()
         reference_interner = FeatureInterner()
         got = vectorizer.feature_sets(edges, endpoint_labels, batch_interner)
-        reference = vectorizer.feature_sets_reference(
-            edges, endpoint_labels, reference_interner
+        reference = edge_feature_sets_reference(
+            vectorizer, edges, endpoint_labels, reference_interner
         )
         assert got == reference
         assert batch_interner._ids == reference_interner._ids
@@ -202,7 +210,7 @@ class TestClusteringKernels:
         assignment = np.random.default_rng(seed).integers(
             0, max(1, len(nodes) // 2 + 1), size=len(nodes)
         ).astype(np.int64)
-        reference = _refine_by_labels(nodes, assignment)
+        reference = refine_by_labels(nodes, assignment)
         columns = node_columns(nodes)
         batch = _refine_by_label_ids(
             assignment, columns.label_ids, len(columns.labels)
@@ -268,12 +276,12 @@ class TestEndToEndEquivalence:
     @staticmethod
     def _assert_modes_agree(graph, method):
         store = GraphStore(graph)
-        serialized = {}
-        for kernels in ("vectorized", "reference"):
-            config = PGHiveConfig(method=method, kernels=kernels)
-            result = PGHive(config).discover(store)
-            serialized[kernels] = serialize_pg_schema(result.schema)
-        assert serialized["vectorized"] == serialized["reference"]
+        config = PGHiveConfig(method=method)
+        production = PGHive(config).discover(store).schema
+        reference = discover_reference(store, config).schema
+        assert serialize_pg_schema(production) == serialize_pg_schema(
+            reference
+        )
 
 
 class TestEmbedderReuse:
@@ -301,7 +309,7 @@ class TestEmbedderReuse:
     def test_reuse_chain_identical_to_refit_chain(self):
         """Reusing the cached embedder must not change any batch schema.
 
-        The reference mode refits Word2Vec every batch; training is
+        The reference engine refits Word2Vec every batch; training is
         deterministic, so the reused embedder is equivalent and the
         monotone schema chain must be byte-identical.
         """
@@ -329,7 +337,7 @@ class TestEmbedderReuse:
             batches.append((nodes, edges))
         chains = {}
         for kernels in ("vectorized", "reference"):
-            engine = IncrementalDiscovery(PGHiveConfig(kernels=kernels))
+            engine = ENGINES[kernels]()
             chain = []
             for nodes, edges in batches:
                 engine.process_batch(nodes, edges, None)
@@ -341,7 +349,7 @@ class TestEmbedderReuse:
 class TestStageTiming:
     def test_batch_report_has_stage_seconds(self):
         for kernels in ("vectorized", "reference"):
-            engine = IncrementalDiscovery(PGHiveConfig(kernels=kernels))
+            engine = ENGINES[kernels]()
             report = engine.process_batch(
                 [Node(0, frozenset({"A"}), {"x": 1})],
                 [Edge(1, 0, 0, frozenset({"R"}), {})],

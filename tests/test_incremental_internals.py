@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalDiscovery, _refine_by_labels
+from repro.core.incremental import IncrementalDiscovery
 from repro.graph.model import Edge, Node
 from repro.schema.model import SchemaGraph
+from tests.oracles import ReferenceDiscovery
+from tests.oracles.kernels import refine_by_labels
 
 
 def _node(node_id, labels=(), keys=()):
@@ -17,40 +19,40 @@ class TestRefineByLabels:
     def test_splits_mixed_label_cluster(self):
         nodes = [_node(0, ["A"]), _node(1, ["B"]), _node(2, ["A"])]
         assignment = np.array([0, 0, 0])
-        refined = _refine_by_labels(nodes, assignment)
+        refined = refine_by_labels(nodes, assignment)
         assert refined[0] == refined[2]
         assert refined[0] != refined[1]
 
     def test_keeps_unlabeled_together(self):
         nodes = [_node(0), _node(1), _node(2, ["A"])]
-        refined = _refine_by_labels(nodes, np.array([0, 0, 0]))
+        refined = refine_by_labels(nodes, np.array([0, 0, 0]))
         assert refined[0] == refined[1]
         assert refined[0] != refined[2]
 
     def test_respects_original_clusters(self):
         nodes = [_node(0, ["A"]), _node(1, ["A"])]
-        refined = _refine_by_labels(nodes, np.array([0, 1]))
+        refined = refine_by_labels(nodes, np.array([0, 1]))
         assert refined[0] != refined[1]
 
     def test_label_set_not_token_is_the_key(self):
         nodes = [_node(0, ["A&B"]), _node(1, ["A", "B"])]
-        refined = _refine_by_labels(nodes, np.array([0, 0]))
+        refined = refine_by_labels(nodes, np.array([0, 0]))
         assert refined[0] != refined[1]
 
     def test_empty_input(self):
-        out = _refine_by_labels([], np.empty(0, dtype=np.int64))
+        out = refine_by_labels([], np.empty(0, dtype=np.int64))
         assert out.size == 0
 
     def test_ids_dense_in_first_appearance_order(self):
         nodes = [_node(0, ["B"]), _node(1, ["A"]), _node(2, ["B"])]
-        refined = _refine_by_labels(nodes, np.array([0, 0, 0]))
+        refined = refine_by_labels(nodes, np.array([0, 0, 0]))
         assert refined.tolist() == [0, 1, 0]
 
 
 class TestFitEmbedder:
     def test_dedupes_sentences(self):
         """Thousands of same-shaped edges train like a handful."""
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         nodes = [_node(i, ["Person"]) for i in range(100)]
         edges = [
             Edge(i, i % 100, (i + 1) % 100, frozenset({"KNOWS"}), {})
@@ -62,7 +64,7 @@ class TestFitEmbedder:
         assert len(embedder.vocabulary) == 2
 
     def test_handles_no_edges(self):
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         nodes = [_node(0, ["A"]), _node(1, ["B"])]
         embedder = engine._fit_embedder(nodes, [], {})
         assert "A" in embedder.vocabulary and "B" in embedder.vocabulary
@@ -72,7 +74,7 @@ class TestEffectiveEndpointLabels:
     def test_unlabeled_member_of_labeled_type_gets_real_labels(self):
         from repro.schema.model import NodeType
 
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         batch_schema = SchemaGraph("b")
         person = NodeType("Person", frozenset({"Person"}), members=[0, 1])
         batch_schema.add_node_type(person)
@@ -86,7 +88,7 @@ class TestEffectiveEndpointLabels:
     def test_abstract_type_members_get_pseudo_token(self):
         from repro.schema.model import NodeType
 
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         batch_schema = SchemaGraph("b")
         ghost = NodeType("ABSTRACT_NODE_1", abstract=True, members=[0])
         batch_schema.add_node_type(ghost)
@@ -99,7 +101,7 @@ class TestEffectiveEndpointLabels:
         assert token in ghost.cluster_tokens
 
     def test_out_of_batch_endpoints_untouched(self):
-        engine = IncrementalDiscovery()
+        engine = ReferenceDiscovery()
         effective = engine._effective_endpoint_labels(
             SchemaGraph("b"), [], {42: frozenset({"Other"})}
         )

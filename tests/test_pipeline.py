@@ -79,6 +79,10 @@ class TestStaticDiscovery:
 
 
 class TestConfigValidation:
+    def test_no_kernels_field(self):
+        with pytest.raises(TypeError):
+            PGHiveConfig(kernels="reference")
+
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             PGHiveConfig(jaccard_threshold=1.5)

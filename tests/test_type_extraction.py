@@ -5,12 +5,11 @@ import pytest
 
 from repro.core.type_extraction import (
     CandidateCluster,
-    build_edge_clusters,
-    build_node_clusters,
     extract_types,
     resolve_edge_endpoints,
 )
 from repro.graph.model import Edge, Node
+from tests.oracles.kernels import build_edge_clusters, build_node_clusters
 
 
 def _nodes(*specs):

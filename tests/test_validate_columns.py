@@ -1,8 +1,9 @@
 """Property tests: columnar bulk validation == per-element reference.
 
-``validate_columns`` (and its wrapper ``validate_batch``) must produce a
-report byte-identical to ``validate_elements`` / ``validate_graph`` on the
-same inputs: same checked count, same violations, same order, same detail
+``validate_columns`` (and its wrappers ``validate_batch`` and
+``validate_graph``) must produce a report byte-identical to the
+per-element oracle ``tests.oracles.validate_elements`` on the same
+inputs: same checked count, same violations, same order, same detail
 strings.  The corpus below stresses both modes, label-free nodes, abstract
 (label-free) types, endpoint mismatches, unknown endpoints, multi-candidate
 ties, and schemas discovered from real graphs.
@@ -24,9 +25,9 @@ from repro.schema.model import (
 from repro.schema.validate import (
     ValidationMode,
     validate_batch,
-    validate_elements,
     validate_graph,
 )
+from tests.oracles import validate_elements
 
 LABELS = ["Person", "City", "Org", "Tag"]
 KEYS = ["name", "age", "since", "weight", "rank"]
@@ -126,9 +127,12 @@ class TestColumnarEquivalence:
         result = PGHive().discover(figure1_store)
         nodes = list(figure1_graph.nodes())
         edges = list(figure1_graph.edges())
-        reference = validate_graph(figure1_graph, result.schema, mode)
+        reference = validate_elements(nodes, edges, result.schema, mode)
         columnar = validate_batch(nodes, edges, result.schema, mode)
         _assert_reports_identical(reference, columnar)
+        _assert_reports_identical(
+            reference, validate_graph(figure1_graph, result.schema, mode)
+        )
         assert columnar.is_valid
 
     def test_empty_batch(self):
