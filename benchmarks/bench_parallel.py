@@ -13,9 +13,10 @@ host the calibration documents the ceiling.
 
 The payload also records the worker payload cost: what actually crosses
 the process pipe -- shard plans out and per-shard schemas back, pickled
-whole -- and how long that pickle round trip takes.  The partition timing separates the parent's
-serial share (node tables + bucket concatenation + install) from the
-edge bucketing the driver now runs on the worker pool.  A second stage
+whole -- and how long that pickle round trip takes.  The partition
+timing is the driver's serial ``store.plan_shards`` call, the same
+cached partition the sequential engine's ``store.batches`` uses.  A
+second stage
 table compares section 4.4 post-processing as the serial engine runs it
 (store-backed member scans) against the sharded fold the pool uses
 (``attach_partial_stats`` in each worker, one store-free
@@ -40,8 +41,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy
 
 from repro.core.columns import edge_columns, node_columns
 from repro.core.config import PGHiveConfig
@@ -106,39 +105,14 @@ def _measure_serial_components(graph, config) -> dict:
     """Time the driver's inherently serial steps and the pipe payload.
 
     Discovers every shard in-process (so the measurement is not polluted
-    by pool scheduling), then times (a) the parent-serial share of the
-    partition (node tables, bucket concatenation, install) separately
-    from the pool-parallel edge bucketing, (b) the merge tree over the
-    per-shard schemas, and (c) what a pool run ships across the pipe.
+    by pool scheduling), then times (a) the driver's serial partition
+    (``store.plan_shards``), (b) the merge tree over the per-shard
+    schemas, and (c) what a pool run ships across the pipe.
     """
     store = GraphStore(graph)
     started = time.perf_counter()
-    nodes_by_shard, sorted_ids, shard_of_sorted = store.partition_tables(
-        NUM_BATCHES, seed=config.seed
-    )
-    tables_seconds = time.perf_counter() - started
-    num_edges = graph.num_edges
-    step = max(1, -(-num_edges // 8))  # the slices a 4-worker pool uses
-    started = time.perf_counter()
-    slice_buckets = [
-        store.bucket_edge_range(
-            start, min(start + step, num_edges),
-            sorted_ids, shard_of_sorted, NUM_BATCHES,
-        )
-        for start in range(0, num_edges, step)
-    ]
-    bucket_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    merged = [
-        numpy.concatenate([buckets[shard] for buckets in slice_buckets])
-        if slice_buckets else numpy.empty(0, dtype=numpy.int64)
-        for shard in range(NUM_BATCHES)
-    ]
-    store.install_partition(
-        NUM_BATCHES, config.seed, True, nodes_by_shard, merged
-    )
     plans = store.plan_shards(NUM_BATCHES, seed=config.seed)
-    concat_seconds = time.perf_counter() - started
+    partition_seconds = time.perf_counter() - started
     engine = IncrementalDiscovery(config, name="shard")
     worker_compute = 0.0
     results = []
@@ -161,11 +135,7 @@ def _measure_serial_components(graph, config) -> dict:
     pickle.loads(payload)
     pickle_seconds = time.perf_counter() - started
     return {
-        # Parent-serial share: the edge bucketing itself rides the pool.
-        "partition_seconds": round(tables_seconds + concat_seconds, 6),
-        "partition_tables_seconds": round(tables_seconds, 6),
-        "partition_bucket_seconds": round(bucket_seconds, 6),
-        "partition_concat_seconds": round(concat_seconds, 6),
+        "partition_seconds": round(partition_seconds, 6),
         "merge_tree_seconds": round(merge_seconds, 6),
         "pickle_roundtrip_seconds": round(pickle_seconds, 6),
         "pipe_payload_bytes": plans_bytes + len(payload),
@@ -309,7 +279,7 @@ def run_parallel_bench(
             "schemas.  measured_speedup is bounded above by the host's "
             "effective_parallelism (CPU-quota calibration below); "
             "amdahl_projected_speedup applies the measured serial "
-            "fraction (parent-serial partition share + merge tree) to "
+            "fraction (serial plan_shards partition + merge tree) to "
             "ideal cores.  Each run's "
             "postprocess block compares the serial store-backed "
             "section 4.4 passes against the sharded partial-stats fold "

@@ -2,10 +2,8 @@
 
 The parallel driver (:mod:`repro.core.parallel`) promises that nothing
 graph-sized and nothing unpicklable ever crosses the process-pool pipe:
-workers receive tiny :class:`~repro.graph.store.ShardPlan` scalars or
-compact :class:`~repro.core.columns.NodeColumns` /
-:class:`~repro.core.columns.EdgeColumns` arrays and return per-shard
-schemas.  Two rules keep that true statically:
+workers receive tiny :class:`~repro.graph.store.ShardPlan` scalars and
+return per-shard schemas.  Two rules keep that true statically:
 
 * ``payload-pickle`` -- every type in :data:`POOL_PAYLOAD_TYPES` (the
   types annotated as crossing the pool boundary) must be a dataclass --
@@ -47,10 +45,7 @@ from repro.analysis.registry import (
 #: stay statically pickle-checked.
 POOL_PAYLOAD_TYPES = (
     "ShardPlan",
-    "StreamShardPlan",
     "AbsorptionEntry",
-    "NodeColumns",
-    "EdgeColumns",
     "ShardResult",
     "ShardFailure",
     "BatchReport",

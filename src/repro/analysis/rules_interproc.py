@@ -48,9 +48,7 @@ __all__ = [
 #: byte-identical results for any worker count / chunk schedule.
 WORKER_ROOTS: tuple[str, ...] = (
     "core/parallel.py:_discover_plan_chunk",
-    "core/parallel.py:_discover_columns_chunk",
     "core/parallel.py:_discover_one",
-    "core/parallel.py:_bucket_edges_task",
 )
 
 #: The merge fold: must be a pure in-memory computation so the pairwise

@@ -10,28 +10,18 @@ pairwise merge tree of :func:`repro.schema.merge.merge_schema_tree`.
 
 Payload contract
 ----------------
-Workers never receive pickled :class:`~repro.graph.model.Node` /
-:class:`~repro.graph.model.Edge` objects.  Three payload modes exist:
-
-* **plan mode** (:meth:`ParallelDiscovery.discover_store`): the parent
-  computes the shard partition -- the node half serially (one seeded
-  shuffle), the O(edges) bucketing half *on the worker pool* via
-  :meth:`~repro.graph.store.GraphStore.bucket_edge_range` slices whose
-  per-shard buckets concatenate to the byte-identical single-pass
-  assignment -- installs it into the store, and forks; each worker
-  receives only :class:`~repro.graph.store.ShardPlan` scalars and
-  materializes + columnizes its shards against the fork-inherited store.
-* **stream mode** (:meth:`ParallelDiscovery.discover_stream`): for a
-  seeded :class:`~repro.datasets.stream.GraphStream`, workers receive
-  :class:`~repro.datasets.stream.StreamShardPlan` scalars and *replay*
-  the stream's deterministic generation themselves, so batch generation
-  and columnization both ride the pool.
-* **columns mode** (:meth:`ParallelDiscovery.discover_batches`): for
-  arbitrary pre-batched data the parent columnizes each batch once and
-  ships the compact integer-id arrays.
-
-Shard results come back pickled through the pool's own pipe: a shard
-schema is small next to the graph it summarizes.
+The pool has one input, a graph store
+(:meth:`ParallelDiscovery.discover_store`).  The driver calls
+:meth:`~repro.graph.store.BaseGraphStore.plan_shards` -- the same cached
+partition :meth:`~repro.graph.store.BaseGraphStore.batches` streams in
+the sequential engine -- and forks.  Workers never receive pickled
+:class:`~repro.graph.model.Node` / :class:`~repro.graph.model.Edge`
+objects: each gets :class:`~repro.graph.store.ShardPlan` scalars and
+materializes + columnizes its shards against the fork-inherited store
+(the disk backend columnizes straight from its mapped slabs when no
+per-element pass needs the objects).  Shard results come back pickled
+through the pool's own pipe: a shard schema is small next to the graph
+it summarizes.
 
 Failure model and recovery
 --------------------------
@@ -94,9 +84,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
-
-import numpy
+from typing import Sequence
 
 from repro.core.absorption import (
     AbsorptionEntry,
@@ -122,9 +110,8 @@ from repro.core.postprocess import (
 )
 from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
 from repro.core.type_extraction import resolve_edge_endpoints
-from repro.datasets.stream import GraphStream, StreamShardPlan
 from repro.graph.slab import SlabCorruptionError
-from repro.graph.store import BaseGraphStore, GraphBatch, ShardPlan
+from repro.graph.store import BaseGraphStore, ShardPlan
 from repro.schema.merge import merge_schema_tree, merge_schemas
 from repro.schema.model import SchemaGraph
 from repro.schema.persist import (
@@ -144,11 +131,6 @@ __all__ = [
     "combine_shard_results",
     "fork_available",
 ]
-
-
-# One unit of pool work: a shard recipe (plan/stream mode) or a
-# pre-columnized batch tuple (columns mode).
-Payload = ShardPlan | StreamShardPlan | tuple[int, NodeColumns, EdgeColumns]
 
 
 class ShardRecoveryError(RuntimeError):
@@ -193,9 +175,9 @@ class ShardResult:
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform.
 
-    The plan-mode payload relies on copy-on-write inheritance of the
-    parent's store; without ``fork`` (e.g. Windows, or macOS policies
-    forcing ``spawn``) the driver falls back to sequential discovery.
+    The pool relies on copy-on-write inheritance of the parent's store;
+    without ``fork`` (e.g. Windows, or macOS policies forcing ``spawn``)
+    the driver falls back to sequential discovery.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -235,29 +217,19 @@ def combine_shard_results(
 # Worker side.  State shared by fork inheritance: the parent sets
 # ``_PARENT_STATE`` immediately before creating the pool, children
 # inherit the reference copy-on-write, and nothing graph-sized is ever
-# pickled.  (Pool tasks themselves carry only plans or column arrays,
-# plus the per-shard attempt numbers the fault injector keys on.)
+# pickled.  (Pool tasks themselves carry only shard plans, plus the
+# per-shard attempt numbers the fault injector keys on.)
 # ----------------------------------------------------------------------
 @dataclass
 class _ParentState:
     """Everything a forked worker inherits from the driver."""
 
-    source: BaseGraphStore | GraphStream | None
+    source: BaseGraphStore
     config: PGHiveConfig
     snapshot: MemoSnapshot | None = None
 
 
 _PARENT_STATE: _ParentState | None = None
-
-#: (store, sorted node ids, shard-of-sorted lookup, num shards) for the
-#: short-lived partition pool; same fork-inheritance protocol as above.
-_PARTITION_STATE: (
-    tuple[BaseGraphStore, numpy.ndarray, numpy.ndarray, int] | None
-) = None
-
-#: Below this edge count the pool-parallel bucketing pass costs more in
-#: fork + concatenate overhead than the serial numpy pass it replaces.
-_PARALLEL_PARTITION_MIN_EDGES = 8192
 
 
 def _worker_injector(config: PGHiveConfig) -> FaultInjector | None:
@@ -297,23 +269,8 @@ def _check_memory(
         )
 
 
-def _materialize_plan(
-    source: BaseGraphStore | GraphStream | None,
-    plan: ShardPlan | StreamShardPlan,
-) -> GraphBatch:
-    """Dispatch a shard recipe to its source's materializer."""
-    if isinstance(plan, ShardPlan) and isinstance(source, BaseGraphStore):
-        return source.materialize_shard(plan)
-    if isinstance(plan, StreamShardPlan) and isinstance(source, GraphStream):
-        return source.materialize_shard(plan)
-    raise RuntimeError(
-        f"payload {type(plan).__name__} does not match inherited source "
-        f"{type(source).__name__}"
-    )
-
-
 def _discover_plan_chunk(
-    plans: Sequence[ShardPlan | StreamShardPlan],
+    plans: Sequence[ShardPlan],
     attempts: Sequence[int],
     in_worker: bool = True,
 ) -> list[ShardResult]:
@@ -321,9 +278,7 @@ def _discover_plan_chunk(
 
     A chunk of *consecutive* shard indices shares one engine, so the
     cross-batch embedder reuse of the sequential engine still applies
-    within the chunk (reuse never changes output, only cost); for stream
-    plans the consecutive order also keeps the seeded replay cursor
-    ascending, so a chunk costs one stream pass in total.
+    within the chunk (reuse never changes output, only cost).
     """
     state = _PARENT_STATE
     if state is None:
@@ -338,12 +293,7 @@ def _discover_plan_chunk(
     for plan, attempt in zip(plans, attempts):
         if injector is not None:
             injector.fire("shard", plan.index, attempt, in_worker=in_worker)
-        if (
-            columnizer is not None
-            and isinstance(plan, ShardPlan)
-            and snapshot is None
-            and not compute_stats
-        ):
+        if columnizer is not None and snapshot is None and not compute_stats:
             # Out-of-core fast path: the disk backend columnizes a shard
             # straight from its mapped slab columns, byte-identical to
             # materializing objects first but without ever holding them.
@@ -354,7 +304,7 @@ def _discover_plan_chunk(
             results.append(_discover_one(engine, plan.index, ncols, ecols))
             _check_memory(config, in_worker, "discovery", plan.index)
             continue
-        batch = _materialize_plan(source, plan)
+        batch = source.materialize_shard(plan)
         _check_memory(config, in_worker, "materialization", plan.index)
         nodes, edges = batch.nodes, batch.edges
         entries: list[AbsorptionEntry] = []
@@ -399,28 +349,6 @@ def _discover_plan_chunk(
     return results
 
 
-def _discover_columns_chunk(
-    payloads: Sequence[tuple[int, NodeColumns, EdgeColumns]],
-    attempts: Sequence[int],
-    in_worker: bool = True,
-) -> list[ShardResult]:
-    """Worker: discover a chunk of pre-columnized shards."""
-    state = _PARENT_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited parent state")
-    config = state.config
-    injector = _worker_injector(config)
-    engine = IncrementalDiscovery(config, name="shard")
-    results: list[ShardResult] = []
-    for (index, ncols, ecols), attempt in zip(payloads, attempts):
-        if injector is not None:
-            injector.fire("shard", index, attempt, in_worker=in_worker)
-        _check_memory(config, in_worker, "payload", index)
-        results.append(_discover_one(engine, index, ncols, ecols))
-        _check_memory(config, in_worker, "discovery", index)
-    return results
-
-
 def _discover_one(
     engine: IncrementalDiscovery,
     index: int,
@@ -434,24 +362,6 @@ def _discover_one(
     report.worker = os.getpid()
     params = dict(list(engine.parameters.items())[seen:])
     return ShardResult(index, schema, report, params)
-
-
-def _bucket_edges_task(start: int, stop: int) -> list[numpy.ndarray]:
-    """Worker: bucket one slice of the edge sequence by source shard."""
-    state = _PARTITION_STATE
-    if state is None:
-        raise RuntimeError("worker has no inherited partition state")
-    store, sorted_ids, shard_of_sorted, num_shards = state
-    return store.bucket_edge_range(
-        start, stop, sorted_ids, shard_of_sorted, num_shards
-    )
-
-
-def _payload_index(payload: Payload) -> int:
-    """Global shard index of a task payload."""
-    if isinstance(payload, (ShardPlan, StreamShardPlan)):
-        return payload.index
-    return payload[0]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -556,18 +466,17 @@ class _ShardJournal:
 class ParallelDiscovery:
     """Multi-process batch discovery with retry, respawn, and fallback.
 
-    Drives ``config.jobs`` worker processes over the shards of a store
-    (plan mode), a seeded stream (stream mode) or an already-batched
-    iterable (columns mode), then combines the per-shard schemas with
-    :func:`combine_shard_results`.  In plan and stream mode the workers
-    also fold the post-processing statistics (datatype joins,
-    value-profile partials, per-node degree maps) into
-    :class:`~repro.core.postprocess.TypeStats` riding on the shard
-    types; :class:`repro.core.pipeline.PGHive` consumes the merged stats
-    with :func:`~repro.core.postprocess.apply_partial_stats` -- or falls
-    back to the serial store-backed passes (columns mode, sampling
-    mode).  See the module docstring for the failure model and the
-    two-phase memoization protocol.
+    Drives ``config.jobs`` worker processes over the shards of one graph
+    store (:meth:`discover_store`), then combines the per-shard schemas
+    with :func:`combine_shard_results`.  The workers also fold the
+    post-processing statistics (datatype joins, value-profile partials,
+    per-node degree maps) into :class:`~repro.core.postprocess.TypeStats`
+    riding on the shard types; :class:`repro.core.pipeline.PGHive`
+    consumes the merged stats with
+    :func:`~repro.core.postprocess.apply_partial_stats` -- or falls back
+    to the serial store-backed passes (sampling mode).  See the module
+    docstring for the failure model and the two-phase memoization
+    protocol.
     """
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
@@ -617,12 +526,10 @@ class ParallelDiscovery:
     ) -> DiscoveryResult:
         """Shard ``store`` into ``num_batches`` and discover in parallel.
 
-        The shard partition itself is computed with the pool: the parent
-        runs the node half (one seeded shuffle plus an argsort), workers
-        bucket slices of the edge sequence by source shard, and the
-        parent concatenates the per-shard buckets -- byte-identical to
-        the single-pass assignment, enforced by
-        ``tests/test_graph_store.py``.
+        The driver partitions serially with ``store.plan_shards`` -- the
+        cached partition the sequential engine's ``store.batches`` uses,
+        so every shard is byte-identical to the batch ``jobs=1`` sees --
+        and forked workers inherit that partition with the store.
 
         When ``config.checkpoint_dir`` is set, every completed shard is
         journaled atomically under ``<checkpoint_dir>/shards/``; with
@@ -642,17 +549,8 @@ class ParallelDiscovery:
             resume,
         )
         partition_started = time.perf_counter()
-        nodes_by_shard, sorted_ids, shard_of_sorted = store.partition_tables(
-            num_batches, seed=config.seed
-        )
-        edges_by_shard, partition_mode = self._partition_edges(
-            store, sorted_ids, shard_of_sorted, num_batches
-        )
-        store.install_partition(
-            num_batches, config.seed, True, nodes_by_shard, edges_by_shard
-        )
-        partition_seconds = time.perf_counter() - partition_started
         plans = store.plan_shards(num_batches, seed=config.seed)
+        partition_seconds = time.perf_counter() - partition_started
         todo = [plan for plan in plans if plan.index not in preloaded]
         shard_results, failures = self._run_phases(
             plans, todo, preloaded, _ParentState(store, config), journal
@@ -661,7 +559,7 @@ class ParallelDiscovery:
         all_results += shard_results
         extra = {
             "parallel/partition": (
-                f"mode={partition_mode} seconds={partition_seconds:.6f}"
+                f"mode=serial seconds={partition_seconds:.6f}"
             ),
         }
         result = self._combine(
@@ -669,81 +567,6 @@ class ParallelDiscovery:
         )
         self._note_resume(result, journal, preloaded)
         return result
-
-    def discover_stream(
-        self, stream: GraphStream, resume: bool = False
-    ) -> DiscoveryResult:
-        """Discover a seeded stream with per-worker replay.
-
-        The parent never consumes the live stream: workers receive
-        :class:`~repro.datasets.stream.StreamShardPlan` scalars and
-        replay a pristine fork-inherited replica up to their batch, so
-        *generation* and columnization both run on the pool and nothing
-        batch-sized crosses the pipe on the way out.  Because replay is
-        seeded, every shard is byte-identical to the batch the live
-        stream would have emitted, and the usual purity/recovery
-        arguments apply unchanged -- including journal resume: with
-        ``config.checkpoint_dir`` and ``resume=True``, journaled stream
-        shards are reloaded and only the missing ones are replayed.
-        """
-        started = time.perf_counter()
-        config = self.config
-        journal, preloaded = self._prepare_journal(
-            self._journal_context(
-                stream.graph.name, stream.num_batches, stream.seed
-            ),
-            resume,
-        )
-        plans = stream.plan_shards()
-        todo = [plan for plan in plans if plan.index not in preloaded]
-        chunk = config.chunk_size(stream.num_batches)
-        chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-        shard_results, failures = self._run_pool(
-            _discover_plan_chunk, chunks, _ParentState(stream, config),
-            journal,
-        )
-        all_results = [preloaded[index] for index in sorted(preloaded)]
-        all_results += shard_results
-        result = self._combine(
-            stream.graph.name, all_results, failures, started
-        )
-        self._note_resume(result, journal, preloaded)
-        return result
-
-    def discover_batches(
-        self,
-        batches: Iterable[GraphBatch],
-        name: str = "stream",
-        total: int | None = None,
-    ) -> DiscoveryResult:
-        """Discover pre-batched data from an arbitrary iterable.
-
-        The parent consumes the iterable -- stateful sources must be
-        generated in order -- columnizing each batch once; the column
-        arrays ship to the workers through the pool pipe.  Because the
-        parent keeps every payload for the duration of the run, lost or
-        timed-out shards can be re-shipped without re-reading the source.
-        """
-        started = time.perf_counter()
-        config = self.config
-        payloads: list[Payload] = [
-            (
-                index,
-                node_columns(batch.nodes),
-                edge_columns(batch.edges, batch.endpoint_labels),
-            )
-            for index, batch in enumerate(batches)
-        ]
-        chunk = config.chunk_size(
-            total if total is not None else len(payloads)
-        )
-        chunks = [
-            payloads[i : i + chunk] for i in range(0, len(payloads), chunk)
-        ]
-        shard_results, failures = self._run_pool(
-            _discover_columns_chunk, chunks, _ParentState(None, config)
-        )
-        return self._combine(name, shard_results, failures, started)
 
     @staticmethod
     def _note_resume(
@@ -761,70 +584,6 @@ class ParallelDiscovery:
             result.parameters["parallel/journal_skipped"] = (
                 " ".join(journal.skipped)
             )
-
-    # ------------------------------------------------------------------
-    # Parallel partitioning
-    # ------------------------------------------------------------------
-    def _partition_edges(
-        self,
-        store: BaseGraphStore,
-        sorted_ids: numpy.ndarray,
-        shard_of_sorted: numpy.ndarray,
-        num_shards: int,
-    ) -> tuple[list[numpy.ndarray], str]:
-        """Bucket all edges by source shard, on the pool when worthwhile.
-
-        Splits the edge sequence into about two slices per worker, has a
-        short-lived pool bucket each slice
-        (:func:`_bucket_edges_task`), and concatenates every slice's
-        bucket ``s`` in slice order -- byte-identical to the serial pass
-        because the per-slice stable sort preserves in-slice edge order.
-        Small graphs (or ``jobs=1``) keep the serial numpy pass; any
-        pool failure falls back to it too, since partitioning must never
-        be less reliable than the dict pass it replaced.
-        """
-        global _PARTITION_STATE
-        num_edges = store.count_edges()
-        jobs = self.config.jobs
-        if jobs <= 1 or num_edges < _PARALLEL_PARTITION_MIN_EDGES:
-            return (
-                store.bucket_edge_range(
-                    0, num_edges, sorted_ids, shard_of_sorted, num_shards
-                ),
-                "serial",
-            )
-        slices: list[tuple[int, int]] = []
-        step = max(1, -(-num_edges // (jobs * 2)))
-        for start in range(0, num_edges, step):
-            slices.append((start, min(start + step, num_edges)))
-        workers = min(jobs, len(slices))
-        _PARTITION_STATE = (store, sorted_ids, shard_of_sorted, num_shards)
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                futures = [
-                    pool.submit(_bucket_edges_task, start, stop)
-                    for start, stop in slices
-                ]
-                chunk_buckets = [future.result() for future in futures]
-        except Exception:
-            return (
-                store.bucket_edge_range(
-                    0, num_edges, sorted_ids, shard_of_sorted, num_shards
-                ),
-                "serial-fallback",
-            )
-        finally:
-            _PARTITION_STATE = None
-        merged = [
-            numpy.concatenate(
-                [buckets[shard] for buckets in chunk_buckets]
-            )
-            for shard in range(num_shards)
-        ]
-        return merged, f"parallel workers={workers} slices={len(slices)}"
 
     # ------------------------------------------------------------------
     # Two-phase memoization
@@ -851,7 +610,7 @@ class ParallelDiscovery:
         chunk = config.chunk_size(len(plans))
         if not config.memoize_patterns:
             chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-            return self._run_pool(_discover_plan_chunk, chunks, state, journal)
+            return self._run_pool(chunks, state, journal)
         seed_index = min(plan.index for plan in plans)
         results: list[ShardResult] = []
         failures: list[ShardFailure] = []
@@ -863,7 +622,7 @@ class ParallelDiscovery:
                 plan for plan in todo if plan.index == seed_index
             )
             seed_results, seed_failures = self._run_pool(
-                _discover_plan_chunk, [[seed_plan]], state, journal
+                [[seed_plan]], state, journal
             )
             results += seed_results
             failures += seed_failures
@@ -872,9 +631,7 @@ class ParallelDiscovery:
         rest = [plan for plan in todo if plan.index != seed_index]
         chunks = [rest[i : i + chunk] for i in range(0, len(rest), chunk)]
         state.snapshot = snapshot
-        rest_results, rest_failures = self._run_pool(
-            _discover_plan_chunk, chunks, state, journal
-        )
+        rest_results, rest_failures = self._run_pool(chunks, state, journal)
         return results + rest_results, failures + rest_failures
 
     # ------------------------------------------------------------------
@@ -882,8 +639,7 @@ class ParallelDiscovery:
     # ------------------------------------------------------------------
     def _run_pool(
         self,
-        worker: Callable[..., list[ShardResult]],
-        chunks: Sequence[list[Payload]],
+        chunks: Sequence[list[ShardPlan]],
         state: _ParentState,
         journal: "_ShardJournal | None" = None,
     ) -> tuple[list[ShardResult], list[ShardFailure]]:
@@ -906,12 +662,12 @@ class ParallelDiscovery:
         timeout = config.shard_timeout
         results: dict[int, ShardResult] = {}
         failures: list[ShardFailure] = []
-        fallback: list[tuple[Payload, int]] = []
-        pending: deque[tuple[list[Payload], list[int]]] = deque(
+        fallback: list[tuple[ShardPlan, int]] = []
+        pending: deque[tuple[list[ShardPlan], list[int]]] = deque(
             (list(chunk), [0] * len(chunk)) for chunk in chunks
         )
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-        running: dict[object, tuple[list[Payload], list[int], float]] = {}
+        running: dict[object, tuple[list[ShardPlan], list[int], float]] = {}
 
         def collect(shards: list[ShardResult], attempts: list[int]) -> None:
             for shard, attempt in zip(shards, attempts):
@@ -922,27 +678,26 @@ class ParallelDiscovery:
                 if attempt > 0:
                     self._mark_recovered(failures, shard.index, "retry")
 
-        def requeue(payloads: list[Payload], attempts: list[int], kind: str,
+        def requeue(plans: list[ShardPlan], attempts: list[int], kind: str,
                     error: str) -> None:
             """Split / blame / retry / fall back after one task failure."""
-            if len(payloads) > 1:
+            if len(plans) > 1:
                 # Blame is per-shard: rerun each alone at the same
                 # attempt so the faulty one fails in isolation next.
-                for payload, attempt in zip(payloads, attempts):
-                    pending.append(([payload], [attempt]))
+                for plan, attempt in zip(plans, attempts):
+                    pending.append(([plan], [attempt]))
                 return
-            payload, attempt = payloads[0], attempts[0]
-            index = _payload_index(payload)
-            failures.append(ShardFailure(index, attempt, kind, error))
+            plan, attempt = plans[0], attempts[0]
+            failures.append(ShardFailure(plan.index, attempt, kind, error))
             if attempt + 1 <= config.shard_retries:
                 if config.shard_retry_backoff:
                     time.sleep(config.shard_retry_backoff * (attempt + 1))
-                pending.append(([payload], [attempt + 1]))
+                pending.append(([plan], [attempt + 1]))
             else:
-                fallback.append((payload, attempt + 1))
+                fallback.append((plan, attempt + 1))
 
         def quarantine(
-            payloads: list[Payload],
+            plans: list[ShardPlan],
             attempts: list[int],
             exc: SlabCorruptionError,
         ) -> None:
@@ -958,26 +713,28 @@ class ParallelDiscovery:
             """
             if config.corrupt_slab_policy != "skip":
                 raise exc
-            if len(payloads) > 1:
-                for payload, attempt in zip(payloads, attempts):
-                    pending.append(([payload], [attempt]))
+            if len(plans) > 1:
+                for plan, attempt in zip(plans, attempts):
+                    pending.append(([plan], [attempt]))
                 return
             failures.append(ShardFailure(
-                _payload_index(payloads[0]), attempts[0], "corruption",
+                plans[0].index, attempts[0], "corruption",
                 str(exc),
             ))
 
         try:
             while pending or running:
                 while pending and len(running) < workers:
-                    payloads, attempts = pending.popleft()
+                    plans, attempts = pending.popleft()
                     try:
-                        future = pool.submit(worker, payloads, attempts)
+                        future = pool.submit(
+                            _discover_plan_chunk, plans, attempts
+                        )
                     except BrokenProcessPool:
                         # The pool broke between iterations.  Put the
                         # task back; drain the dead futures through the
                         # wait() below, or respawn at once if none.
-                        pending.appendleft((payloads, attempts))
+                        pending.appendleft((plans, attempts))
                         if running:
                             break
                         pool.shutdown(wait=False, cancel_futures=True)
@@ -985,7 +742,7 @@ class ParallelDiscovery:
                             max_workers=workers, mp_context=context
                         )
                         continue
-                    running[future] = (payloads, attempts, time.monotonic())
+                    running[future] = (plans, attempts, time.monotonic())
                 done, _ = wait(
                     set(running),
                     timeout=0.05 if timeout else None,
@@ -993,7 +750,7 @@ class ParallelDiscovery:
                 )
                 broken = False
                 for future in done:
-                    payloads, attempts, _started = running.pop(future)
+                    plans, attempts, _started = running.pop(future)
                     try:
                         collect(
                             future.result(),  # type: ignore[attr-defined]
@@ -1001,22 +758,22 @@ class ParallelDiscovery:
                         )
                     except BrokenProcessPool:
                         broken = True
-                        requeue(payloads, attempts, "worker-lost",
+                        requeue(plans, attempts, "worker-lost",
                                 "worker process died")
                     except ShardMemoryError as exc:
-                        requeue(payloads, attempts, "memory", str(exc))
+                        requeue(plans, attempts, "memory", str(exc))
                     except SlabCorruptionError as exc:
-                        quarantine(payloads, attempts, exc)
+                        quarantine(plans, attempts, exc)
                     except Exception as exc:
-                        requeue(payloads, attempts, "error",
+                        requeue(plans, attempts, "error",
                                 f"{type(exc).__name__}: {exc}")
                 if broken:
                     # Every other in-flight future died with the pool;
                     # their work is lost, so they requeue through the
                     # same blame path (splitting chunks keeps the
                     # eventual blame per-shard precise).
-                    for payloads, attempts, _started in running.values():
-                        requeue(payloads, attempts, "worker-lost",
+                    for plans, attempts, _started in running.values():
+                        requeue(plans, attempts, "worker-lost",
                                 "worker process died")
                     running.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
@@ -1032,16 +789,16 @@ class ParallelDiscovery:
                     ]
                     if timed_out:
                         for future in timed_out:
-                            payloads, attempts, _started = running.pop(future)
+                            plans, attempts, _started = running.pop(future)
                             requeue(
-                                payloads, attempts, "timeout",
+                                plans, attempts, "timeout",
                                 f"exceeded shard_timeout={timeout:g}s",
                             )
                         # Innocent in-flight tasks are lost with the
                         # killed pool but not blamed: they requeue whole
                         # at their current attempts.
-                        for payloads, attempts, _started in running.values():
-                            pending.append((payloads, attempts))
+                        for plans, attempts, _started in running.values():
+                            pending.append((plans, attempts))
                         running.clear()
                         _terminate_pool(pool)
                         pool = ProcessPoolExecutor(
@@ -1050,12 +807,14 @@ class ParallelDiscovery:
             # Last resort: poisoned shards run in the driver process,
             # where a crashing worker environment cannot take them down
             # (and where the RSS guard is deliberately unarmed).
-            for payload, attempt in sorted(
-                fallback, key=lambda item: _payload_index(item[0])
+            for plan, attempt in sorted(
+                fallback, key=lambda item: item[0].index
             ):
-                index = _payload_index(payload)
+                index = plan.index
                 try:
-                    shards = worker([payload], [attempt], in_worker=False)
+                    shards = _discover_plan_chunk(
+                        [plan], [attempt], in_worker=False
+                    )
                 except Exception as exc:
                     failures.append(ShardFailure(
                         index, attempt, "fallback-failed",

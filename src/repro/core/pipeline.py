@@ -90,9 +90,10 @@ class PGHive:
         Args:
             store: The graph store to discover, or a seeded
                 :class:`~repro.datasets.stream.GraphStream` whose
-                batches are discovered as they are generated (with
-                ``jobs > 1`` the workers *replay* the seeded generation
-                themselves, so the live stream is never consumed).
+                batches are discovered as they are generated.  A stream
+                is generated in order, so it always runs on the
+                sequential engine (``jobs > 1`` records why in
+                ``parallel_fallback``).
             num_batches: How many batches to stream (1 = static run).
                 For a stream this must equal ``stream.num_batches``.
             post_process_each_batch: Run the post-processing passes after
@@ -101,33 +102,38 @@ class PGHive:
                 intermediate schemas are then always fully annotated.
             resume: Continue from the checkpoint in
                 ``config.checkpoint_dir`` if one exists (no-op when the
-                directory is unset or empty).  Batch partitioning is
-                deterministic for a fixed seed, so a run killed at batch
-                ``i`` and resumed here replays batches ``i..`` and ends
-                with a schema identical to an uninterrupted run.  The
-                checkpoint records the source name, batch count and seed;
-                resuming against a different plan raises
+                directory is unset or empty).  Batch partitioning (and
+                stream generation) is deterministic for a fixed seed, so
+                a run killed at batch ``i`` and resumed here replays
+                batches ``i..`` and ends with a schema identical to an
+                uninterrupted run.  The checkpoint records the source
+                name, batch count and seed; resuming against a different
+                plan raises
                 :class:`~repro.schema.persist.SchemaPersistError`.
         """
-        if isinstance(store, GraphStream):
-            return self._discover_stream(
-                store, num_batches, post_process_each_batch, resume
+        if isinstance(store, GraphStream) and num_batches != store.num_batches:
+            raise ValueError(
+                f"a stream is pre-batched: num_batches must equal "
+                f"stream.num_batches ({store.num_batches}), "
+                f"got {num_batches}"
             )
         started = time.perf_counter()
+        config = self.config
         fallback_reason = self._parallel_fallback_reason(
-            num_batches, post_process_each_batch
+            num_batches, post_process_each_batch,
+            streaming=isinstance(store, GraphStream),
         )
         if (
-            self.config.jobs > 1
-            and num_batches > 1
+            isinstance(store, BaseGraphStore)
+            and config.jobs > 1
             and fallback_reason is None
         ):
             from repro.core.parallel import ParallelDiscovery
 
-            result = ParallelDiscovery(self.config).discover_store(
+            result = ParallelDiscovery(config).discover_store(
                 store, num_batches, resume=resume
             )
-            if self.config.post_processing:
+            if config.post_processing:
                 # The shard workers already folded the post-processing
                 # statistics; applying them here reproduces the serial
                 # passes without re-reading the store.  Configurations
@@ -135,25 +141,36 @@ class PGHive:
                 # journal written with stats off) fall back to the
                 # store-backed passes -- the schema is identical either
                 # way.
-                if not apply_partial_stats(result.schema, self.config):
+                if not apply_partial_stats(result.schema, config):
                     clear_partial_stats(result.schema)
                     self._post_process(result.schema, store)
-                elif self.config.exact_cardinality_bounds:
+                elif config.exact_cardinality_bounds:
                     self._apply_exact_bounds(result.schema, store)
             else:
                 clear_partial_stats(result.schema)
             result.total_seconds = time.perf_counter() - started
             result.refresh_assignments()
             return result
-        config = self.config
         injector = FaultInjector.from_spec(config.faults)
         checkpoint_dir = config.checkpoint_dir
+        shard_failures: list[ShardFailure] = []
+        backing: BaseGraphStore
+        if isinstance(store, GraphStream):
+            # Post-processing reads the stream's accumulated graph, which
+            # grows as the batches below are generated.
+            name, seed = store.graph.name, store.seed
+            backing = GraphStore(store.graph)
+            batches = store.batches()
+        else:
+            name, seed = store.name, config.seed
+            backing = store
+            batches = _iter_batches(store, num_batches, config, shard_failures)
         context: dict[str, object] = {
-            "source": store.name,
+            "source": name,
             "num_batches": num_batches,
-            "seed": config.seed,
+            "seed": seed,
         }
-        fingerprint = store.journal_fingerprint()
+        fingerprint = backing.journal_fingerprint()
         if fingerprint is not None:
             # Durable stores key the checkpoint to their on-disk state,
             # so a resume never replays against a different slab
@@ -169,15 +186,15 @@ class PGHive:
                 checkpoint_dir, config, expected_context=context
             )
         if engine is None:
-            engine = IncrementalDiscovery(config, name=store.name)
+            engine = IncrementalDiscovery(config, name=name)
         resumed_from = engine._batch_counter
         discovery_seconds = sum(r.seconds for r in engine.reports)
-        shard_failures: list[ShardFailure] = []
-        for batch in _iter_batches(
-            store, num_batches, config, shard_failures
-        ):
+        for batch in batches:
+            # Skip *after* producing the batch: the partition is
+            # deterministic, and a stream's generator side effects keep
+            # its RNG and population on track for later batches.
             if batch.index < resumed_from:
-                continue  # deterministic partition: already checkpointed
+                continue
             if injector is not None:
                 injector.fire("batch", batch.index)
             report = engine.process_batch(
@@ -185,14 +202,14 @@ class PGHive:
             )
             discovery_seconds += report.seconds
             if post_process_each_batch and config.post_processing:
-                self._post_process(engine.schema, store)
+                self._post_process(engine.schema, backing)
             if checkpoint_dir and (
                 (batch.index + 1) % config.checkpoint_every == 0
                 or batch.index + 1 == num_batches
             ):
                 engine.save_checkpoint(checkpoint_dir, context=context)
         if config.post_processing and not post_process_each_batch:
-            self._post_process(engine.schema, store)
+            self._post_process(engine.schema, backing)
         if config.strict_recovery and shard_failures:
             from repro.core.parallel import ShardRecoveryError
 
@@ -210,122 +227,6 @@ class PGHive:
         result.refresh_assignments()
         return result
 
-    def _discover_stream(
-        self,
-        stream: GraphStream,
-        num_batches: int,
-        post_process_each_batch: bool,
-        resume: bool,
-    ) -> DiscoveryResult:
-        """Discover a seeded stream, batch by batch or on the pool.
-
-        The stream's batching is fixed at construction, so
-        ``num_batches`` must equal ``stream.num_batches``.  With
-        ``jobs > 1`` the parallel driver ships only
-        :class:`~repro.datasets.stream.StreamShardPlan` scalars and the
-        workers replay the seeded generation themselves; the live
-        stream stays pristine and is drained afterwards only if a
-        store-backed post-processing pass needs the accumulated graph.
-        """
-        if num_batches != stream.num_batches:
-            raise ValueError(
-                f"a stream is pre-batched: num_batches must equal "
-                f"stream.num_batches ({stream.num_batches}), "
-                f"got {num_batches}"
-            )
-        started = time.perf_counter()
-        config = self.config
-        fallback_reason = self._parallel_fallback_reason(
-            num_batches, post_process_each_batch, streaming=True
-        )
-        if config.jobs > 1 and fallback_reason is None:
-            from repro.core.parallel import ParallelDiscovery
-
-            result = ParallelDiscovery(config).discover_stream(
-                stream, resume=resume
-            )
-            backing: GraphStore | None = None
-            if config.post_processing:
-                if not apply_partial_stats(result.schema, config):
-                    clear_partial_stats(result.schema)
-                    backing = self._stream_store(stream)
-                    self._post_process(result.schema, backing)
-                elif config.exact_cardinality_bounds:
-                    backing = self._stream_store(stream)
-                    self._apply_exact_bounds(result.schema, backing)
-            else:
-                clear_partial_stats(result.schema)
-            result.total_seconds = time.perf_counter() - started
-            result.refresh_assignments()
-            return result
-        injector = FaultInjector.from_spec(config.faults)
-        checkpoint_dir = config.checkpoint_dir
-        context = {
-            "source": stream.graph.name,
-            "num_batches": num_batches,
-            "seed": stream.seed,
-        }
-        engine: IncrementalDiscovery | None = None
-        if (
-            checkpoint_dir
-            and resume
-            and IncrementalDiscovery.has_checkpoint(checkpoint_dir)
-        ):
-            engine = IncrementalDiscovery.from_checkpoint(
-                checkpoint_dir, config, expected_context=context
-            )
-        if engine is None:
-            engine = IncrementalDiscovery(config, name=stream.graph.name)
-        resumed_from = engine._batch_counter
-        discovery_seconds = sum(r.seconds for r in engine.reports)
-        for batch in stream.batches():
-            # Skip *after* generating: the generator's side effects keep
-            # the stream RNG and population on track for later batches.
-            if batch.index < resumed_from:
-                continue
-            if injector is not None:
-                injector.fire("batch", batch.index)
-            report = engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
-            discovery_seconds += report.seconds
-            if post_process_each_batch and config.post_processing:
-                self._post_process(engine.schema, GraphStore(stream.graph))
-            if checkpoint_dir and (
-                (batch.index + 1) % config.checkpoint_every == 0
-                or batch.index + 1 == num_batches
-            ):
-                engine.save_checkpoint(checkpoint_dir, context=context)
-        if config.post_processing and not post_process_each_batch:
-            self._post_process(engine.schema, GraphStore(stream.graph))
-        result = DiscoveryResult(
-            schema=engine.schema,
-            batches=engine.reports,
-            parameters=dict(engine.parameters),
-            discovery_seconds=discovery_seconds,
-            total_seconds=time.perf_counter() - started,
-            resumed_from=resumed_from,
-            parallel_fallback=fallback_reason,
-        )
-        result.refresh_assignments()
-        return result
-
-    @staticmethod
-    def _stream_store(stream: GraphStream) -> GraphStore:
-        """Store over a stream's accumulated graph, draining it if needed.
-
-        Only valid on a stream whose live generator has not been
-        partially consumed: either pristine (the parallel path never
-        touches it -- workers replay seeded replicas) or fully drained.
-        Draining a pristine stream here advances its RNG exactly as a
-        sequential pass would, so the accumulated graph matches what the
-        workers replayed.
-        """
-        if not stream.graph.num_nodes:
-            for _ in stream.batches():
-                pass
-        return GraphStore(stream.graph)
-
     def _parallel_fallback_reason(
         self,
         num_batches: int,
@@ -338,29 +239,24 @@ class PGHive:
         parallelism was never requested: ``jobs=1`` always takes the
         sequential path, whose output the parallel path matches byte for
         byte on labeled data).  Parallel sharding requires independent
-        batch schemas, so per-batch post-processing forces the
-        sequential engine.  Pattern memoization no longer forces it
-        for stores: the pool decouples it through the two-phase snapshot
-        protocol of :mod:`repro.core.absorption` (stream batches still
-        couple to the running schema, so memoized streams stay
-        sequential).  Checkpointed parallel runs journal completed
-        shards under ``checkpoint_dir/shards/`` and resume mid-pool, so
-        ``checkpoint_dir`` no longer forces the sequential engine
-        either.
+        batches of a partitioned store: a stream's batches are generated
+        in order, and per-batch post-processing couples batches
+        sequentially.  Pattern memoization does not force the sequential
+        engine -- the pool decouples it through the two-phase snapshot
+        protocol of :mod:`repro.core.absorption` -- and neither does
+        ``checkpoint_dir``: checkpointed parallel runs journal completed
+        shards under ``checkpoint_dir/shards/`` and resume mid-pool.
         """
         from repro.core.parallel import fork_available
 
         if self.config.jobs <= 1:
             return None
+        if streaming:
+            return "a stream is generated in order"
         if num_batches <= 1:
             return "a single batch cannot be sharded"
         if post_process_each_batch:
             return "per-batch post-processing couples batches sequentially"
-        if streaming and self.config.memoize_patterns:
-            return (
-                "pattern memoization couples stream batches to the "
-                "running schema"
-            )
         if not fork_available():
             return "fork start method unavailable on this platform"
         return None

@@ -19,7 +19,7 @@ full graph plus ground truth so results remain scorable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.datasets.spec import DatasetSpec, EdgeTypeSpec, NodeTypeSpec
@@ -38,22 +38,6 @@ class StreamBatchPlan:
 
     nodes_per_batch: int = 100
     edges_per_batch: int = 200
-
-
-@dataclass(frozen=True)
-class StreamShardPlan:
-    """Recipe for re-materializing one batch of a seeded stream.
-
-    Unlike :class:`repro.graph.store.ShardPlan`, a stream shard cannot be
-    built in isolation: batch ``index`` depends on the node population of
-    batches ``0..index-1``, so materialization replays a pristine replica
-    of the stream up to ``index``.  The replay is seeded and therefore
-    byte-identical to the live stream's emission.
-    """
-
-    index: int
-    num_shards: int
-    seed: int
 
 
 class GraphStream:
@@ -84,7 +68,6 @@ class GraphStream:
         self.drift = dict(drift or {})
         self._seed = seed
         self._rng = random.Random(seed)
-        self._replay: tuple[GraphStream, int] | None = None
         self.graph = PropertyGraph(f"{spec.name}-stream")
         self.truth = GroundTruth()
         self._nodes_by_type: dict[str, list[int]] = {
@@ -95,7 +78,7 @@ class GraphStream:
 
     @property
     def seed(self) -> int:
-        """The stream's RNG seed (identifies the replayable sequence)."""
+        """The stream's RNG seed (identifies the generated sequence)."""
         return self._seed
 
     def __iter__(self) -> Iterator[GraphBatch]:
@@ -105,53 +88,6 @@ class GraphStream:
         """Generate the stream."""
         for index in range(self.num_batches):
             yield self._make_batch(index)
-
-    def plan_shards(self, num_shards: int | None = None) -> list[StreamShardPlan]:
-        """Plans for re-materializing each batch independently of the stream.
-
-        A stream's batching is fixed at construction, so ``num_shards``
-        (when given) must equal ``num_batches``.  Materializing a plan
-        does not consume or disturb the live stream: it replays a seeded
-        replica, so the same batch can be produced any number of times
-        and in any order.
-        """
-        if num_shards is None:
-            num_shards = self.num_batches
-        if num_shards != self.num_batches:
-            raise ValueError(
-                f"a stream is pre-batched: num_shards must equal "
-                f"num_batches ({self.num_batches}), got {num_shards}"
-            )
-        return [
-            StreamShardPlan(index, num_shards, self._seed)
-            for index in range(num_shards)
-        ]
-
-    def materialize_shard(self, plan: StreamShardPlan) -> GraphBatch:
-        """Rebuild the batch at ``plan.index`` by seeded replay.
-
-        A replay cursor is cached, so materializing shards in ascending
-        order costs one pass over the stream in total; asking for an
-        earlier index restarts the replica.
-        """
-        if not 0 <= plan.index < self.num_batches:
-            raise ValueError(
-                f"shard index {plan.index} out of range for "
-                f"{self.num_batches} batches"
-            )
-        if self._replay is None or self._replay[1] > plan.index:
-            replica = GraphStream(
-                self.spec, self.num_batches, self.plan, self.drift,
-                self._seed,
-            )
-            self._replay = (replica, 0)
-        replica, cursor = self._replay
-        batch = replica._make_batch(cursor)
-        while cursor < plan.index:
-            cursor += 1
-            batch = replica._make_batch(cursor)
-        self._replay = (replica, cursor + 1)
-        return batch
 
     # ------------------------------------------------------------------
     def _active_node_types(self, batch_index: int) -> list[NodeTypeSpec]:

@@ -13,10 +13,11 @@ spilled to a scratch file whose byte ranges workers re-map read-only.
 Byte-identity with the in-memory backend is the design invariant, not
 an aspiration: partitioning replays the exact
 ``random.Random(seed).shuffle`` over the same insertion-ordered id
-list, edge bucketing is the same stable-argsort math over the mapped
-source column, ``sample_nodes`` exploits the fact that
-``random.Random(seed).sample`` chooses *positions* as a function of
-population length only, and the columnize fast path remaps the store's
+list, edges keep their source node's shard and insertion order (a
+stable argsort over the mapped source column), ``sample_nodes``
+exploits the fact that ``random.Random(seed).sample`` chooses
+*positions* as a function of population length only, and the
+columnize fast path remaps the store's
 global interner ids to the per-batch dense ids ``node_columns`` /
 ``edge_columns`` would have assigned (``tests/test_diskstore.py``
 property-tests all of it across worker counts and chunkings).
@@ -293,100 +294,24 @@ class DiskGraphStore(BaseGraphStore):
         ]
 
     def materialize_shard(self, plan: ShardPlan) -> GraphBatch:
-        """Build the single batch described by ``plan``."""
+        """Build the single batch described by ``plan``.
+
+        Elements are materialized row-by-row from the mapped columns in
+        the shard's id order; the endpoint-label map replays the
+        in-memory backend's first-seen-in-edge-order walk, reading label
+        sets straight from the label column without materializing
+        endpoint nodes.
+        """
         if not 0 <= plan.index < plan.num_shards:
             raise ValueError(
                 f"shard index {plan.index} out of range for "
                 f"{plan.num_shards} shards"
             )
         partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        return self.materialize_index_shard(
-            plan.index,
-            partition.node_array(plan.index),
-            partition.edge_array(plan.index),
-        )
-
-    def partition_tables(
-        self, num_shards: int, seed: int = 0, shuffle: bool = True
-    ) -> tuple[list[numpy.ndarray], numpy.ndarray, numpy.ndarray]:
-        """Parent-side half of the parallel partition pass.
-
-        Replays :meth:`GraphStore.partition_tables` exactly -- same
-        ``random.Random(seed).shuffle`` over the same insertion-ordered
-        id list (here the mapped id column), same stable argsort -- so
-        both backends assign every element to the same shard.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        node_ids = self._reader.node_ids.tolist()
-        if shuffle:
-            random.Random(seed).shuffle(node_ids)
-        shuffled = numpy.asarray(node_ids, dtype=numpy.int64)
-        if shuffled.size == 0:
-            empty = numpy.empty(0, dtype=numpy.int64)
-            return [empty.copy() for _ in range(num_shards)], empty, empty
-        order = numpy.argsort(shuffled, kind="stable")
-        sorted_ids = shuffled[order]
-        shard_of_sorted = (order % num_shards).astype(numpy.int64)
-        nodes_by_shard = [
-            shuffled[shard::num_shards].copy() for shard in range(num_shards)
-        ]
-        return nodes_by_shard, sorted_ids, shard_of_sorted
-
-    def bucket_edge_range(
-        self,
-        start: int,
-        stop: int,
-        sorted_ids: numpy.ndarray,
-        shard_of_sorted: numpy.ndarray,
-        num_shards: int,
-    ) -> list[numpy.ndarray]:
-        """Bucket the edges at positions ``[start, stop)`` by shard.
-
-        Unlike the in-memory backend there is no object loop at all:
-        the slice of the mapped source column feeds the same
-        ``searchsorted`` + stable-argsort math directly.
-        """
-        count = max(stop - start, 0)
-        total = self._reader.edge_count
-        consumed = max(min(stop, total) - start, 0)
-        if consumed != count:
-            raise ValueError(
-                f"edge range [{start}, {stop}) exceeds the graph's "
-                f"{start + consumed} edges"
-            )
-        edge_ids = self._reader.edge_ids[start:stop]
-        sources = self._reader.edge_sources[start:stop]
-        lookup = numpy.searchsorted(sorted_ids, sources)
-        shards = shard_of_sorted[lookup]
-        order = numpy.argsort(shards, kind="stable")
-        sorted_shards = shards[order]
-        sorted_edge_ids = edge_ids[order]
-        bounds = numpy.searchsorted(
-            sorted_shards, numpy.arange(num_shards + 1)
-        )
-        return [
-            sorted_edge_ids[bounds[shard] : bounds[shard + 1]].copy()
-            for shard in range(num_shards)
-        ]
-
-    def materialize_index_shard(
-        self,
-        index: int,
-        node_ids: numpy.ndarray,
-        edge_ids: numpy.ndarray,
-    ) -> GraphBatch:
-        """Build a batch from explicit id arrays (parallel plan mode).
-
-        Elements are materialized row-by-row from the mapped columns in
-        id-array order; the endpoint-label map replays the identical
-        first-seen-in-edge-order walk, reading label sets straight from
-        the label column without materializing endpoint nodes.
-        """
         reader = self._reader
-        node_rows = self._node_rows(node_ids)
+        node_rows = self._node_rows(partition.node_array(plan.index))
         nodes = [reader.node_at(int(row)) for row in node_rows.tolist()]
-        edge_rows = self._edge_rows(edge_ids)
+        edge_rows = self._edge_rows(partition.edge_array(plan.index))
         edges = [reader.edge_at(int(row)) for row in edge_rows.tolist()]
         endpoint_labels: dict[int, frozenset[str]] = {}
         if edges:
@@ -403,53 +328,53 @@ class DiskGraphStore(BaseGraphStore):
                     endpoint_labels[nid] = label_sets[
                         int(label_column[int(endpoint_rows[position])])
                     ]
-        return GraphBatch(index, nodes, edges, endpoint_labels)
-
-    def install_partition(
-        self,
-        num_shards: int,
-        seed: int,
-        shuffle: bool,
-        nodes_by_shard_ids: Sequence[numpy.ndarray],
-        edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> None:
-        """Install an externally computed partition (spilled to disk)."""
-        self._set_partition(
-            (num_shards, seed, shuffle),
-            self._spill_partition(
-                num_shards, seed, shuffle,
-                nodes_by_shard_ids, edges_by_shard_ids,
-            ),
-        )
-
-    def _set_partition(
-        self, key: tuple[int, int, bool], partition: _SpilledPartition
-    ) -> None:
-        if self._partition_cache is not None:
-            self._partition_cache[1].close()
-        self._partition_cache = (key, partition)
+        return GraphBatch(plan.index, nodes, edges, endpoint_labels)
 
     def _partition(
         self, num_shards: int, seed: int, shuffle: bool
     ) -> _SpilledPartition:
-        """Assign nodes and edges to shards (cached for the last plan)."""
+        """Assign nodes and edges to shards (cached for the last plan).
+
+        Replays the in-memory backend's assignment exactly: the same
+        ``random.Random(seed).shuffle`` over the same insertion-ordered
+        id list (here the mapped id column), round-robin node shards,
+        and every edge in its source node's shard in insertion order --
+        a ``searchsorted`` lookup over the mapped source column plus a
+        stable argsort, with no object loop at all.
+        """
         if num_shards < 1:
             raise ValueError("num_batches must be >= 1")
         key = (num_shards, seed, shuffle)
         cached = self._partition_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        nodes_by_shard, sorted_ids, shard_of_sorted = self.partition_tables(
-            num_shards, seed, shuffle
+        node_ids = self._reader.node_ids.tolist()
+        if shuffle:
+            random.Random(seed).shuffle(node_ids)
+        shuffled = numpy.asarray(node_ids, dtype=numpy.int64)
+        nodes_by_shard = [
+            shuffled[shard::num_shards] for shard in range(num_shards)
+        ]
+        order = numpy.argsort(shuffled, kind="stable")
+        lookup = numpy.searchsorted(
+            shuffled[order], self._reader.edge_sources
         )
-        edges_by_shard = self.bucket_edge_range(
-            0, self._reader.edge_count, sorted_ids, shard_of_sorted,
-            num_shards,
+        edge_shards = (order % num_shards)[lookup]
+        edge_order = numpy.argsort(edge_shards, kind="stable")
+        bounds = numpy.searchsorted(
+            edge_shards[edge_order], numpy.arange(num_shards + 1)
         )
+        sorted_edge_ids = self._reader.edge_ids[edge_order]
+        edges_by_shard = [
+            sorted_edge_ids[bounds[shard] : bounds[shard + 1]]
+            for shard in range(num_shards)
+        ]
         partition = self._spill_partition(
             num_shards, seed, shuffle, nodes_by_shard, edges_by_shard
         )
-        self._set_partition(key, partition)
+        if cached is not None:
+            cached[1].close()
+        self._partition_cache = (key, partition)
         return partition
 
     def _spill_partition(

@@ -19,10 +19,7 @@ import random
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Any, Iterable, Iterator, Sequence
-
-import numpy
 
 from repro.graph.model import Edge, Node, PropertyGraph
 
@@ -58,28 +55,6 @@ class _Partition:
         self.nodes_by_shard = nodes_by_shard
         self.edges_by_shard = edges_by_shard
         self.labels_by_id = labels_by_id
-
-
-class _ArrayPartition:
-    """Id-array partition installed by the parallel driver.
-
-    Holds only the per-shard id arrays produced by
-    :meth:`GraphStore.partition_tables` and the pooled edge bucketing;
-    object materialization is deferred to :meth:`GraphStore._make_batch`,
-    which runs in whichever process consumes the shard -- typically a
-    pool worker -- so installing a partition costs O(num_shards) in the
-    parent instead of an O(nodes + edges) object rebuild.
-    """
-
-    __slots__ = ("nodes_by_shard_ids", "edges_by_shard_ids")
-
-    def __init__(
-        self,
-        nodes_by_shard_ids: list[numpy.ndarray],
-        edges_by_shard_ids: list[numpy.ndarray],
-    ) -> None:
-        self.nodes_by_shard_ids = nodes_by_shard_ids
-        self.edges_by_shard_ids = edges_by_shard_ids
 
 
 class BaseGraphStore(ABC):
@@ -171,43 +146,6 @@ class BaseGraphStore(ABC):
     def materialize_shard(self, plan: ShardPlan) -> "GraphBatch":
         """Build the single batch described by ``plan``."""
 
-    @abstractmethod
-    def partition_tables(
-        self, num_shards: int, seed: int = 0, shuffle: bool = True
-    ) -> tuple[list[numpy.ndarray], numpy.ndarray, numpy.ndarray]:
-        """Parent-side half of the parallel partition pass."""
-
-    @abstractmethod
-    def bucket_edge_range(
-        self,
-        start: int,
-        stop: int,
-        sorted_ids: numpy.ndarray,
-        shard_of_sorted: numpy.ndarray,
-        num_shards: int,
-    ) -> list[numpy.ndarray]:
-        """Bucket the edges at positions ``[start, stop)`` by shard."""
-
-    @abstractmethod
-    def materialize_index_shard(
-        self,
-        index: int,
-        node_ids: numpy.ndarray,
-        edge_ids: numpy.ndarray,
-    ) -> "GraphBatch":
-        """Build a batch from explicit id arrays (parallel plan mode)."""
-
-    @abstractmethod
-    def install_partition(
-        self,
-        num_shards: int,
-        seed: int,
-        shuffle: bool,
-        nodes_by_shard_ids: Sequence[numpy.ndarray],
-        edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> None:
-        """Install an externally computed partition into the cache."""
-
     # ------------------------------------------------------------------
     # Aggregations and sampling
     # ------------------------------------------------------------------
@@ -266,7 +204,7 @@ class GraphStore(BaseGraphStore):
     def __init__(self, graph: PropertyGraph) -> None:
         self._graph = graph
         self._partition_cache: tuple[
-            tuple[int, int, bool], _Partition | _ArrayPartition
+            tuple[int, int, bool], _Partition
         ] | None = None
 
     @property
@@ -362,7 +300,7 @@ class GraphStore(BaseGraphStore):
 
     def _partition(
         self, num_shards: int, seed: int, shuffle: bool
-    ) -> _Partition | _ArrayPartition:
+    ) -> _Partition:
         """Assign nodes and edges to shards (cached for the last plan)."""
         if num_shards < 1:
             raise ValueError("num_batches must be >= 1")
@@ -390,153 +328,9 @@ class GraphStore(BaseGraphStore):
         self._partition_cache = (key, partition)
         return partition
 
-    # ------------------------------------------------------------------
-    # Array-level partitioning (parallel plan_shards)
-    # ------------------------------------------------------------------
-    def partition_tables(
-        self, num_shards: int, seed: int = 0, shuffle: bool = True
-    ) -> tuple[list[numpy.ndarray], numpy.ndarray, numpy.ndarray]:
-        """Parent-side half of the parallel partition pass.
-
-        Reproduces the node half of :meth:`_partition` exactly -- same
-        ``random.Random(seed).shuffle`` over the same insertion-ordered
-        id list -- but as arrays: returns ``(nodes_by_shard, sorted_ids,
-        shard_of_sorted)`` where ``nodes_by_shard[s]`` is the shard's
-        node ids in batch order and ``shard_of_sorted[k]`` is the shard
-        of the node id ``sorted_ids[k]``.  The lookup table lets workers
-        bucket *edge* slices by source shard with
-        :meth:`bucket_edge_range` (``searchsorted`` instead of a dict),
-        which is the half worth parallelizing: this method is O(nodes)
-        with one Python-level shuffle, the edge pass is O(edges) of
-        attribute access.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        node_ids = [node.id for node in self._graph.nodes()]
-        if shuffle:
-            random.Random(seed).shuffle(node_ids)
-        shuffled = numpy.asarray(node_ids, dtype=numpy.int64)
-        if shuffled.size == 0:
-            empty = numpy.empty(0, dtype=numpy.int64)
-            return [empty.copy() for _ in range(num_shards)], empty, empty
-        order = numpy.argsort(shuffled, kind="stable")
-        sorted_ids = shuffled[order]
-        shard_of_sorted = (order % num_shards).astype(numpy.int64)
-        nodes_by_shard = [
-            shuffled[shard::num_shards].copy() for shard in range(num_shards)
-        ]
-        return nodes_by_shard, sorted_ids, shard_of_sorted
-
-    def bucket_edge_range(
-        self,
-        start: int,
-        stop: int,
-        sorted_ids: numpy.ndarray,
-        shard_of_sorted: numpy.ndarray,
-        num_shards: int,
-    ) -> list[numpy.ndarray]:
-        """Bucket the edges at positions ``[start, stop)`` by shard.
-
-        The worker-side half of the parallel partition: scans one slice
-        of the insertion-ordered edge sequence (the only O(edges) Python
-        loop), then assigns each edge to its source node's shard via the
-        ``searchsorted`` lookup table and splits the slice with a stable
-        argsort.  Concatenating every worker's bucket ``s`` in slice
-        order reproduces ``_partition``'s ``edges_by_shard[s]`` ordering
-        exactly, because the stable sort preserves in-slice edge order.
-        """
-        count = max(stop - start, 0)
-        edge_ids = numpy.empty(count, dtype=numpy.int64)
-        sources = numpy.empty(count, dtype=numpy.int64)
-        position = 0
-        for edge in islice(self._graph.edges(), start, stop):
-            edge_ids[position] = edge.id
-            sources[position] = edge.source
-            position += 1
-        if position != count:
-            raise ValueError(
-                f"edge range [{start}, {stop}) exceeds the graph's "
-                f"{start + position} edges"
-            )
-        lookup = numpy.searchsorted(sorted_ids, sources)
-        shards = shard_of_sorted[lookup]
-        order = numpy.argsort(shards, kind="stable")
-        sorted_shards = shards[order]
-        sorted_edge_ids = edge_ids[order]
-        bounds = numpy.searchsorted(
-            sorted_shards, numpy.arange(num_shards + 1)
-        )
-        return [
-            sorted_edge_ids[bounds[shard] : bounds[shard + 1]].copy()
-            for shard in range(num_shards)
-        ]
-
-    def materialize_index_shard(
-        self,
-        index: int,
-        node_ids: numpy.ndarray,
-        edge_ids: numpy.ndarray,
-    ) -> "GraphBatch":
-        """Build a batch from explicit id arrays (parallel plan mode).
-
-        Given the per-shard arrays produced by :meth:`partition_tables`
-        + :meth:`bucket_edge_range`, yields a batch byte-identical to
-        ``materialize_shard`` for the same shard -- the id arrays encode
-        the same elements in the same order, and the endpoint-label map
-        is built with the identical first-seen-in-edge-order walk.
-        """
-        graph = self._graph
-        nodes = [graph.node(int(node_id)) for node_id in node_ids]
-        edges = [graph.edge(int(edge_id)) for edge_id in edge_ids]
-        endpoint_labels: dict[int, frozenset[str]] = {}
-        for edge in edges:
-            for nid in (edge.source, edge.target):
-                if nid not in endpoint_labels:
-                    endpoint_labels[nid] = graph.node(nid).labels
-        return GraphBatch(index, nodes, edges, endpoint_labels)
-
-    def install_partition(
-        self,
-        num_shards: int,
-        seed: int,
-        shuffle: bool,
-        nodes_by_shard_ids: Sequence[numpy.ndarray],
-        edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> None:
-        """Install an externally computed partition into the cache.
-
-        Takes the array form produced by :meth:`partition_tables` plus a
-        per-shard concatenation of :meth:`bucket_edge_range` buckets and
-        rebuilds the object-level :class:`_Partition` that
-        :meth:`materialize_shard` / :meth:`batches` consume.  The id
-        arrays encode the same elements in the same order as
-        :meth:`_partition` would assign, so every batch materialized
-        from an installed partition is byte-identical to the single-pass
-        one; the parallel driver uses this to compute the edge bucketing
-        on the worker pool and still hand workers plain
-        :class:`ShardPlan` scalars.
-
-        The arrays are cached as-is (:class:`_ArrayPartition`), keeping
-        the install itself O(num_shards): object materialization runs in
-        whichever process consumes a shard, so under a pool it happens
-        in the workers, off the driver's critical path.
-        """
-        self._partition_cache = (
-            (num_shards, seed, shuffle),
-            _ArrayPartition(
-                list(nodes_by_shard_ids), list(edges_by_shard_ids)
-            ),
-        )
-
     def _make_batch(
-        self, partition: _Partition | _ArrayPartition, batch_index: int
+        self, partition: _Partition, batch_index: int
     ) -> "GraphBatch":
-        if isinstance(partition, _ArrayPartition):
-            return self.materialize_index_shard(
-                batch_index,
-                partition.nodes_by_shard_ids[batch_index],
-                partition.edges_by_shard_ids[batch_index],
-            )
         edges = partition.edges_by_shard.get(batch_index, [])
         # Endpoints are looked up once per distinct node id (an edge
         # list mentions the same hub nodes over and over).

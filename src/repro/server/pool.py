@@ -56,9 +56,9 @@ class SessionWorkerPool:
             try:
                 task()
             except Exception:  # pragma: no cover - tasks catch their own
-                # A task that leaks is a bug in the session layer (every
-                # session drain wraps its batch in a try/except that
-                # fails the ticket); the pool still must survive it or
+                # A task that leaks is a bug in the session layer (a
+                # session drain fails its ticket on any exception raised
+                # after dequeue); the pool still must survive it or
                 # one poisoned batch would silently halve the pool.
                 continue
 

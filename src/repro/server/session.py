@@ -189,14 +189,16 @@ class DiscoverySession:
             self._in_flight += 1
         ticket.status = TicketStatus.RUNNING
         try:
+            # The DONE bookkeeping sits inside the try: any exception
+            # after dequeue must fail the ticket, never leave it RUNNING.
             report = self._process(request)
+            report_dict = report.to_dict()
+            ticket.batch_index = report.index
+            ticket.report = report_dict
+            ticket.status = TicketStatus.DONE
         except Exception as exc:
             ticket.error = f"{type(exc).__name__}: {exc}"
             ticket.status = TicketStatus.FAILED
-        else:
-            ticket.batch_index = report.index
-            ticket.report = report.to_dict()
-            ticket.status = TicketStatus.DONE
         finally:
             with self._state_lock:
                 self._in_flight -= 1

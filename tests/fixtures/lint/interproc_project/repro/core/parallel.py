@@ -10,7 +10,7 @@ resolve them by suffix, and plants:
 * unseeded RNG resolved through a function-valued *class attribute*;
 * a ``getattr``-computed call that must degrade conservatively to a
   dynamic-call finding, not silently resolve;
-* a module-global write two hops below ``_bucket_edges_task``.
+* a module-global write two hops below ``_discover_plan_chunk``.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def _walk(depth: int) -> int:
     return _walk(depth - 1)
 
 
-def _discover_plan_chunk(payload: Any) -> int:
-    """Worker root: reaches an env read through recursion."""
-    del payload
-    return _walk(3)
-
-
 def _rng_kernel() -> float:
     return random.random()  # plant: unseeded RNG
 
@@ -62,23 +56,19 @@ class Kernel:
     impl = _rng_kernel
 
 
-def _discover_columns_chunk(payload: Any) -> float:
-    """Worker root: class-attribute dispatch plus a dynamic call."""
-    kernel = Kernel()
-    value = kernel.impl()
-    op = getattr(payload, payload.name)  # non-literal: unresolvable
-    op()
-    return value
-
-
 def _record(key: str) -> None:
     _HITS[key] = _HITS.get(key, 0) + 1  # plant: module-global write
 
 
-def _bucket_edges_task(payload: Any) -> None:
-    """Worker root: writes module state two hops down."""
-    del payload
-    _record("bucket")
+def _discover_plan_chunk(payload: Any) -> float:
+    """Worker root: env read through recursion, class-attribute
+    dispatch, a dynamic call and a module-global write two hops down."""
+    kernel = Kernel()
+    value = kernel.impl()
+    op = getattr(payload, payload.name)  # non-literal: unresolvable
+    op()
+    _record("plan")
+    return value + _walk(3)
 
 
 def combine_shard_results(results: list[Any]) -> Any:

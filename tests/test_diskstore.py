@@ -11,6 +11,7 @@ bytes an uninterrupted run produces.
 
 import json
 import os
+import re
 
 import numpy
 import pytest
@@ -136,28 +137,15 @@ class TestStoreContractEquivalence:
     def test_partition_tables_identical(
         self, memory_store, disk_store, num_shards, seed, shuffle
     ):
-        mem = memory_store.partition_tables(num_shards, seed, shuffle)
-        dsk = disk_store.partition_tables(num_shards, seed, shuffle)
-        for a, b in zip(mem[0], dsk[0]):
-            numpy.testing.assert_array_equal(a, b)
-        numpy.testing.assert_array_equal(mem[1], dsk[1])
-        numpy.testing.assert_array_equal(mem[2], dsk[2])
-
-    def test_bucket_edge_range_identical(self, memory_store, disk_store):
-        num_shards = 3
-        _, sorted_ids, shard_of = memory_store.partition_tables(
-            num_shards, seed=0, shuffle=True
-        )
-        total = memory_store.count_edges()
-        for start, stop in [(0, total), (0, total // 2), (total // 3, total)]:
-            mem = memory_store.bucket_edge_range(
-                start, stop, sorted_ids, shard_of, num_shards
-            )
-            dsk = disk_store.bucket_edge_range(
-                start, stop, sorted_ids, shard_of, num_shards
-            )
-            for a, b in zip(mem, dsk):
-                numpy.testing.assert_array_equal(a, b)
+        """Both backends put every node and edge in the same shard, in
+        the same order."""
+        plans = memory_store.plan_shards(num_shards, seed, shuffle)
+        assert disk_store.plan_shards(num_shards, seed, shuffle) == plans
+        for plan in plans:
+            mem = memory_store.materialize_shard(plan)
+            dsk = disk_store.materialize_shard(plan)
+            assert [n.id for n in dsk.nodes] == [n.id for n in mem.nodes]
+            assert [e.id for e in dsk.edges] == [e.id for e in mem.edges]
 
     def test_batches_identical(self, memory_store, disk_store):
         for a, b in zip(
@@ -281,11 +269,27 @@ class TestDiscoveryByteIdentity:
         assert serialize_pg_schema(result.schema) == sequential_schema
 
     @needs_fork
-    def test_parallel_discover(self, disk_store, sequential_schema):
-        result = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
-            disk_store, num_batches=NUM_BATCHES
+    @pytest.mark.parametrize("post_processing", [True, False])
+    def test_parallel_discover(
+        self, memory_store, disk_store, sequential_schema, post_processing
+    ):
+        """jobs=2 on disk equals jobs=1 in memory.  Without
+        post-processing the workers columnize straight from the slabs."""
+        expected = sequential_schema
+        if not post_processing:
+            expected = serialize_pg_schema(PGHive(PGHiveConfig(
+                post_processing=False
+            )).discover_incremental(
+                memory_store, num_batches=NUM_BATCHES
+            ).schema)
+        result = PGHive(PGHiveConfig(
+            jobs=2, post_processing=post_processing
+        )).discover_incremental(disk_store, num_batches=NUM_BATCHES)
+        assert re.fullmatch(
+            r"mode=serial seconds=\d+\.\d+",
+            result.parameters["parallel/partition"],
         )
-        assert serialize_pg_schema(result.schema) == sequential_schema
+        assert serialize_pg_schema(result.schema) == expected
 
     def test_postprocessed_modes(self, memory_store, disk_store):
         config = PGHiveConfig(

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,25 +183,23 @@ class TestTransportInvariance:
                 serialize_pg_schema(shard.schema)
             )
 
-    def test_env_transport_matches_sequential(self, test_jobs):
-        """Columns mode ships column arrays to the workers through the
-        same pipe; at the CI-configured worker count (PGHIVE_TEST_JOBS)
-        it still equals the sequential engine."""
-        spec = dataset_spec("ldbc")
+    def test_env_transport_matches_sequential(self, ldbc_graph, test_jobs):
+        """Plain shard schemas (no partial stats) cross the same pipe;
+        at the CI-configured worker count (PGHIVE_TEST_JOBS) the driver
+        still equals the sequential engine."""
         config = PGHiveConfig(post_processing=False)
-        engine = IncrementalDiscovery(config, name="s")
-        for batch in GraphStream(spec, num_batches=5, seed=3).batches():
-            engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
+        sequential = PGHive(config).discover_incremental(
+            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
+        )
         result = ParallelDiscovery(
             PGHiveConfig(post_processing=False, jobs=test_jobs)
-        ).discover_batches(
-            GraphStream(spec, num_batches=5, seed=3).batches(),
-            name="s", total=5,
+        ).discover_store(GraphStore(ldbc_graph), NUM_BATCHES)
+        assert re.fullmatch(
+            r"mode=serial seconds=\d+\.\d+",
+            result.parameters["parallel/partition"],
         )
         assert serialize_pg_schema(result.schema) == serialize_pg_schema(
-            engine.schema
+            sequential.schema
         )
 
     def test_config_validation(self):
@@ -297,24 +296,9 @@ class TestNoResourceTracker:
 
 
 class TestStreamParallel:
-    def test_columns_mode_matches_sequential_engine(self):
-        spec = dataset_spec("ldbc")
-        config = PGHiveConfig(post_processing=False)
-        engine = IncrementalDiscovery(config, name="s")
-        for batch in GraphStream(spec, num_batches=5, seed=3).batches():
-            engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
-        stream = GraphStream(spec, num_batches=5, seed=3)
-        parallel = ParallelDiscovery(
-            PGHiveConfig(post_processing=False, jobs=2)
-        ).discover_batches(stream.batches(), name="s", total=5)
-        assert serialize_pg_schema(parallel.schema) == serialize_pg_schema(
-            engine.schema
-        )
-
     def test_stream_pipeline_matches_sequential(self):
-        """Seeded replay on the pool equals consuming the live stream."""
+        """A stream is generated in order: jobs=2 runs the sequential
+        engine, says why, and prints the jobs=1 bytes."""
         spec = dataset_spec("ldbc")
         seq = PGHive(PGHiveConfig(jobs=1)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
@@ -322,8 +306,9 @@ class TestStreamParallel:
         par = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
             GraphStream(spec, num_batches=5, seed=3), num_batches=5
         )
-        assert par.parallel_fallback is None
-        assert all(r.worker is not None for r in par.batches)
+        assert seq.parallel_fallback is None
+        assert par.parallel_fallback == "a stream is generated in order"
+        assert all(r.worker is None for r in par.batches)
         assert serialize_pg_schema(par.schema) == serialize_pg_schema(
             seq.schema
         )
@@ -336,8 +321,7 @@ class TestStreamParallel:
             )
 
     def test_memoized_stream_stays_sequential(self):
-        """Stream memoization still couples batches to the running
-        schema, so it keeps the sequential engine."""
+        """A memoized stream keeps the sequential engine too."""
         spec = dataset_spec("ldbc")
         result = PGHive(
             PGHiveConfig(jobs=2, memoize_patterns=True)

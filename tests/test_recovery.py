@@ -4,8 +4,8 @@ The invariant under test throughout: a run that crashed, hung, or lost
 workers -- and recovered -- produces a schema *byte-identical* to a clean
 sequential run.  Shard purity plus the union-only merge (Lemmas 1-2) is
 what makes re-execution a correct recovery strategy, and these tests are
-the executable form of that argument for both source kinds
-(:class:`GraphStore` shard plans and :class:`GraphStream` columns).
+the executable form of that argument for the pool's shard plans and
+for the sequential engine's checkpoints (stores and streams alike).
 """
 
 import os
@@ -15,11 +15,7 @@ import pytest
 from repro.core import PGHive, PGHiveConfig
 from repro.core.faults import InjectedFault
 from repro.core.incremental import IncrementalDiscovery
-from repro.core.parallel import (
-    ParallelDiscovery,
-    ShardRecoveryError,
-    fork_available,
-)
+from repro.core.parallel import ShardRecoveryError, fork_available
 from repro.datasets import get_dataset
 from repro.datasets.registry import dataset_spec
 from repro.datasets.stream import GraphStream
@@ -175,27 +171,6 @@ class TestTimeoutRecovery:
         ]
         assert timeouts and all(f.index == 1 for f in timeouts)
         assert all(f.recovered_by is not None for f in timeouts)
-
-
-@needs_fork
-class TestStreamRecovery:
-    def test_columns_mode_crash_recovery_matches_sequential(self):
-        spec = dataset_spec("ldbc")
-        config = PGHiveConfig(post_processing=False)
-        engine = IncrementalDiscovery(config, name="s")
-        for batch in GraphStream(spec, num_batches=4, seed=3).batches():
-            engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
-            )
-        stream = GraphStream(spec, num_batches=4, seed=3)
-        result = ParallelDiscovery(PGHiveConfig(
-            post_processing=False, jobs=2, parallel_chunk="1",
-            faults="shard:1:raise", shard_retry_backoff=0.0,
-        )).discover_batches(stream.batches(), name="s", total=4)
-        assert serialize_pg_schema(result.schema) == serialize_pg_schema(
-            engine.schema
-        )
-        assert any(f.index == 1 for f in result.shard_failures)
 
 
 @needs_fork
@@ -435,7 +410,8 @@ class TestCheckpointResume:
 
 @needs_fork
 class TestParallelJournalResume:
-    """Crash-resume for the parallel path via the shard journal."""
+    """Crash-resume for the parallel path via the shard journal (a
+    stream at jobs=2 runs the sequential engine and its checkpoint)."""
 
     def test_killed_pool_resumes_from_journal(
         self, tmp_path, ldbc_graph, sequential_schema
@@ -537,35 +513,30 @@ class TestParallelJournalResume:
         assert serialize_pg_schema(resumed.schema) == sequential_schema
 
     def test_killed_stream_pool_resumes_from_journal(self, tmp_path):
-        """End-to-end resumable stream pipelines: a crashed parallel
-        stream run leaves completed shards journaled; the resume replays
-        only the missing batches (seeded replay makes the recomputation
-        byte-identical) and matches a sequential stream run."""
+        """A jobs=2 stream run checkpoints at the engine level: a crash
+        at batch 2 resumes there and matches a jobs=1 stream run."""
         spec = dataset_spec("ldbc")
         reference = PGHive(PGHiveConfig(jobs=1)).discover_incremental(
             GraphStream(spec, num_batches=4, seed=3), num_batches=4
         )
         ckpt = tmp_path / "ckpt"
         crashing = PGHiveConfig(
-            jobs=2, parallel_chunk="1", checkpoint_dir=str(ckpt),
-            faults="shard:2:raise:99", shard_retries=0,
-            shard_retry_backoff=0.0, strict_recovery=True,
+            jobs=2, checkpoint_dir=str(ckpt), faults="batch:2:raise"
         )
-        with pytest.raises(ShardRecoveryError):
+        with pytest.raises(InjectedFault):
             PGHive(crashing).discover_incremental(
                 GraphStream(spec, num_batches=4, seed=3), num_batches=4
             )
-        journaled = sorted((ckpt / "shards").glob("shard-*.json"))
-        assert journaled, "completed stream shards must be journaled"
-        assert not any("shard-00002" in p.name for p in journaled)
+        assert IncrementalDiscovery.has_checkpoint(ckpt)
+        assert not (ckpt / "shards").exists()
         resumed = PGHive(PGHiveConfig(
-            jobs=2, parallel_chunk="1", checkpoint_dir=str(ckpt)
+            jobs=2, checkpoint_dir=str(ckpt)
         )).discover_incremental(
             GraphStream(spec, num_batches=4, seed=3), num_batches=4,
             resume=True,
         )
-        assert resumed.resumed_shards
-        assert 2 not in resumed.resumed_shards
+        assert resumed.parallel_fallback is not None
+        assert resumed.resumed_from == 2
         assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
             reference.schema
         )
@@ -573,6 +544,7 @@ class TestParallelJournalResume:
     def test_completed_stream_run_resumes_from_journal_alone(
         self, tmp_path
     ):
+        """Resuming a finished jobs=2 stream run replays no batch."""
         spec = dataset_spec("ldbc")
         ckpt = tmp_path / "ckpt"
         config = PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
@@ -585,7 +557,7 @@ class TestParallelJournalResume:
             GraphStream(spec, num_batches=4, seed=3), num_batches=4,
             resume=True,
         )
-        assert resumed.resumed_shards == [0, 1, 2, 3]
+        assert resumed.resumed_from == 4
         assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
             first.schema
         )

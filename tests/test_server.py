@@ -26,7 +26,7 @@ from repro.server.models import (
     parse_nodes,
     validate_session_name,
 )
-from repro.server.session import SessionManager
+from repro.server.session import SessionManager, TicketStatus
 
 
 def _node(node_id, labels=("Person",), **properties):
@@ -404,6 +404,25 @@ class TestSessionLayerDirect:
             {"nodes": [_node(1, name="a")], "edges": []}
         )
         assert request.nodes[0].labels == frozenset({"Person"})
+
+    def test_exception_after_discovery_fails_the_ticket(self, monkeypatch):
+        """An exception raised after the batch left the queue -- here by
+        the report serialization -- fails the ticket; it never stays
+        RUNNING.  ``shutdown()`` drains the queue before it returns."""
+        from repro.core.result import BatchReport
+
+        def broken_to_dict(self):
+            raise RuntimeError("report serialization failed")
+
+        monkeypatch.setattr(BatchReport, "to_dict", broken_to_dict)
+        manager = SessionManager(PGHiveConfig(server_workers=1))
+        manager.create("s")
+        ticket = manager.submit_batch(
+            "s", BatchRequest.from_dict(_batch(count=6))
+        )
+        manager.shutdown()
+        assert ticket.status is TicketStatus.FAILED
+        assert ticket.error
 
     def test_shutdown_endpoint_stops_server(self):
         server = SchemaServer(

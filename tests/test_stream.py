@@ -76,61 +76,6 @@ class TestGraphStream:
             GraphStream(dataset_spec("POLE"), num_batches=0)
 
 
-class TestStreamShardPlans:
-    def _batch_equal(self, a, b):
-        return (
-            a.nodes == b.nodes
-            and a.edges == b.edges
-            and a.endpoint_labels == b.endpoint_labels
-            and a.index == b.index
-        )
-
-    def test_shards_match_live_emission(self):
-        stream = GraphStream(dataset_spec("POLE"), num_batches=4, seed=1)
-        live = list(stream)
-        shards = [
-            stream.materialize_shard(plan)
-            for plan in stream.plan_shards()
-        ]
-        assert all(
-            self._batch_equal(a, b) for a, b in zip(live, shards)
-        )
-
-    def test_materialization_does_not_disturb_stream(self):
-        stream = GraphStream(dataset_spec("POLE"), num_batches=3, seed=2)
-        plans = stream.plan_shards()
-        stream.materialize_shard(plans[2])
-        # The live stream still emits from the start with identical data.
-        replica = GraphStream(dataset_spec("POLE"), num_batches=3, seed=2)
-        assert all(
-            self._batch_equal(a, b)
-            for a, b in zip(stream.batches(), replica.batches())
-        )
-
-    def test_out_of_order_replay(self):
-        reference = list(
-            GraphStream(dataset_spec("POLE"), num_batches=4, seed=3)
-        )
-        stream = GraphStream(dataset_spec("POLE"), num_batches=4, seed=3)
-        plans = stream.plan_shards()
-        for index in (3, 0, 2, 2):
-            shard = stream.materialize_shard(plans[index])
-            assert self._batch_equal(shard, reference[index])
-
-    def test_shard_count_must_match_batching(self):
-        stream = GraphStream(dataset_spec("POLE"), num_batches=4, seed=1)
-        with pytest.raises(ValueError):
-            stream.plan_shards(3)
-        assert len(stream.plan_shards(4)) == 4
-
-    def test_out_of_range_index_rejected(self):
-        from repro.datasets.stream import StreamShardPlan
-
-        stream = GraphStream(dataset_spec("POLE"), num_batches=2, seed=1)
-        with pytest.raises(ValueError):
-            stream.materialize_shard(StreamShardPlan(5, 2, 1))
-
-
 class TestStreamDiscovery:
     def test_incremental_discovery_over_stream_with_drift(self):
         """The schema grows when drifting types appear and the tracker
