@@ -36,7 +36,6 @@ from repro.core.parallel import ShardRecoveryError
 from repro.core.pipeline import PGHive
 from repro.datasets import get_dataset, inject_noise, list_datasets
 from repro.datasets.registry import dataset_spec
-from repro.evaluation.harness import ALL_METHODS, run_system
 from repro.graph.diskstore import (
     DiskGraphStore,
     SlabIngestError,
@@ -49,15 +48,15 @@ from repro.graph.scrub import repair_slab_directory, scrub_slab_directory
 from repro.graph.slab import SlabCorruptionError
 from repro.graph.stats import compute_statistics
 from repro.graph.store import BaseGraphStore, GraphStore
-
-#: Ephemeral slab directories created for ``--store disk`` runs without
-#: ``--store-dir``; removed in :func:`main`'s cleanup.
-_EPHEMERAL_STORE_DIRS: list[str] = []
 from repro.schema.serialize_cypher import serialize_cypher
 from repro.schema.serialize_graphql import serialize_graphql
 from repro.schema.serialize_pgschema import serialize_pg_schema
 from repro.schema.serialize_xsd import serialize_xsd
 from repro.util.tables import render_table
+
+#: Ephemeral slab directories created for ``--store disk`` runs without
+#: ``--store-dir``; removed in :func:`main`'s cleanup.
+_EPHEMERAL_STORE_DIRS: list[str] = []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -518,6 +517,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.evaluation.harness import ALL_METHODS, run_system
+
     clean = get_dataset(args.name, scale=args.scale, seed=args.seed)
     noisy = inject_noise(
         clean,

@@ -24,6 +24,7 @@ that both produce byte-identical schemas for a fixed seed.
 
 from __future__ import annotations
 
+import importlib
 import time
 from pathlib import Path
 from typing import Any, Sequence
@@ -62,6 +63,25 @@ from repro.lsh.minhash import MinHashLSH
 from repro.schema.merge import merge_schemas
 from repro.schema.model import SchemaGraph
 from repro.util.timing import StageTimer
+
+#: Modules a batch first imports lazily, inside a call: ``np.unique``
+#: loads ``numpy.ma``, Word2Vec's ``default_rng`` loads ``numpy.random``
+#: and MinHash banding imports ``scipy.sparse.csgraph`` in-function.
+_LAZY_IMPORTS = {
+    LSHMethod.ELSH: ("numpy.ma", "numpy.random"),
+    LSHMethod.MINHASH: ("numpy.ma", "numpy.random", "scipy.sparse.csgraph"),
+}
+
+
+def preload_engine_imports(method: LSHMethod) -> None:
+    """Import now what the first batch would otherwise import lazily.
+
+    The pool driver calls this before it forks, so no worker imports a
+    module the driver lacks; the daemon calls it before it answers
+    ``/health``, so the first batch carries no import cost.
+    """
+    for module in _LAZY_IMPORTS[method]:
+        importlib.import_module(module)
 
 
 def _refine_by_label_ids(

@@ -101,7 +101,7 @@ from repro.core.columns import (
 )
 from repro.core.config import PGHiveConfig
 from repro.core.faults import FaultInjector
-from repro.core.incremental import IncrementalDiscovery
+from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
 from repro.core.postprocess import (
     attach_partial_stats,
     schema_stats_from_dict,
@@ -655,6 +655,7 @@ class ParallelDiscovery:
         if not chunks:
             return [], []
         global _PARENT_STATE
+        preload_engine_imports(self.config.method)
         context = multiprocessing.get_context("fork")
         _PARENT_STATE = state
         config = self.config

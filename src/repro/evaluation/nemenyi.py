@@ -15,10 +15,11 @@ significantly different when their average ranks differ by at least CD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from types import ModuleType
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 # Critical values q_alpha for the Nemenyi test (infinite df), alpha = 0.05,
 # indexed by the number of compared methods k (Demsar 2006, Table 5).
@@ -31,6 +32,19 @@ _Q_ALPHA_10 = {
     2: 1.645, 3: 2.052, 4: 2.291, 5: 2.460, 6: 2.589, 7: 2.693,
     8: 2.780, 9: 2.855, 10: 2.920,
 }
+
+
+@cache
+def _stats() -> ModuleType:
+    """Cached ``scipy.stats`` import, resolved on the first rank test.
+
+    ``scipy.stats`` is the costliest import in the package; loading it
+    here rather than at module level keeps it off ``import
+    repro.evaluation`` and off every run that computes no ranks.
+    """
+    from scipy import stats
+
+    return stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +79,7 @@ def average_ranks(scores: np.ndarray) -> np.ndarray:
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     # rankdata ranks ascending; we want descending scores = rank 1.
     ranks = np.vstack([
-        stats.rankdata(-row, method="average") for row in scores
+        _stats().rankdata(-row, method="average") for row in scores
     ])
     return ranks.mean(axis=0)
 
@@ -79,7 +93,7 @@ def friedman_statistic(scores: np.ndarray) -> tuple[float, float]:
     if n < 2:
         raise ValueError("need at least two test cases")
     columns = [scores[:, j] for j in range(k)]
-    statistic, p_value = stats.friedmanchisquare(*columns)
+    statistic, p_value = _stats().friedmanchisquare(*columns)
     return float(statistic), float(p_value)
 
 

@@ -10,7 +10,8 @@ Routes (see ``docs/API.md`` for payloads):
 =======  ===================================  ==========================
 Method   Path                                 Action
 =======  ===================================  ==========================
-GET      ``/health``                          liveness + session count
+GET      ``/health``                          liveness, session count,
+                                              leaked task errors
 POST     ``/sessions``                        create a named session
 GET      ``/sessions``                        list sessions
 GET      ``/sessions/{name}``                 session counters
@@ -113,6 +114,7 @@ class SchemaService:
         return 200, {
             "status": "ok",
             "sessions": len(self.sessions.list_sessions()),
+            "leaked_task_errors": self.sessions.leaked_task_errors,
         }
 
     def _do_create_session(

@@ -27,6 +27,8 @@ class SessionWorkerPool:
 
     def __init__(self, workers: int) -> None:
         self._tasks: "queue.Queue[Callable[[], None] | None]" = queue.Queue()
+        self._leaked_lock = threading.Lock()
+        self._leaked = 0
         self._threads = [
             threading.Thread(
                 target=self._run,
@@ -55,12 +57,20 @@ class SessionWorkerPool:
                 return
             try:
                 task()
-            except Exception:  # pragma: no cover - tasks catch their own
+            except Exception:
                 # A task that leaks is a bug in the session layer (a
                 # session drain fails its ticket on any exception raised
-                # after dequeue); the pool still must survive it or
-                # one poisoned batch would silently halve the pool.
-                continue
+                # after dequeue).  Count it so ``/health`` shows it, and
+                # keep the worker: one poisoned batch must not halve
+                # the pool.
+                with self._leaked_lock:
+                    self._leaked += 1
+
+    @property
+    def leaked_task_errors(self) -> int:
+        """Exceptions that escaped a task since the pool started."""
+        with self._leaked_lock:
+            return self._leaked
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop the workers after the queued work drains."""

@@ -39,7 +39,7 @@ from typing import Any, Deque
 
 from repro.core.columns import edge_columns, node_columns
 from repro.core.config import PGHiveConfig
-from repro.core.incremental import IncrementalDiscovery
+from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
 from repro.core.postprocess import (
     apply_partial_stats,
     attach_partial_stats,
@@ -358,6 +358,7 @@ class SessionManager:
     def __init__(self, config: PGHiveConfig | None = None) -> None:
         self.config = config or PGHiveConfig()
         check_session_config(self.config)
+        preload_engine_imports(self.config.method)
         self._pool = SessionWorkerPool(self.config.server_workers)
         self._lock = threading.Lock()
         self._sessions: dict[str, DiscoverySession] = {}
@@ -467,6 +468,11 @@ class SessionManager:
                 404, "no-such-ticket", f"no ticket named {ticket_id!r}"
             )
         return ticket
+
+    @property
+    def leaked_task_errors(self) -> int:
+        """Exceptions that escaped a pool task (reported on ``/health``)."""
+        return self._pool.leaked_task_errors
 
     def shutdown(self) -> None:
         """Stop the worker pool (queued work is drained first)."""

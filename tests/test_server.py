@@ -19,13 +19,14 @@ from repro.core.config import PGHiveConfig
 from repro.core.pipeline import PGHive
 from repro.graph.store import GraphStore
 from repro.schema.persist import schema_from_dict
-from repro.server import ApiError, SchemaServer
+from repro.server import ApiError, SchemaServer, SchemaService
 from repro.server.models import (
     BatchRequest,
     parse_edges,
     parse_nodes,
     validate_session_name,
 )
+from repro.server.pool import SessionWorkerPool
 from repro.server.session import SessionManager, TicketStatus
 
 
@@ -115,6 +116,7 @@ class TestLifecycle:
         status, body = client.call("GET", "/health")
         assert status == 200
         assert body["status"] == "ok"
+        assert body["leaked_task_errors"] == 0
 
     def test_full_session_lifecycle(self, client):
         status, body = client.call("POST", "/sessions", {"name": "s1"})
@@ -423,6 +425,32 @@ class TestSessionLayerDirect:
         manager.shutdown()
         assert ticket.status is TicketStatus.FAILED
         assert ticket.error
+
+    def test_leaked_task_exception_is_counted(self):
+        """A task that raises is counted, and the worker that ran it
+        still runs the next task.  ``shutdown()`` drains the queue before
+        it returns, so both tasks have run by then."""
+        pool = SessionWorkerPool(1)
+        ran = []
+
+        def leaky():
+            raise RuntimeError("leaked")
+
+        pool.dispatch(leaky)
+        pool.dispatch(lambda: ran.append("later"))
+        pool.shutdown()
+        assert pool.leaked_task_errors == 1
+        assert ran == ["later"]
+
+    def test_health_reports_leaked_task_errors(self):
+        def leaky():
+            raise RuntimeError("leaked")
+
+        service = SchemaService(PGHiveConfig(server_workers=1))
+        service.sessions._pool.dispatch(leaky)
+        service.sessions.shutdown()
+        status, body = service.handle("GET", "/health", {}, {})
+        assert status == 200 and body["leaked_task_errors"] == 1
 
     def test_shutdown_endpoint_stops_server(self):
         server = SchemaServer(
