@@ -3,8 +3,11 @@
 Measures incremental discovery with and without ``memoize_patterns`` over
 a 10-batch stream.  With clean, repetitive data, batches after the first
 consist almost entirely of known patterns, so the fast path absorbs them
-without vectorization or clustering -- output stays identical while
-per-batch time collapses.
+without vectorization or clustering while per-batch time collapses.  On
+these fully labeled datasets the output stays identical.  On a graph with
+unlabeled elements memoization changes which elements each batch's LSH
+stage sees, so the unlabeled ones may cluster into different types (the
+schema still validates the graph).
 """
 
 from __future__ import annotations

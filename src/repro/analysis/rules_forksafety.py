@@ -45,7 +45,6 @@ from repro.analysis.registry import (
 #: stay statically pickle-checked.
 POOL_PAYLOAD_TYPES = (
     "ShardPlan",
-    "AbsorptionEntry",
     "ShardResult",
     "ShardFailure",
     "BatchReport",

@@ -178,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="compute exact cardinality bounds")
     discover.add_argument("--memoize", action="store_true",
                           help="enable the incremental memoization fast "
-                               "path (with --batches)")
+                               "path (with --batches); it runs the "
+                               "sequential engine at any --jobs")
     discover.add_argument("--on-error", choices=["raise", "skip", "collect"],
                           default="raise",
                           help="policy for malformed input records: stop "

@@ -45,8 +45,12 @@ class PGHiveConfig:
         memoize_patterns: Incremental fast path in the spirit of DiscoPG's
             memorization: elements whose labels match an existing type and
             whose structure adds nothing new are absorbed directly,
-            skipping vectorization and clustering.  Output-equivalent on
-            such elements; off by default.
+            skipping vectorization and clustering.  Identical output on
+            fully labeled graphs; with unlabeled elements present it
+            changes which elements the batch's LSH stage sees, so the
+            unlabeled ones may cluster differently.  Consults the running
+            schema, so it always runs the sequential engine, at any
+            ``jobs``.  Off by default.
         infer_value_profiles: Additionally profile value domains
             (enumerations, numeric/temporal ranges -- the paper's "future
             work" refinement of section 4.4).

@@ -1,12 +1,14 @@
 """Parallel sharded discovery: a fault-tolerant multi-process pipeline.
 
 The incremental engine computes each batch schema *independently* of the
-running schema (the memoization fast path is decoupled separately, see
-below), and the merge rules of :mod:`repro.schema.merge` are union-only
-(Lemmas 1-2).  Batch discovery therefore parallelizes embarrassingly:
-shard the source into batches, discover each shard's schema in a worker
-process, and combine the per-shard schemas through the canonical
-pairwise merge tree of :func:`repro.schema.merge.merge_schema_tree`.
+running schema, and the merge rules of :mod:`repro.schema.merge` are
+union-only (Lemmas 1-2).  Batch discovery therefore parallelizes
+embarrassingly: shard the source into batches, discover each shard's
+schema in a worker process, and combine the per-shard schemas through
+the canonical pairwise merge tree of
+:func:`repro.schema.merge.merge_schema_tree`.  Pattern memoization is
+the exception -- it reads the running schema -- so
+:class:`repro.core.pipeline.PGHive` never sends a memoized run here.
 
 Payload contract
 ----------------
@@ -48,21 +50,6 @@ identical schema -- re-execution is the entire recovery strategy:
   as a last resort; a shard that *still* fails is dropped from the run
   unless ``config.strict_recovery`` raises :class:`ShardRecoveryError`.
 
-Memoization (two-phase absorption)
-----------------------------------
-``config.memoize_patterns`` historically forced sequential discovery
-because absorption consults the *running* schema.  The pool path
-decouples it: the lowest shard is discovered first (or loaded from the
-resume journal) and its schema frozen into a
-:class:`~repro.core.absorption.MemoSnapshot`; every other worker absorbs
-known-pattern elements against the snapshot before columnization and
-ships :class:`~repro.core.absorption.AbsorptionEntry` summaries with its
-result; the driver replays the entries into the merged schema
-(:func:`~repro.core.absorption.replay_absorption`) before partial
-post-processing stats are applied.  Memoized parallel runs are
-type-equivalent (identical type sets, instance counts, constraints) to
-sequential memoized runs; see :mod:`repro.core.absorption`.
-
 Determinism contract
 --------------------
 The final schema is a pure function of the set of *successful* shard
@@ -86,13 +73,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.absorption import (
-    AbsorptionEntry,
-    MemoSnapshot,
-    absorb_batch,
-    replay_absorption,
-    snapshot_from_schema,
-)
 from repro.core.columns import (
     EdgeColumns,
     NodeColumns,
@@ -169,7 +149,6 @@ class ShardResult:
     schema: SchemaGraph
     report: BatchReport
     parameters: dict[str, str] = field(default_factory=dict)
-    absorption: list[AbsorptionEntry] = field(default_factory=list)
 
 
 def fork_available() -> bool:
@@ -226,7 +205,6 @@ class _ParentState:
 
     source: BaseGraphStore
     config: PGHiveConfig
-    snapshot: MemoSnapshot | None = None
 
 
 _PARENT_STATE: _ParentState | None = None
@@ -287,18 +265,17 @@ def _discover_plan_chunk(
     injector = _worker_injector(config)
     engine = IncrementalDiscovery(config, name="shard")
     compute_stats = sharded_postprocess_enabled(config)
-    snapshot = state.snapshot
     columnizer = getattr(source, "columnize_shard", None)
     results: list[ShardResult] = []
     for plan, attempt in zip(plans, attempts):
         if injector is not None:
             injector.fire("shard", plan.index, attempt, in_worker=in_worker)
-        if columnizer is not None and snapshot is None and not compute_stats:
+        if columnizer is not None and not compute_stats:
             # Out-of-core fast path: the disk backend columnizes a shard
             # straight from its mapped slab columns, byte-identical to
             # materializing objects first but without ever holding them.
-            # Memoized absorption and sharded stats still need the
-            # object form, so they take the materializing path below.
+            # Sharded stats still need the object form, so they take the
+            # materializing path below.
             ncols, ecols = columnizer(plan)
             _check_memory(config, in_worker, "columnization", plan.index)
             results.append(_discover_one(engine, plan.index, ncols, ecols))
@@ -307,36 +284,15 @@ def _discover_plan_chunk(
         batch = source.materialize_shard(plan)
         _check_memory(config, in_worker, "materialization", plan.index)
         nodes, edges = batch.nodes, batch.edges
-        entries: list[AbsorptionEntry] = []
-        absorbed_nodes = absorbed_edges = 0
-        if snapshot is not None:
-            entries, nodes, edges = absorb_batch(
-                snapshot,
-                nodes,
-                edges,
-                batch.endpoint_labels,
-                config.endpoint_jaccard_threshold,
-                compute_stats,
-                track_values=config.infer_value_profiles,
-            )
-            absorbed_nodes = len(batch.nodes) - len(nodes)
-            absorbed_edges = len(batch.edges) - len(edges)
         ncols = node_columns(nodes)
         ecols = edge_columns(edges, batch.endpoint_labels)
         _check_memory(config, in_worker, "columnization", plan.index)
         shard = _discover_one(engine, plan.index, ncols, ecols)
         _check_memory(config, in_worker, "discovery", plan.index)
-        if snapshot is not None:
-            shard.absorption = entries
-            shard.report.num_nodes += absorbed_nodes
-            shard.report.num_edges += absorbed_edges
-            shard.report.memo_node_hits = absorbed_nodes
-            shard.report.memo_edge_hits = absorbed_edges
         if compute_stats:
             # Post-processing runs sharded: the worker has the
             # materialized elements in hand, so it folds the per-type
             # partial statistics here and ships them with the schema.
-            # Absorbed elements carry their stats in the entries.
             # Value retention follows the profile flag: without
             # profiles the driver only reads datatypes, counts and
             # degrees, so shipping the distinct-value sketch home
@@ -386,10 +342,9 @@ class _ShardJournal:
     """Journals completed shards under ``<checkpoint_dir>/shards/``.
 
     Each entry is one atomic JSON document (shard schema with members,
-    partial post-processing stats, absorption entries, batch report,
-    parameters) plus the run context ``{source, num_batches, seed}``
-    (``memoize`` is part of the context when enabled, so memoized and
-    plain journals never cross-match).  A resumed run loads every entry
+    partial post-processing stats, batch report, parameters) plus the
+    run context ``{source, num_batches, seed}`` (with ``profiles`` and
+    the store fingerprint when they apply).  A resumed run loads every entry
     whose context matches, skips those shards in the pool, and merges
     journaled and fresh results identically -- shard purity guarantees a
     journaled shard equals its recomputation byte for byte.  Entries
@@ -414,9 +369,6 @@ class _ShardJournal:
             "stats": schema_stats_to_dict(shard.schema),
             "report": shard.report.to_dict(),
             "parameters": dict(shard.parameters),
-            "absorption": [
-                entry.to_dict() for entry in shard.absorption
-            ],
         }
         save_shard_journal_entry(self.directory, shard.index, document)
 
@@ -438,25 +390,13 @@ class _ShardJournal:
                     f"shard-{index:05d}.json: malformed schema"
                 )
                 continue
-            try:
-                absorption = [
-                    AbsorptionEntry.from_dict(record)
-                    for record in document.get("absorption", [])
-                ]
-            except Exception:
-                self.skipped.append(
-                    f"shard-{index:05d}.json: malformed absorption"
-                )
-                continue
             schema_stats_from_dict(schema, document.get("stats"))
             report = BatchReport.from_dict(document.get("report", {}))
             parameters = {
                 str(key): str(value)
                 for key, value in document.get("parameters", {}).items()
             }
-            results[index] = ShardResult(
-                index, schema, report, parameters, absorption
-            )
+            results[index] = ShardResult(index, schema, report, parameters)
         return results
 
 
@@ -475,8 +415,8 @@ class ParallelDiscovery:
     consumes the merged stats with
     :func:`~repro.core.postprocess.apply_partial_stats` -- or falls back
     to the serial store-backed passes (sampling mode).  See the module
-    docstring for the failure model and the two-phase memoization
-    protocol.
+    docstring for the failure model and for why memoized runs never
+    reach the pool.
     """
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
@@ -494,10 +434,6 @@ class ParallelDiscovery:
             "num_batches": num_batches,
             "seed": seed_value,
         }
-        if self.config.memoize_patterns:
-            # Memoized and plain runs journal different shard schemas;
-            # the asymmetric key keeps their journals from cross-matching.
-            context["memoize"] = True
         if self.config.infer_value_profiles:
             # Profile-less runs journal datatype-only partial stats; a
             # profile run must never resume from them (its profiles
@@ -534,7 +470,7 @@ class ParallelDiscovery:
         When ``config.checkpoint_dir`` is set, every completed shard is
         journaled atomically under ``<checkpoint_dir>/shards/``; with
         ``resume=True``, shards already journaled by a crashed run with
-        the same context (source, batch count, seed, memoization) are
+        the same context (source, batch count, seed) are
         loaded instead of recomputed, and the merged schema is
         byte-identical to an uninterrupted run.  A non-resume run clears
         the journal first.
@@ -552,8 +488,11 @@ class ParallelDiscovery:
         plans = store.plan_shards(num_batches, seed=config.seed)
         partition_seconds = time.perf_counter() - partition_started
         todo = [plan for plan in plans if plan.index not in preloaded]
-        shard_results, failures = self._run_phases(
-            plans, todo, preloaded, _ParentState(store, config), journal
+        chunk = config.chunk_size(len(plans))
+        shard_results, failures = self._run_pool(
+            [todo[i : i + chunk] for i in range(0, len(todo), chunk)],
+            _ParentState(store, config),
+            journal,
         )
         all_results = [preloaded[index] for index in sorted(preloaded)]
         all_results += shard_results
@@ -584,55 +523,6 @@ class ParallelDiscovery:
             result.parameters["parallel/journal_skipped"] = (
                 " ".join(journal.skipped)
             )
-
-    # ------------------------------------------------------------------
-    # Two-phase memoization
-    # ------------------------------------------------------------------
-    def _run_phases(
-        self,
-        plans: Sequence[ShardPlan],
-        todo: list[ShardPlan],
-        preloaded: dict[int, ShardResult],
-        state: _ParentState,
-        journal: "_ShardJournal | None",
-    ) -> tuple[list[ShardResult], list[ShardFailure]]:
-        """Run the pool, optionally with the two-phase absorption snapshot.
-
-        Without memoization this is a single pool pass.  With it, the
-        lowest shard runs alone first (or comes from the resume
-        journal); its schema freezes into the
-        :class:`~repro.core.absorption.MemoSnapshot` every other worker
-        absorbs against.  If the seed shard fails beyond recovery the
-        remaining shards simply run unmemoized -- the result is still
-        deterministic and complete.
-        """
-        config = self.config
-        chunk = config.chunk_size(len(plans))
-        if not config.memoize_patterns:
-            chunks = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-            return self._run_pool(chunks, state, journal)
-        seed_index = min(plan.index for plan in plans)
-        results: list[ShardResult] = []
-        failures: list[ShardFailure] = []
-        snapshot: MemoSnapshot | None = None
-        if seed_index in preloaded:
-            snapshot = snapshot_from_schema(preloaded[seed_index].schema)
-        else:
-            seed_plan = next(
-                plan for plan in todo if plan.index == seed_index
-            )
-            seed_results, seed_failures = self._run_pool(
-                [[seed_plan]], state, journal
-            )
-            results += seed_results
-            failures += seed_failures
-            if seed_results:
-                snapshot = snapshot_from_schema(seed_results[0].schema)
-        rest = [plan for plan in todo if plan.index != seed_index]
-        chunks = [rest[i : i + chunk] for i in range(0, len(rest), chunk)]
-        state.snapshot = snapshot
-        rest_results, rest_failures = self._run_pool(chunks, state, journal)
-        return results + rest_results, failures + rest_failures
 
     # ------------------------------------------------------------------
     # Pool loop with recovery
@@ -857,16 +747,6 @@ class ParallelDiscovery:
         merge_started = time.perf_counter()
         schema = combine_shard_results(name, shard_results, self.config)
         ordered = sorted(shard_results, key=lambda r: r.index)
-        absorbed = 0
-        if any(shard.absorption for shard in ordered):
-            # Replay the memoized absorptions into the merged schema
-            # before partial post-processing stats are consumed, so
-            # constraints and cardinalities see the absorbed members.
-            absorbed = replay_absorption(
-                schema,
-                [shard.absorption for shard in ordered],
-                self.config.endpoint_jaccard_threshold,
-            )
         merge_seconds = time.perf_counter() - merge_started
         parameters: dict[str, str] = {}
         for shard in ordered:
@@ -877,8 +757,6 @@ class ParallelDiscovery:
             f"shards={len(ordered)}"
         )
         parameters["parallel/merge_seconds"] = f"{merge_seconds:.6f}"
-        if absorbed:
-            parameters["parallel/absorbed"] = f"elements={absorbed}"
         if failures:
             recovered = sorted({
                 f.index for f in failures if f.recovered_by is not None

@@ -240,12 +240,13 @@ class PGHive:
         sequential path, whose output the parallel path matches byte for
         byte on labeled data).  Parallel sharding requires independent
         batches of a partitioned store: a stream's batches are generated
-        in order, and per-batch post-processing couples batches
-        sequentially.  Pattern memoization does not force the sequential
-        engine -- the pool decouples it through the two-phase snapshot
-        protocol of :mod:`repro.core.absorption` -- and neither does
-        ``checkpoint_dir``: checkpointed parallel runs journal completed
-        shards under ``checkpoint_dir/shards/`` and resume mid-pool.
+        in order, per-batch post-processing couples batches
+        sequentially, and pattern memoization consults the running
+        schema built from every earlier batch -- so ``--memoize`` output
+        is the same at any ``jobs``.  ``checkpoint_dir`` does not force
+        the sequential engine: checkpointed parallel runs journal
+        completed shards under ``checkpoint_dir/shards/`` and resume
+        mid-pool.
         """
         from repro.core.parallel import fork_available
 
@@ -257,6 +258,8 @@ class PGHive:
             return "a single batch cannot be sharded"
         if post_process_each_batch:
             return "per-batch post-processing couples batches sequentially"
+        if self.config.memoize_patterns:
+            return "pattern memoization consults the running schema"
         if not fork_available():
             return "fork start method unavailable on this platform"
         return None

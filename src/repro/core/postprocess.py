@@ -320,9 +320,9 @@ def apply_partial_stats(
     :func:`infer_datatypes` / :func:`compute_cardinalities` sequence
     byte for byte without a store, then clears the consumed stats.
     Returns False -- leaving the schema untouched -- when any type lacks
-    stats (sequential shards, columns mode, a journal written with
-    post-processing off) or when the config demands the global sampling
-    mode; the caller then falls back to the store-backed passes.
+    stats (sequential shards, a journal written with post-processing
+    off) or when the config demands the global sampling mode; the
+    caller then falls back to the store-backed passes.
     """
     config = config or PGHiveConfig()
     if config.infer_datatypes_by_sampling:

@@ -424,9 +424,9 @@ class DiskGraphStore(BaseGraphStore):
         Byte-identical to columnizing the materialized batch: global
         interner ids are remapped to per-batch first-appearance dense
         ids by the from-arrays constructors.  Used by pool workers when
-        a shard's schema is all that is needed (no per-value statistics
-        and no absorption snapshot), skipping Node/Edge object
-        construction and the property heap entirely.
+        a shard's schema is all that is needed (no per-value
+        statistics), skipping Node/Edge object construction and the
+        property heap entirely.
         """
         partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
         reader = self._reader

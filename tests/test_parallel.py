@@ -34,7 +34,7 @@ from repro.core.postprocess import (
     attach_partial_stats,
     sharded_postprocess_enabled,
 )
-from repro.datasets import get_dataset
+from repro.datasets import get_dataset, inject_noise
 from repro.datasets.registry import dataset_spec
 from repro.datasets.stream import GraphStream
 from repro.graph.store import GraphStore
@@ -332,89 +332,6 @@ class TestStreamParallel:
         assert all(r.worker is None for r in result.batches)
 
 
-class TestMemoizedPool:
-    """Two-phase absorption: memoized pooled runs are type-equivalent to
-    memoized sequential runs (same types, counts, members, constraints)."""
-
-    @pytest.fixture(scope="class")
-    def memo_sequential(self, ldbc_graph):
-        return PGHive(
-            PGHiveConfig(jobs=1, memoize_patterns=True)
-        ).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
-        )
-
-    @pytest.fixture(scope="class")
-    def memo_parallel(self, ldbc_graph):
-        return PGHive(
-            PGHiveConfig(jobs=2, memoize_patterns=True)
-        ).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
-        )
-
-    def test_type_sets_match(self, memo_sequential, memo_parallel):
-        assert set(memo_parallel.schema.node_types) == set(
-            memo_sequential.schema.node_types
-        )
-        assert set(memo_parallel.schema.edge_types) == set(
-            memo_sequential.schema.edge_types
-        )
-
-    def test_counts_and_members_match(self, memo_sequential, memo_parallel):
-        for kind in ("node_types", "edge_types"):
-            for name, seq_type in getattr(
-                memo_sequential.schema, kind
-            ).items():
-                par_type = getattr(memo_parallel.schema, kind)[name]
-                assert par_type.instance_count == seq_type.instance_count
-                assert sorted(par_type.members) == sorted(seq_type.members)
-
-    def test_constraints_and_cardinalities_match(
-        self, memo_sequential, memo_parallel
-    ):
-        for kind in ("node_types", "edge_types"):
-            for name, seq_type in getattr(
-                memo_sequential.schema, kind
-            ).items():
-                par_type = getattr(memo_parallel.schema, kind)[name]
-                seq_props = {
-                    key: (spec.status, spec.datatype)
-                    for key, spec in seq_type.properties.items()
-                }
-                par_props = {
-                    key: (spec.status, spec.datatype)
-                    for key, spec in par_type.properties.items()
-                }
-                assert par_props == seq_props
-        for name, seq_type in memo_sequential.schema.edge_types.items():
-            par_type = memo_parallel.schema.edge_types[name]
-            assert par_type.cardinality == seq_type.cardinality
-
-    def test_absorption_actually_engages(self, memo_parallel):
-        hits = sum(
-            r.memo_node_hits + r.memo_edge_hits
-            for r in memo_parallel.batches
-        )
-        assert hits > 0
-        assert "parallel/absorbed" in memo_parallel.parameters
-
-    def test_hit_rate_comparable_to_sequential(
-        self, memo_sequential, memo_parallel
-    ):
-        """The snapshot freezes after one shard, so the pooled hit count
-        cannot exceed the sequential one -- but it must stay in the same
-        ballpark (the point of shipping absorption summaries at all)."""
-        seq_hits = sum(
-            r.memo_node_hits + r.memo_edge_hits
-            for r in memo_sequential.batches
-        )
-        par_hits = sum(
-            r.memo_node_hits + r.memo_edge_hits
-            for r in memo_parallel.batches
-        )
-        assert 0 < par_hits <= seq_hits
-
-
 def _postprocessed_shards(graph, config, num_batches, track_values=True):
     """Discover + attach partial post-processing stats per shard."""
     store = GraphStore(graph)
@@ -629,13 +546,29 @@ class TestReportsAndFallbacks:
         assert "parallel/jobs" in result.parameters
         assert "parallel/merge_seconds" in result.parameters
 
-    def test_memoization_rides_the_pool(self, ldbc_graph):
-        """The memo fast path no longer forces the sequential engine."""
-        config = PGHiveConfig(jobs=2, memoize_patterns=True)
-        result = PGHive(config).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
+    def test_memoization_rides_the_pool(self):
+        """The memo fast path consults the running schema, so jobs=2
+        runs the sequential engine, says why, and prints the jobs=1
+        bytes -- on noisy, half-labeled input too."""
+        graph = inject_noise(
+            get_dataset("IYP", scale=0.5, seed=1),
+            property_noise=0.2,
+            label_availability=0.5,
+            seed=1,
+        ).graph
+        seq, par = (
+            PGHive(
+                PGHiveConfig(jobs=jobs, memoize_patterns=True)
+            ).discover_incremental(GraphStore(graph), num_batches=4)
+            for jobs in (1, 2)
         )
-        assert all(r.worker is not None for r in result.batches)
+        assert par.parallel_fallback == (
+            "pattern memoization consults the running schema"
+        )
+        assert all(r.worker is None for r in par.batches)
+        assert serialize_pg_schema(par.schema) == serialize_pg_schema(
+            seq.schema
+        )
 
     def test_jobs1_takes_sequential_path(self, ldbc_graph):
         result = PGHive(PGHiveConfig(jobs=1)).discover_incremental(
