@@ -20,7 +20,6 @@ from repro.core.postprocess import (
     TypeStats,
     apply_partial_stats,
     attach_partial_stats,
-    sharded_postprocess_enabled,
 )
 from repro.core.result import DiscoveryResult, ShardFailure
 from repro.core.adaptive import AdaptiveParameters, choose_parameters
@@ -68,5 +67,4 @@ __all__ = [
     "infer_value_type",
     "is_value_compatible",
     "profile_values",
-    "sharded_postprocess_enabled",
 ]

@@ -42,6 +42,13 @@ from repro.core.columns import (
 )
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.result import BatchReport
+from repro.core.postprocess import (
+    attach_partial_stats,
+    fold_edge,
+    fold_properties,
+    schema_stats_from_dict,
+    schema_stats_to_dict,
+)
 from repro.core.type_extraction import (
     build_edge_clusters_from_columns,
     build_node_clusters_from_columns,
@@ -156,7 +163,8 @@ class IncrementalDiscovery:
         running schema plus a manifest of how many batches completed,
         the per-batch reports and LSH parameters, and an optional caller
         ``context`` (e.g. the batch plan) that resume can validate
-        against.  The embedder cache is deliberately *not* persisted --
+        against; the types' folded §4.4 stats ride in that context under
+        ``"stats"``.  The embedder cache is deliberately *not* persisted --
         it is a pure-cost cache, and a resumed engine simply refits.
 
         Returns:
@@ -171,7 +179,10 @@ class IncrementalDiscovery:
             "schema_name": self.schema.name,
             "parameters": dict(self.parameters),
             "reports": [report.to_dict() for report in self.reports],
-            "context": dict(context or {}),
+            "context": {
+                **(context or {}),
+                "stats": schema_stats_to_dict(self.schema),
+            },
         }
         path = self.checkpoint_path(directory)
         save_checkpoint(path, self.schema, manifest)
@@ -218,6 +229,7 @@ class IncrementalDiscovery:
                     f"checkpoint has {stored!r}, this run expects "
                     f"{expected!r}"
                 )
+        schema_stats_from_dict(schema, stored_context.get("stats"))
         engine = cls(config, schema=schema)
         engine._batch_counter = int(manifest.get("next_batch", 0))
         engine.parameters = dict(manifest.get("parameters", {}))
@@ -240,6 +252,10 @@ class IncrementalDiscovery:
     ) -> BatchReport:
         """Cluster one batch and merge its types into the running schema.
 
+        Memoization absorbs the elements that match known types first;
+        the rest go through :meth:`discover_batch`, whose schema (and
+        stats) then merge into the running schema.
+
         Args:
             nodes: Batch nodes.
             edges: Batch edges (sources/targets may live in other batches).
@@ -252,7 +268,6 @@ class IncrementalDiscovery:
             cluster counts.
         """
         started = time.perf_counter()
-        stages = StageTimer()
         if endpoint_labels is None:
             endpoint_labels = {node.id: node.labels for node in nodes}
         memo_node_hits = memo_edge_hits = 0
@@ -260,39 +275,63 @@ class IncrementalDiscovery:
             nodes, edges, memo_node_hits, memo_edge_hits = (
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
-        batch_schema = SchemaGraph(f"batch{self._batch_counter}")
+        batch_schema, report = self.discover_batch(
+            nodes, edges, endpoint_labels
+        )
+        merge_started = time.perf_counter()
+        merge_schemas(
+            self.schema,
+            batch_schema,
+            self.config.jaccard_threshold,
+            self.config.endpoint_jaccard_threshold,
+        )
+        resolve_edge_endpoints(self.schema)
+        report.stage_seconds["merge"] = time.perf_counter() - merge_started
+        report.seconds = time.perf_counter() - started
+        report.num_nodes += memo_node_hits
+        report.num_edges += memo_edge_hits
+        report.memo_node_hits = memo_node_hits
+        report.memo_edge_hits = memo_edge_hits
+        self.reports.append(report)
+        return report
+
+    def discover_batch(
+        self,
+        nodes: Sequence[Node],
+        edges: Sequence[Edge],
+        endpoint_labels: dict[int, frozenset[str]],
+        batch_index: int | None = None,
+    ) -> tuple[SchemaGraph, BatchReport]:
+        """Build one batch's schema, with its §4.4 stats, without merging.
+
+        The batch method every engine runs -- :meth:`process_batch`, the
+        pool workers of :mod:`repro.core.parallel` and the daemon's
+        sessions: columnize the elements, run
+        :meth:`discover_batch_columns`, then (with
+        ``config.post_processing``) fold the batch's post-processing
+        statistics onto its types with
+        :func:`~repro.core.postprocess.attach_partial_stats`, while the
+        elements are still in hand.  ``batch_index`` is as for
+        :meth:`discover_batch_columns`.
+        """
+        started = time.perf_counter()
+        stages = StageTimer()
         with stages.stage("vectorize"):
             ncols = node_columns(nodes)
             ecols = edge_columns(edges, endpoint_labels)
-        node_clusters, edge_clusters, embedder_reused = (
-            self._process_batch_from_columns(
-                ncols, ecols, batch_schema, stages
-            )
+        batch_schema, report = self.discover_batch_columns(
+            ncols, ecols, batch_index
         )
-        with stages.stage("merge"):
-            merge_schemas(
-                self.schema,
-                batch_schema,
-                self.config.jaccard_threshold,
-                self.config.endpoint_jaccard_threshold,
-            )
-            resolve_edge_endpoints(self.schema)
-        elapsed = time.perf_counter() - started
-        report = BatchReport(
-            index=self._batch_counter,
-            num_nodes=len(nodes) + memo_node_hits,
-            num_edges=len(edges) + memo_edge_hits,
-            node_clusters=len(node_clusters),
-            edge_clusters=len(edge_clusters),
-            seconds=elapsed,
-            memo_node_hits=memo_node_hits,
-            memo_edge_hits=memo_edge_hits,
-            stage_seconds=dict(stages.seconds),
-            embedder_reused=embedder_reused,
-        )
-        self.reports.append(report)
-        self._batch_counter += 1
-        return report
+        if self.config.post_processing:
+            with stages.stage("stats"):
+                attach_partial_stats(
+                    batch_schema, nodes, edges,
+                    track_values=self.config.infer_value_profiles,
+                )
+        stages.add_seconds(report.stage_seconds)
+        report.stage_seconds = dict(stages.seconds)
+        report.seconds = time.perf_counter() - started
+        return batch_schema, report
 
     # ------------------------------------------------------------------
     # Batch body
@@ -374,14 +413,18 @@ class IncrementalDiscovery:
 
         A labeled node whose label set names an existing type and whose
         property keys are a subset of that type's keys would end up merged
-        into it anyway; absorb it directly (update counts and membership)
-        and leave it out of the expensive pipeline.  Likewise for labeled
-        edges whose label, keys and endpoint labels all match an existing
-        edge type.  Returns the remaining elements and the hit counts.
+        into it anyway; absorb it directly (update counts, membership
+        and the host's §4.4 stats, folded exactly as
+        :func:`~repro.core.postprocess.attach_partial_stats` folds batch
+        members) and leave it out of the expensive pipeline.  Likewise
+        for labeled edges whose label, keys and endpoint labels all match
+        an existing edge type.  Returns the remaining elements and the
+        hit counts.
         """
         from repro.schema.merge import endpoints_compatible
         from repro.schema.model import EdgeType
 
+        track_values = self.config.infer_value_profiles
         node_types_by_labels = {
             t.labels: t for t in self.schema.node_types.values() if t.labels
         }
@@ -393,6 +436,11 @@ class IncrementalDiscovery:
                 host.instance_count += 1
                 host.property_counts.update(node.properties.keys())
                 host.members.append(node.id)
+                if host.stats is not None:
+                    fold_properties(
+                        host.stats, node.properties, host.property_keys,
+                        track_values,
+                    )
                 node_hits += 1
             else:
                 remaining_nodes.append(node)
@@ -423,6 +471,10 @@ class IncrementalDiscovery:
                 host.instance_count += 1
                 host.property_counts.update(edge.properties.keys())
                 host.members.append(edge.id)
+                if host.stats is not None:
+                    fold_edge(
+                        host.stats, edge, host.property_keys, track_values
+                    )
                 edge_hits += 1
             else:
                 remaining_edges.append(edge)

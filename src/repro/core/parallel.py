@@ -73,20 +73,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.columns import (
-    EdgeColumns,
-    NodeColumns,
-    edge_columns,
-    node_columns,
-)
 from repro.core.config import PGHiveConfig
 from repro.core.faults import FaultInjector
 from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
 from repro.core.postprocess import (
-    attach_partial_stats,
     schema_stats_from_dict,
     schema_stats_to_dict,
-    sharded_postprocess_enabled,
 )
 from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
 from repro.core.type_extraction import resolve_edge_endpoints
@@ -264,60 +256,35 @@ def _discover_plan_chunk(
     source, config = state.source, state.config
     injector = _worker_injector(config)
     engine = IncrementalDiscovery(config, name="shard")
-    compute_stats = sharded_postprocess_enabled(config)
     columnizer = getattr(source, "columnize_shard", None)
     results: list[ShardResult] = []
     for plan, attempt in zip(plans, attempts):
         if injector is not None:
             injector.fire("shard", plan.index, attempt, in_worker=in_worker)
-        if columnizer is not None and not compute_stats:
+        seen = len(engine.parameters)
+        if columnizer is not None and not config.post_processing:
             # Out-of-core fast path: the disk backend columnizes a shard
             # straight from its mapped slab columns, byte-identical to
             # materializing objects first but without ever holding them.
-            # Sharded stats still need the object form, so they take the
-            # materializing path below.
+            # The §4.4 fold still needs the object form, so
+            # post-processing runs take the materializing path below.
             ncols, ecols = columnizer(plan)
             _check_memory(config, in_worker, "columnization", plan.index)
-            results.append(_discover_one(engine, plan.index, ncols, ecols))
-            _check_memory(config, in_worker, "discovery", plan.index)
-            continue
-        batch = source.materialize_shard(plan)
-        _check_memory(config, in_worker, "materialization", plan.index)
-        nodes, edges = batch.nodes, batch.edges
-        ncols = node_columns(nodes)
-        ecols = edge_columns(edges, batch.endpoint_labels)
-        _check_memory(config, in_worker, "columnization", plan.index)
-        shard = _discover_one(engine, plan.index, ncols, ecols)
-        _check_memory(config, in_worker, "discovery", plan.index)
-        if compute_stats:
-            # Post-processing runs sharded: the worker has the
-            # materialized elements in hand, so it folds the per-type
-            # partial statistics here and ships them with the schema.
-            # Value retention follows the profile flag: without
-            # profiles the driver only reads datatypes, counts and
-            # degrees, so shipping the distinct-value sketch home
-            # would cost O(data) driver memory for nothing.
-            attach_partial_stats(
-                shard.schema, nodes, edges,
-                track_values=config.infer_value_profiles,
+            schema, report = engine.discover_batch_columns(
+                ncols, ecols, batch_index=plan.index
             )
-        results.append(shard)
+        else:
+            batch = source.materialize_shard(plan)
+            _check_memory(config, in_worker, "materialization", plan.index)
+            schema, report = engine.discover_batch(
+                batch.nodes, batch.edges, batch.endpoint_labels,
+                batch_index=plan.index,
+            )
+        _check_memory(config, in_worker, "discovery", plan.index)
+        report.worker = os.getpid()
+        params = dict(list(engine.parameters.items())[seen:])
+        results.append(ShardResult(plan.index, schema, report, params))
     return results
-
-
-def _discover_one(
-    engine: IncrementalDiscovery,
-    index: int,
-    ncols: NodeColumns,
-    ecols: EdgeColumns,
-) -> ShardResult:
-    seen = len(engine.parameters)
-    schema, report = engine.discover_batch_columns(
-        ncols, ecols, batch_index=index
-    )
-    report.worker = os.getpid()
-    params = dict(list(engine.parameters.items())[seen:])
-    return ShardResult(index, schema, report, params)
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -343,13 +310,14 @@ class _ShardJournal:
 
     Each entry is one atomic JSON document (shard schema with members,
     partial post-processing stats, batch report, parameters) plus the
-    run context ``{source, num_batches, seed}`` (with ``profiles`` and
-    the store fingerprint when they apply).  A resumed run loads every entry
-    whose context matches, skips those shards in the pool, and merges
-    journaled and fresh results identically -- shard purity guarantees a
-    journaled shard equals its recomputation byte for byte.  Entries
-    that cannot be used (corrupt files, foreign versions, a different
-    run context) are recomputed and reported, never fatal.
+    run context ``{source, num_batches, seed, post_processing,
+    infer_value_profiles}`` (with the store fingerprint when it
+    applies).  A resumed run loads every entry whose context matches,
+    skips those shards in the pool, and merges journaled and fresh
+    results identically -- shard purity guarantees a journaled shard
+    equals its recomputation byte for byte.  Entries that cannot be used
+    (corrupt files, foreign versions, a different run context) are
+    recomputed and reported, never fatal.
     """
 
     def __init__(self, directory: str, context: dict[str, object]) -> None:
@@ -408,15 +376,13 @@ class ParallelDiscovery:
 
     Drives ``config.jobs`` worker processes over the shards of one graph
     store (:meth:`discover_store`), then combines the per-shard schemas
-    with :func:`combine_shard_results`.  The workers also fold the
-    post-processing statistics (datatype joins, value-profile partials,
-    per-node degree maps) into :class:`~repro.core.postprocess.TypeStats`
-    riding on the shard types; :class:`repro.core.pipeline.PGHive`
-    consumes the merged stats with
-    :func:`~repro.core.postprocess.apply_partial_stats` -- or falls back
-    to the serial store-backed passes (sampling mode).  See the module
-    docstring for the failure model and for why memoized runs never
-    reach the pool.
+    with :func:`combine_shard_results`.  Each worker runs the engine's
+    one batch method, so with post-processing on its shard types carry
+    the folded §4.4 statistics (:class:`~repro.core.postprocess.TypeStats`)
+    through the merge tree, and :class:`repro.core.pipeline.PGHive`
+    finishes the merged schema exactly as it finishes a sequential one.
+    See the module docstring for the failure model and for why memoized
+    runs never reach the pool.
     """
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
@@ -433,12 +399,13 @@ class ParallelDiscovery:
             "source": source_name,
             "num_batches": num_batches,
             "seed": seed_value,
+            # An entry carries stats only when post-processing was on,
+            # and value sketches only with profiles; resuming from one
+            # folded another way would print wrong datatypes or empty
+            # profiles, so such entries are recomputed.
+            "post_processing": self.config.post_processing,
+            "infer_value_profiles": self.config.infer_value_profiles,
         }
-        if self.config.infer_value_profiles:
-            # Profile-less runs journal datatype-only partial stats; a
-            # profile run must never resume from them (its profiles
-            # would come out empty), so the key is asymmetric too.
-            context["profiles"] = True
         if fingerprint is not None:
             # Durable stores stamp their on-disk state (row counts and
             # heap sizes) into the journal key: a journal written against
@@ -470,8 +437,8 @@ class ParallelDiscovery:
         When ``config.checkpoint_dir`` is set, every completed shard is
         journaled atomically under ``<checkpoint_dir>/shards/``; with
         ``resume=True``, shards already journaled by a crashed run with
-        the same context (source, batch count, seed) are
-        loaded instead of recomputed, and the merged schema is
+        the same context (source, batch count, seed, post-processing
+        flags) are loaded instead of recomputed, and the merged schema is
         byte-identical to an uninterrupted run.  A non-resume run clears
         the journal first.
         """

@@ -30,9 +30,7 @@ from repro.core.incremental import IncrementalDiscovery
 from repro.core.postprocess import (
     apply_partial_stats,
     clear_partial_stats,
-    compute_cardinalities,
     infer_datatypes,
-    infer_property_constraints,
 )
 from repro.core.result import DiscoveryResult, ShardFailure
 from repro.datasets.stream import GraphStream
@@ -133,21 +131,7 @@ class PGHive:
             result = ParallelDiscovery(config).discover_store(
                 store, num_batches, resume=resume
             )
-            if config.post_processing:
-                # The shard workers already folded the post-processing
-                # statistics; applying them here reproduces the serial
-                # passes without re-reading the store.  Configurations
-                # the partial fold cannot express (sampling mode, or a
-                # journal written with stats off) fall back to the
-                # store-backed passes -- the schema is identical either
-                # way.
-                if not apply_partial_stats(result.schema, config):
-                    clear_partial_stats(result.schema)
-                    self._post_process(result.schema, store)
-                elif config.exact_cardinality_bounds:
-                    self._apply_exact_bounds(result.schema, store)
-            else:
-                clear_partial_stats(result.schema)
+            self._finish(result.schema, store)
             result.total_seconds = time.perf_counter() - started
             result.refresh_assignments()
             return result
@@ -156,8 +140,8 @@ class PGHive:
         shard_failures: list[ShardFailure] = []
         backing: BaseGraphStore
         if isinstance(store, GraphStream):
-            # Post-processing reads the stream's accumulated graph, which
-            # grows as the batches below are generated.
+            # Sampling and --bounds read the stream's accumulated graph,
+            # which grows as the batches below are generated.
             name, seed = store.graph.name, store.seed
             backing = GraphStore(store.graph)
             batches = store.batches()
@@ -169,6 +153,11 @@ class PGHive:
             "source": name,
             "num_batches": num_batches,
             "seed": seed,
+            # The checkpoint carries the folded §4.4 stats only when
+            # post-processing is on, and value sketches only with
+            # profiles: a resume must fold the same way.
+            "post_processing": config.post_processing,
+            "infer_value_profiles": config.infer_value_profiles,
         }
         fingerprint = backing.journal_fingerprint()
         if fingerprint is not None:
@@ -201,15 +190,14 @@ class PGHive:
                 batch.nodes, batch.edges, batch.endpoint_labels
             )
             discovery_seconds += report.seconds
-            if post_process_each_batch and config.post_processing:
-                self._post_process(engine.schema, backing)
+            if post_process_each_batch:
+                self._finish(engine.schema, backing, keep_stats=True)
             if checkpoint_dir and (
                 (batch.index + 1) % config.checkpoint_every == 0
                 or batch.index + 1 == num_batches
             ):
                 engine.save_checkpoint(checkpoint_dir, context=context)
-        if config.post_processing and not post_process_each_batch:
-            self._post_process(engine.schema, backing)
+        self._finish(engine.schema, backing)
         if config.strict_recovery and shard_failures:
             from repro.core.parallel import ShardRecoveryError
 
@@ -264,15 +252,30 @@ class PGHive:
             return "fork start method unavailable on this platform"
         return None
 
-    def _post_process(
-        self, schema: SchemaGraph, store: BaseGraphStore
+    def _finish(
+        self,
+        schema: SchemaGraph,
+        store: BaseGraphStore,
+        keep_stats: bool = False,
     ) -> None:
-        """Constraints, datatypes, cardinalities (section 4.4)."""
-        infer_property_constraints(schema)
-        infer_datatypes(schema, store, self.config)
-        compute_cardinalities(schema, store)
-        if self.config.exact_cardinality_bounds:
-            self._apply_exact_bounds(schema, store)
+        """The §4.4 finishing step every engine ends with.
+
+        Constraints, datatypes, profiles and cardinalities come from the
+        stats each batch folded (:func:`apply_partial_stats`); the store
+        is read only to re-sample datatypes and profiles in sampling mode
+        and for exact ``--bounds``.  The stats are then dropped, unless
+        ``keep_stats`` (per-batch post-processing) keeps them for later
+        batches to fold into.
+        """
+        config = self.config
+        if config.post_processing:
+            apply_partial_stats(schema, config)
+            if config.infer_datatypes_by_sampling:
+                infer_datatypes(schema, store, config)
+            if config.exact_cardinality_bounds:
+                self._apply_exact_bounds(schema, store)
+        if not keep_stats:
+            clear_partial_stats(schema)
 
     def _apply_exact_bounds(
         self, schema: SchemaGraph, store: BaseGraphStore

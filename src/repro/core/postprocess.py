@@ -1,37 +1,39 @@
 """Post-processing passes (paper section 4.4).
 
-Three optional enrichment passes over a discovered schema:
+Three enrichment passes over a discovered schema:
 
-* :func:`infer_property_constraints` -- a property is MANDATORY for a type
-  when it occurs in every instance (f_T(p) = 1), OPTIONAL otherwise.
-  Computed from the per-type occurrence counters that the merge steps keep
-  exact across batches, so the answer is identical in static and
-  incremental mode.
-* :func:`infer_datatypes` -- assign each property the most specific
-  datatype compatible with its observed values, via a full scan or the
-  paper's sampled mode (10 % of values, at least 1000).
-* :func:`compute_cardinalities` -- classify each edge type from its degree
+* property constraints -- a property is MANDATORY for a type when it
+  occurs in every instance (f_T(p) = 1), OPTIONAL otherwise.  Computed
+  from the per-type occurrence counters that the merge steps keep exact
+  across batches (:func:`infer_property_constraints`);
+* datatypes -- each property gets the most specific datatype compatible
+  with its observed values, via a full fold or the paper's sampled mode
+  (10 % of values, at least 1000);
+* cardinalities -- each edge type is classified from its degree
   extremes: max out-degree and max in-degree over its member edges.
 
-Sharded post-processing
------------------------
-The datatype and cardinality passes normally need the store (they pull
-values and degrees back out by member id), which forces them to run
-serially in the driver even for a parallel run.  :class:`TypeStats` moves
-them into the shard workers as *mergeable partial statistics*:
+§4.4 is one fold
+----------------
+Every engine -- sequential, pool worker, daemon session, memoized --
+computes datatypes and cardinalities the same way: as *mergeable partial
+statistics* (:class:`TypeStats`) folded per batch, never by reading
+members back out of the store.
 
-* each worker calls :func:`attach_partial_stats` on its shard schema,
-  recording per-property :class:`~repro.core.value_profiles.PropertyPartial`
-  folds (datatype lattice join, value-profile ingredients) and -- for
-  edge types -- **per-node degree count maps**;
-* the stats ride on the types through the ordinary schema merge tree
+* :func:`attach_partial_stats` folds a batch schema's member elements
+  while the batch is in hand: per-property
+  :class:`~repro.core.value_profiles.PropertyPartial` folds (datatype
+  lattice join, value-profile ingredients) and -- for edge types --
+  **per-node degree count maps**.  The memoization fast path folds each
+  absorbed element with the same helpers (:func:`fold_properties`,
+  :func:`fold_edge`);
+* the stats ride on the types through the ordinary schema merge
   (:func:`repro.schema.merge.merge_node_types` /
   :func:`~repro.schema.merge.merge_edge_types` fold them whenever types
-  merge), overlapping the post-processing reduction with the schema
-  reduction;
-* the driver calls :func:`apply_partial_stats` on the combined schema,
-  which reproduces the serial passes byte for byte without touching the
-  store, then clears the stats.
+  merge), whether into a running schema or up the pool's merge tree;
+* :func:`apply_partial_stats` turns the merged stats into statuses,
+  datatypes, profiles and cardinalities.  It keeps the stats, so it can
+  run after every batch; the finishing step of
+  :class:`~repro.core.pipeline.PGHive` clears them.
 
 Degree maps are merged by **summing counts per node id** before taking
 the max.  Shards partition edges by *source* node, so per-shard
@@ -39,15 +41,18 @@ out-degrees happen to be complete, but a node's incoming edges span
 shards: taking a max of per-shard maxima would undercount ``max_in``.
 Summing per node is exact in both directions.
 
-The one mode that cannot shard is ``infer_datatypes_by_sampling``: its
-seeded sample is drawn from the merged type's full value sequence, which
-no per-shard statistic can reproduce, so
-:func:`sharded_postprocess_enabled` gates workers off and the driver
-falls back to the serial passes.
+The store is read only where a fold cannot answer: the sampling mode
+(``infer_datatypes_by_sampling``) draws one seeded sample from each
+merged type's full value sequence, so the finishing step re-runs
+:func:`infer_datatypes` over the store; and exact cardinality bounds
+(``--bounds``) stay a store pass.  :func:`infer_datatypes` and
+:func:`compute_cardinalities` are the store-backed reference the fold
+is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -105,9 +110,19 @@ def infer_datatypes(
 
 
 def compute_cardinalities(schema: SchemaGraph, store: BaseGraphStore) -> None:
-    """Classify every edge type's cardinality from degree extremes."""
+    """Classify every edge type's cardinality from degree extremes.
+
+    Counts each member edge's endpoints, pulled back with ``store.edge``.
+    """
     for edge_type in schema.edge_types.values():
-        max_out, max_in = store.degree_extremes(edge_type.members)
+        out_degree: Counter[int] = Counter()
+        in_degree: Counter[int] = Counter()
+        for edge_id in edge_type.members:
+            edge = store.edge(edge_id)
+            out_degree[edge.source] += 1
+            in_degree[edge.target] += 1
+        max_out = max(out_degree.values(), default=0)
+        max_in = max(in_degree.values(), default=0)
         edge_type.max_out = max(edge_type.max_out, max_out)
         edge_type.max_in = max(edge_type.max_in, max_in)
         edge_type.cardinality = Cardinality.from_degrees(
@@ -160,12 +175,12 @@ def _all_types(schema: SchemaGraph) -> Iterator[NodeType | EdgeType]:
 
 
 # ---------------------------------------------------------------------------
-# Sharded post-processing (mergeable partial statistics)
+# The §4.4 fold (mergeable partial statistics)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class TypeStats:
-    """Mergeable post-processing statistics of one (shard-local) type.
+    """Mergeable post-processing statistics of one type.
 
     Attributes:
         properties: Property key -> partial value statistics.
@@ -197,7 +212,7 @@ class TypeStats:
         return self
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (used by the parallel shard journal)."""
+        """JSON-serializable form (shard journal and checkpoints)."""
         return {
             "properties": {
                 key: self.properties[key].to_dict()
@@ -232,16 +247,6 @@ class TypeStats:
         )
 
 
-def sharded_postprocess_enabled(config: PGHiveConfig) -> bool:
-    """Whether shard workers should compute partial post-processing stats.
-
-    The sampling mode draws one seeded sample from each merged type's
-    full value sequence -- a global computation no per-shard fold can
-    reproduce -- so it keeps the serial store-backed passes.
-    """
-    return config.post_processing and not config.infer_datatypes_by_sampling
-
-
 def attach_partial_stats(
     schema: SchemaGraph,
     nodes: Sequence[Node],
@@ -250,17 +255,16 @@ def attach_partial_stats(
 ) -> None:
     """Compute and attach :class:`TypeStats` for every type in place.
 
-    Runs in the shard worker against the materialized batch elements the
-    schema's member ids refer to.  One pass per member, mirroring what
-    the serial :func:`infer_datatypes` / :func:`compute_cardinalities`
-    would observe for the same members.
+    Runs on a batch schema against the batch elements its member ids
+    refer to: one fold per member, observing exactly the values and
+    endpoints the store passes :func:`infer_datatypes` /
+    :func:`compute_cardinalities` would read back for the same members.
 
-    ``track_values=False`` (the worker passes
-    ``config.infer_value_profiles``) folds only datatypes, counts and
-    degree maps: without profiles the driver never reads the
-    distinct-value sketch or the bounds, and retaining them would ship
-    every distinct property value back through the merge -- unbounded
-    driver memory on an out-of-core run.
+    ``track_values=False`` (engines pass ``config.infer_value_profiles``)
+    folds only datatypes, counts and degree maps: without profiles
+    nothing reads the distinct-value sketch or the bounds, and retaining
+    them would carry every distinct property value through the merge --
+    unbounded memory on an out-of-core run.
     """
     node_by_id = {node.id: node for node in nodes}
     edge_by_id = {edge.id: edge for edge in edges}
@@ -268,7 +272,7 @@ def attach_partial_stats(
         stats = TypeStats()
         keys = node_type.property_keys
         for member in node_type.members:
-            _observe_properties(
+            fold_properties(
                 stats, node_by_id[member].properties, keys, track_values
             )
         node_type.stats = stats
@@ -276,24 +280,29 @@ def attach_partial_stats(
         stats = TypeStats()
         keys = edge_type.property_keys
         for member in edge_type.members:
-            edge = edge_by_id[member]
-            _observe_properties(stats, edge.properties, keys, track_values)
-            stats.out_degrees[edge.source] = (
-                stats.out_degrees.get(edge.source, 0) + 1
-            )
-            stats.in_degrees[edge.target] = (
-                stats.in_degrees.get(edge.target, 0) + 1
-            )
+            fold_edge(stats, edge_by_id[member], keys, track_values)
         edge_type.stats = stats
 
 
-def _observe_properties(
+def fold_edge(
+    stats: TypeStats,
+    edge: Edge,
+    keys: frozenset[str],
+    track_values: bool = True,
+) -> None:
+    """Fold one member edge: its properties and endpoint degrees."""
+    fold_properties(stats, edge.properties, keys, track_values)
+    stats.out_degrees[edge.source] = stats.out_degrees.get(edge.source, 0) + 1
+    stats.in_degrees[edge.target] = stats.in_degrees.get(edge.target, 0) + 1
+
+
+def fold_properties(
     stats: TypeStats,
     properties: Mapping[str, Any],
     keys: frozenset[str],
     track_values: bool = True,
 ) -> None:
-    """Fold one element's properties (restricted to the type's keys).
+    """Fold one member's properties (restricted to the type's keys).
 
     ``track_values=False`` keeps only the datatype lattice and the
     observation count (see :meth:`PropertyPartial.observe_datatype`).
@@ -314,27 +323,29 @@ def _observe_properties(
 def apply_partial_stats(
     schema: SchemaGraph, config: PGHiveConfig | None = None
 ) -> bool:
-    """Run post-processing from merged partial stats; True on success.
+    """Run post-processing from the merged partial stats; returns True.
 
-    Reproduces the serial :func:`infer_property_constraints` /
-    :func:`infer_datatypes` / :func:`compute_cardinalities` sequence
-    byte for byte without a store, then clears the consumed stats.
-    Returns False -- leaving the schema untouched -- when any type lacks
-    stats (sequential shards, a journal written with post-processing
-    off) or when the config demands the global sampling mode; the
-    caller then falls back to the store-backed passes.
+    Sets every property's status, datatype (and, with
+    ``config.infer_value_profiles``, value profile) and every edge
+    type's degree extremes and cardinality -- byte for byte what
+    :func:`infer_property_constraints`, :func:`infer_datatypes` and
+    :func:`compute_cardinalities` compute over the store.  The stats
+    stay attached, so the function may run after every batch; callers
+    drop them with :func:`clear_partial_stats` once the run ends.
+
+    Raises:
+        ValueError: A type carries no stats (its members were never
+            folded), naming the type.
     """
     config = config or PGHiveConfig()
-    if config.infer_datatypes_by_sampling:
-        return False
-    types = list(_all_types(schema))
-    if any(t.stats is None for t in types):
-        return False
     infer_property_constraints(schema)
-    for type_record in types:
+    for type_record in _all_types(schema):
         stats = type_record.stats
-        if stats is None:  # unreachable; narrows the type for mypy
-            return False
+        if stats is None:
+            raise ValueError(
+                f"type {type_record.name!r} carries no post-processing "
+                f"stats"
+            )
         for key, spec in type_record.properties.items():
             partial = stats.properties.get(key)
             if partial is None or partial.observations == 0:
@@ -342,18 +353,14 @@ def apply_partial_stats(
             spec.datatype = partial.datatype
             if config.infer_value_profiles:
                 spec.profile = partial.to_profile()
-    for edge_type in schema.edge_types.values():
-        stats = edge_type.stats
-        if stats is None:  # unreachable; narrows the type for mypy
-            return False
-        max_out = max(stats.out_degrees.values(), default=0)
-        max_in = max(stats.in_degrees.values(), default=0)
-        edge_type.max_out = max(edge_type.max_out, max_out)
-        edge_type.max_in = max(edge_type.max_in, max_in)
-        edge_type.cardinality = Cardinality.from_degrees(
-            edge_type.max_out, edge_type.max_in
-        )
-    clear_partial_stats(schema)
+        if isinstance(type_record, EdgeType):
+            max_out = max(stats.out_degrees.values(), default=0)
+            max_in = max(stats.in_degrees.values(), default=0)
+            type_record.max_out = max(type_record.max_out, max_out)
+            type_record.max_in = max(type_record.max_in, max_in)
+            type_record.cardinality = Cardinality.from_degrees(
+                type_record.max_out, type_record.max_in
+            )
     return True
 
 
@@ -364,7 +371,7 @@ def clear_partial_stats(schema: SchemaGraph) -> None:
 
 
 def schema_stats_to_dict(schema: SchemaGraph) -> dict[str, Any]:
-    """Per-type stats of a shard schema as a JSON-serializable dict."""
+    """Per-type stats of a schema as a JSON-serializable dict."""
     return {
         "node_types": {
             name: node_type.stats.to_dict()
@@ -382,7 +389,7 @@ def schema_stats_to_dict(schema: SchemaGraph) -> dict[str, Any]:
 def schema_stats_from_dict(
     schema: SchemaGraph, record: dict[str, Any] | None
 ) -> None:
-    """Re-attach journaled stats onto a reloaded shard schema in place."""
+    """Re-attach journaled stats onto a reloaded schema in place."""
     if not record:
         return
     for name, stats in record.get("node_types", {}).items():

@@ -169,15 +169,17 @@ class PropertyPartial:
         multiset rides the shard schemas home -- for statistics
         :func:`~repro.core.postprocess.apply_partial_stats` then never
         reads.  Datatype and count are all the profile-less passes
-        consume, and both stay exact.
+        consume, and both stay exact.  STRING is the lattice top, so
+        once reached no value can change it and none is classified, as
+        :func:`~repro.core.datatypes.infer_datatype` stops there too.
         """
-        self.datatype = join_types(self.datatype, infer_value_type(value))
+        if self.datatype is not DataType.STRING:
+            self.datatype = join_types(self.datatype, infer_value_type(value))
         self.observations += 1
 
     def observe(self, value: Any) -> None:
         """Fold one observed value into the partial."""
-        self.datatype = join_types(self.datatype, infer_value_type(value))
-        self.observations += 1
+        self.observe_datatype(value)
         self.distinct.add(_freeze(value))
         number: int | float | None = None
         if isinstance(value, (int, float)) and not isinstance(value, bool):

@@ -14,12 +14,9 @@ Byte-identity with the in-memory backend is the design invariant, not
 an aspiration: partitioning replays the exact
 ``random.Random(seed).shuffle`` over the same insertion-ordered id
 list, edges keep their source node's shard and insertion order (a
-stable argsort over the mapped source column), ``sample_nodes``
-exploits the fact that ``random.Random(seed).sample`` chooses
-*positions* as a function of population length only, and the
-columnize fast path remaps the store's
-global interner ids to the per-batch dense ids ``node_columns`` /
-``edge_columns`` would have assigned (``tests/test_diskstore.py``
+stable argsort over the mapped source column), and the columnize fast
+path remaps the store's global interner ids to the per-batch dense ids
+``node_columns`` / ``edge_columns`` would have assigned (``tests/test_diskstore.py``
 property-tests all of it across worker counts and chunkings).
 """
 
@@ -29,7 +26,7 @@ import mmap
 import os
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy
 
@@ -464,42 +461,6 @@ class DiskGraphStore(BaseGraphStore):
             ),
         )
         return node_cols, edge_cols
-
-    # ------------------------------------------------------------------
-    # Aggregations and sampling
-    # ------------------------------------------------------------------
-    def degree_extremes(self, edge_ids: Iterable[int]) -> tuple[int, int]:
-        """Max out-degree and max in-degree over a set of edges.
-
-        Vectorized: unique-count over the mapped endpoint columns gives
-        the same maxima as the in-memory dict count.
-        """
-        ids = numpy.fromiter(
-            (int(edge_id) for edge_id in edge_ids), dtype=numpy.int64
-        )
-        if ids.size == 0:
-            return 0, 0
-        rows = self._edge_rows(ids)
-        sources = self._reader.edge_sources[rows]
-        targets = self._reader.edge_targets[rows]
-        max_out = int(numpy.unique(sources, return_counts=True)[1].max())
-        max_in = int(numpy.unique(targets, return_counts=True)[1].max())
-        return max_out, max_in
-
-    def sample_nodes(self, size: int, seed: int = 0) -> list[Node]:
-        """Uniform random sample of at most ``size`` nodes.
-
-        ``random.Random(seed).sample`` selects positions as a function
-        of the population *length* only, so sampling ``range(n)`` yields
-        exactly the indices (in exactly the order) that sampling the
-        materialized node list would -- the in-memory backend's sample,
-        without building that list.
-        """
-        total = self._reader.node_count
-        if size >= total:
-            return [self._reader.node_at(row) for row in range(total)]
-        chosen = random.Random(seed).sample(range(total), size)
-        return [self._reader.node_at(row) for row in chosen]
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ incremental mode.  :class:`GraphStore` reproduces exactly that contract:
 
 * ``scan_nodes()`` / ``scan_edges()`` stream every element,
 * ``batches(batch_size)`` yields subgraph streams for incremental runs,
-* degree aggregation queries back the cardinality inference of section 4.4,
-* ``sample_nodes`` / ``sample_property_values`` support the adaptive
-  parameterization and sampled datatype inference.
+* ``node(id)`` / ``edge(id)`` point lookups let the sampled datatype
+  inference and the exact cardinality bounds of section 4.4 read a
+  type's members back.
 
 All randomness is seeded so experiments are reproducible.
 """
@@ -19,7 +19,7 @@ import random
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.graph.model import Edge, Node, PropertyGraph
 
@@ -66,8 +66,8 @@ class BaseGraphStore(ABC):
     slabs for graphs bigger than RAM).  The algorithmic layers --
     vectorization, clustering, the parallel driver, post-processing --
     depend only on this interface, and the contract is *byte-identity*:
-    for the same logical graph both backends must partition, shuffle,
-    sample and materialize exactly the same elements in exactly the same
+    for the same logical graph both backends must partition, shuffle
+    and materialize exactly the same elements in exactly the same
     order, so discovery output never depends on where the bytes live.
 
     Everything deterministic about sharding lives here: the partition
@@ -146,17 +146,6 @@ class BaseGraphStore(ABC):
     def materialize_shard(self, plan: ShardPlan) -> "GraphBatch":
         """Build the single batch described by ``plan``."""
 
-    # ------------------------------------------------------------------
-    # Aggregations and sampling
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def degree_extremes(self, edge_ids: Iterable[int]) -> tuple[int, int]:
-        """Max out-degree and max in-degree over a set of edges."""
-
-    @abstractmethod
-    def sample_nodes(self, size: int, seed: int = 0) -> list[Node]:
-        """Uniform random sample of at most ``size`` nodes."""
-
     def journal_fingerprint(self) -> dict[str, str] | None:
         """Durable-state marker for checkpoint/journal context.
 
@@ -166,30 +155,6 @@ class BaseGraphStore(ABC):
         data.
         """
         return None
-
-    def sample_property_values(
-        self,
-        elements: Sequence[Node] | Sequence[Edge],
-        key: str,
-        fraction: float,
-        minimum: int,
-        seed: int = 0,
-    ) -> list[Any]:
-        """Sample values of one property key over a set of elements.
-
-        Implements the paper's sampled datatype inference: take
-        ``fraction`` of the available values but at least ``minimum``
-        (or all of them when fewer exist).
-        """
-        values = [
-            element.properties[key]
-            for element in elements
-            if key in element.properties
-        ]
-        target = max(minimum, int(round(fraction * len(values))))
-        if target >= len(values):
-            return values
-        return random.Random(seed).sample(values, target)
 
 
 class GraphStore(BaseGraphStore):
@@ -344,36 +309,6 @@ class GraphStore(BaseGraphStore):
             batch_index, partition.nodes_by_shard[batch_index], edges,
             endpoint_labels,
         )
-
-    # ------------------------------------------------------------------
-    # Aggregations used by post-processing
-    # ------------------------------------------------------------------
-    def degree_extremes(self, edge_ids: Iterable[int]) -> tuple[int, int]:
-        """Max out-degree and max in-degree over a set of edges.
-
-        For an edge type rho this computes ``max_out(rho)`` (the largest
-        number of the given edges leaving any single source node) and
-        ``max_in(rho)`` (the largest number arriving at any single target).
-        """
-        out_degree: dict[int, int] = defaultdict(int)
-        in_degree: dict[int, int] = defaultdict(int)
-        for edge_id in edge_ids:
-            edge = self._graph.edge(edge_id)
-            out_degree[edge.source] += 1
-            in_degree[edge.target] += 1
-        max_out = max(out_degree.values(), default=0)
-        max_in = max(in_degree.values(), default=0)
-        return max_out, max_in
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def sample_nodes(self, size: int, seed: int = 0) -> list[Node]:
-        """Uniform random sample of at most ``size`` nodes."""
-        nodes = list(self._graph.nodes())
-        if size >= len(nodes):
-            return nodes
-        return random.Random(seed).sample(nodes, size)
 
 
 class GraphBatch:

@@ -70,13 +70,15 @@ def _merge_stats(
 ) -> None:
     """Fold ``other``'s partial post-processing stats into ``into``.
 
-    Shard workers attach :class:`~repro.core.postprocess.TypeStats` to
-    their types; folding them here means the post-processing reduction
-    rides the same merge tree as the schemas themselves.  Every
-    constituent fold (datatype lattice join, count sums, set unions,
-    canonical bounds) is associative and commutative, so the merged
-    stats are independent of the bracketing -- exactly like the merged
-    schema.  Sequential runs carry no stats and skip this entirely.
+    With post-processing on, every batch schema's types carry
+    :class:`~repro.core.postprocess.TypeStats`; folding them here means
+    the post-processing reduction rides the same merges as the schemas
+    themselves, into a running schema or up the pool's merge tree.
+    Every constituent fold (datatype lattice join, count sums, set
+    unions, canonical bounds) is associative and commutative, so the
+    merged stats are independent of the bracketing -- exactly like the
+    merged schema.  Runs without post-processing carry no stats and
+    skip this entirely.
     """
     if other.stats is None:
         return

@@ -116,11 +116,11 @@ class NodeType:
         cluster_tokens: Internal pseudo-labels identifying the LSH node
             clusters this type came from.  Used to resolve edge endpoints
             when real labels are missing; never serialized.
-        stats: Mergeable partial post-processing statistics attached by
-            parallel shard workers (:class:`~repro.core.postprocess.TypeStats`);
-            folded through the schema merge tree and consumed -- then
-            cleared -- by :func:`~repro.core.postprocess.apply_partial_stats`.
-            ``None`` on the sequential path and in finished schemas.
+        stats: Mergeable partial post-processing statistics folded per
+            batch when post-processing is on
+            (:class:`~repro.core.postprocess.TypeStats`); merged with the
+            types, read by :func:`~repro.core.postprocess.apply_partial_stats`
+            and cleared at the end of a run.  ``None`` in finished schemas.
     """
 
     name: str

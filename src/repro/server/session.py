@@ -19,9 +19,9 @@ contract:
   queued-or-running per session; excess posts fail with 503 instead of
   buffering unboundedly.
 
-With ``checkpoint_dir`` set, a session journals its engine state (plus
-the accumulated endpoint-label memory and partial post-processing
-stats) after every ``checkpoint_every`` batches under
+With ``checkpoint_dir`` set, a session journals its engine state (with
+its folded post-processing stats) plus the accumulated endpoint-label
+memory after every ``checkpoint_every`` batches under
 ``<checkpoint_dir>/sessions/<name>/``, and the manager restores every
 journaled session on daemon start -- a crashed daemon resumes with the
 exact schemas it last checkpointed.
@@ -37,20 +37,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Deque
 
-from repro.core.columns import edge_columns, node_columns
 from repro.core.config import PGHiveConfig
 from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
-from repro.core.postprocess import (
-    apply_partial_stats,
-    attach_partial_stats,
-    clear_partial_stats,
-    schema_stats_from_dict,
-    schema_stats_to_dict,
-    sharded_postprocess_enabled,
-)
+from repro.core.postprocess import apply_partial_stats, clear_partial_stats
 from repro.core.result import BatchReport
 from repro.core.type_extraction import resolve_edge_endpoints
-from repro.graph.model import Edge, Node
 from repro.schema.merge import merge_schemas
 from repro.schema.model import SchemaGraph
 from repro.schema.persist import load_checkpoint
@@ -210,11 +201,11 @@ class DiscoverySession:
     def _process(self, request: BatchRequest) -> BatchReport:
         """Run one batch through discovery and merge it into the schema.
 
-        The expensive pipeline (columnize, embed, LSH, extract -- the
-        exact payload :mod:`repro.core.parallel` ships to its workers)
-        runs *outside* the schema lock; only the monotone merge and the
-        label-memory update hold it, so readers block for the merge
-        alone, never a discovery.
+        The expensive pipeline (the engine's one batch method: columnize,
+        embed, LSH, extract, fold the §4.4 stats) runs *outside* the
+        schema lock; only the monotone merge and the label-memory update
+        hold it, so readers block for the merge alone, never a
+        discovery.
         """
         nodes, edges = request.nodes, request.edges
         with self._schema_lock:
@@ -222,18 +213,9 @@ class DiscoverySession:
         endpoint_labels.update({node.id: node.labels for node in nodes})
         if request.endpoint_labels:
             endpoint_labels.update(request.endpoint_labels)
-        ncols = node_columns(nodes)
-        ecols = edge_columns(edges, endpoint_labels)
-        batch_schema, report = self.engine.discover_batch_columns(
-            ncols, ecols
+        batch_schema, report = self.engine.discover_batch(
+            nodes, edges, endpoint_labels
         )
-        if sharded_postprocess_enabled(self.config):
-            attach_partial_stats(
-                batch_schema,
-                nodes,
-                edges,
-                track_values=self.config.infer_value_profiles,
-            )
         with self._schema_lock:
             merge_schemas(
                 self.engine.schema,
@@ -268,8 +250,9 @@ class DiscoverySession:
         """
         with self._schema_lock:
             schema = copy.deepcopy(self.engine.schema)
-        if not apply_partial_stats(schema, self.config):
-            clear_partial_stats(schema)
+        if self.config.post_processing:
+            apply_partial_stats(schema, self.config)
+        clear_partial_stats(schema)
         return schema
 
     def validate(self, request: ValidateRequest) -> ValidationReport:
@@ -330,7 +313,6 @@ class DiscoverySession:
                 [node_id, sorted(labels)]
                 for node_id, labels in sorted(self._node_labels.items())
             ],
-            "stats": schema_stats_to_dict(self.engine.schema),
         }
         self.engine.save_checkpoint(self._checkpoint_dir, context)
 
@@ -343,7 +325,6 @@ class DiscoverySession:
             IncrementalDiscovery.checkpoint_path(directory)
         )
         context = manifest.get("context", {})
-        schema_stats_from_dict(self.engine.schema, context.get("stats", {}))
         self._node_labels = {
             int(node_id): frozenset(labels)
             for node_id, labels in context.get("node_labels", [])

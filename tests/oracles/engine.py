@@ -19,6 +19,7 @@ properties in ``tests/test_hotpath_kernels.py``.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,11 @@ import numpy as np
 from repro.core.columns import EdgeColumns, NodeColumns
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.incremental import IncrementalDiscovery
-from repro.core.pipeline import PGHive
+from repro.core.postprocess import (
+    compute_cardinalities,
+    infer_datatypes,
+    infer_property_constraints,
+)
 from repro.core.type_extraction import (
     PSEUDO_PREFIX,
     extract_edge_types,
@@ -289,14 +294,20 @@ def discover_reference(
 ) -> ReferenceDiscovery:
     """Sequential ``PGHive.discover_incremental`` on the reference engine.
 
-    Streams the same batch partition, runs the same §4.4
-    post-processing when ``config.post_processing`` is set, and returns
-    the engine (``.schema``, ``.reports``, ``.parameters``).
+    Streams the same batch partition without folding §4.4 stats, then,
+    when ``config.post_processing`` is set, runs the store-backed
+    reference passes over the members (constraints, datatypes,
+    cardinalities; not ``exact_cardinality_bounds``).  Returns the
+    engine (``.schema``, ``.reports``, ``.parameters``).
     """
     config = config or PGHiveConfig()
-    engine = ReferenceDiscovery(config, name=store.name)
+    engine = ReferenceDiscovery(
+        dataclasses.replace(config, post_processing=False), name=store.name
+    )
     for batch in store.batches(num_batches, seed=config.seed):
         engine.process_batch(batch.nodes, batch.edges, batch.endpoint_labels)
     if config.post_processing:
-        PGHive(config)._post_process(engine.schema, store)
+        infer_property_constraints(engine.schema)
+        infer_datatypes(engine.schema, store, config)
+        compute_cardinalities(engine.schema, store)
     return engine

@@ -164,19 +164,6 @@ class TestStoreContractEquivalence:
                 disk_store.materialize_shard(dp),
             )
 
-    def test_degree_extremes_identical(self, memory_store, disk_store):
-        edge_ids = [e.id for e in memory_store.scan_edges()][:400]
-        assert disk_store.degree_extremes(edge_ids) == \
-            memory_store.degree_extremes(edge_ids)
-
-    @pytest.mark.parametrize("size", [10, 10**6])
-    def test_sample_nodes_identical(self, memory_store, disk_store, size):
-        mem = memory_store.sample_nodes(size, seed=3)
-        dsk = disk_store.sample_nodes(size, seed=3)
-        assert len(mem) == len(dsk)
-        for a, b in zip(mem, dsk):
-            _nodes_equal(a, b)
-
     def test_fingerprint_tracks_durable_state(self, disk_store, tmp_path):
         assert disk_store.journal_fingerprint() is not None
         builder = GraphBuilder("tiny")

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.postprocess import TypeStats, apply_partial_stats, fold_edge
 from repro.graph.builder import GraphBuilder
-from repro.graph.store import GraphStore
+from repro.schema.model import EdgeType, SchemaGraph
 
 
 class TestScans:
@@ -116,46 +117,32 @@ class TestShardPlans:
         assert figure1_store._partition_cache is not cached
 
 
+def _fold_extremes(graph, edge_ids):
+    """Degree extremes through the §4.4 fold: each edge folds into a
+    ``TypeStats`` degree map, which ``apply_partial_stats`` reduces."""
+    edge_type = EdgeType("R", stats=TypeStats())
+    schema = SchemaGraph("g")
+    schema.add_edge_type(edge_type)
+    for edge_id in edge_ids:
+        fold_edge(edge_type.stats, graph.edge(edge_id), frozenset())
+    assert apply_partial_stats(schema)
+    return edge_type.max_out, edge_type.max_in
+
+
 class TestDegreeExtremes:
     def test_fan_out(self):
         b = GraphBuilder()
         hub = b.node(["Hub"])
         leaves = [b.node(["Leaf"]) for _ in range(4)]
         edge_ids = [b.edge(hub, leaf, ["HAS"]) for leaf in leaves]
-        store = GraphStore(b.build())
-        max_out, max_in = store.degree_extremes(edge_ids)
-        assert (max_out, max_in) == (4, 1)
+        assert _fold_extremes(b.build(), edge_ids) == (4, 1)
 
     def test_fan_in(self):
         b = GraphBuilder()
         sink = b.node(["Sink"])
         sources = [b.node(["Src"]) for _ in range(3)]
         edge_ids = [b.edge(s, sink, ["TO"]) for s in sources]
-        store = GraphStore(b.build())
-        assert store.degree_extremes(edge_ids) == (1, 3)
+        assert _fold_extremes(b.build(), edge_ids) == (1, 3)
 
-    def test_empty_edge_set(self, figure1_store):
-        assert figure1_store.degree_extremes([]) == (0, 0)
-
-
-class TestSampling:
-    def test_sample_nodes_bounded(self, figure1_store):
-        sample = figure1_store.sample_nodes(3, seed=0)
-        assert len(sample) == 3
-
-    def test_sample_nodes_all_when_large(self, figure1_store):
-        assert len(figure1_store.sample_nodes(100)) == 7
-
-    def test_sample_property_values_minimum(self, figure1_store):
-        nodes = list(figure1_store.scan_nodes())
-        values = figure1_store.sample_property_values(
-            nodes, "name", fraction=0.1, minimum=2, seed=0
-        )
-        assert 2 <= len(values) <= 6  # six nodes carry "name"
-
-    def test_sample_property_values_returns_all_when_few(self, figure1_store):
-        nodes = list(figure1_store.scan_nodes())
-        values = figure1_store.sample_property_values(
-            nodes, "url", fraction=0.1, minimum=10
-        )
-        assert values == ["https://ics.example"]
+    def test_empty_edge_set(self, figure1_graph):
+        assert _fold_extremes(figure1_graph, []) == (0, 0)

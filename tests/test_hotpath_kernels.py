@@ -23,6 +23,7 @@ from repro.core.type_extraction import (
     build_node_clusters_from_columns,
 )
 from repro.core.vectorize import EdgeVectorizer, FeatureInterner, NodeVectorizer
+from repro.datasets import get_dataset, inject_noise
 from repro.embeddings.embedder import LabelEmbedder
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Edge, Node
@@ -273,12 +274,27 @@ class TestEndToEndEquivalence:
     def test_schemas_byte_identical_minhash(self, graph):
         self._assert_modes_agree(graph, LSHMethod.MINHASH)
 
+    def test_noisy_memoized_batches_byte_identical(self):
+        """Noisy, half-labeled input in memoized batches: the §4.4 fold,
+        memo hosts included, equals the reference's store passes."""
+        graph = inject_noise(
+            get_dataset("IYP", scale=0.5, seed=1),
+            property_noise=0.2,
+            label_availability=0.5,
+            seed=1,
+        ).graph
+        self._assert_modes_agree(
+            graph, LSHMethod.ELSH, num_batches=4, memoize_patterns=True
+        )
+
     @staticmethod
-    def _assert_modes_agree(graph, method):
+    def _assert_modes_agree(graph, method, num_batches=1, **options):
         store = GraphStore(graph)
-        config = PGHiveConfig(method=method)
-        production = PGHive(config).discover(store).schema
-        reference = discover_reference(store, config).schema
+        config = PGHiveConfig(method=method, **options)
+        production = PGHive(config).discover_incremental(
+            store, num_batches
+        ).schema
+        reference = discover_reference(store, config, num_batches).schema
         assert serialize_pg_schema(production) == serialize_pg_schema(
             reference
         )

@@ -32,7 +32,9 @@ from repro.core.postprocess import (
     TypeStats,
     apply_partial_stats,
     attach_partial_stats,
-    sharded_postprocess_enabled,
+    compute_cardinalities,
+    infer_datatypes,
+    infer_property_constraints,
 )
 from repro.datasets import get_dataset, inject_noise
 from repro.datasets.registry import dataset_spec
@@ -352,14 +354,20 @@ def _postprocessed_shards(graph, config, num_batches, track_values=True):
 
 
 class TestShardedPostprocess:
-    """Sharded post-processing must equal the serial store-backed passes
-    byte for byte, for any shard count and any merge order."""
+    """The §4.4 fold must equal the store-backed reference passes byte
+    for byte, for any engine, shard count and merge order."""
 
     def _serial_schema(self, graph, config, num_batches):
-        result = PGHive(config).discover_incremental(
-            GraphStore(graph), num_batches=num_batches
-        )
-        return serialize_pg_schema(result.schema)
+        """The reference: discover without §4.4, then run the passes
+        that read every member back out of the store."""
+        store = GraphStore(graph)
+        schema = PGHive(
+            dataclasses.replace(config, post_processing=False)
+        ).discover_incremental(store, num_batches=num_batches).schema
+        infer_property_constraints(schema)
+        infer_datatypes(schema, store, config)
+        compute_cardinalities(schema, store)
+        return serialize_pg_schema(schema)
 
     @pytest.mark.parametrize("num_batches", [2, 3, 5])
     def test_partial_stats_match_serial_for_any_shard_count(
@@ -437,8 +445,9 @@ class TestShardedPostprocess:
         )
 
     def test_sampling_mode_falls_back_to_serial_passes(self, ldbc_graph):
-        """Sampled datatype inference cannot shard; the parallel run must
-        still match the sequential one via the store-backed fallback."""
+        """Sampled datatype inference re-samples from the store at the
+        end, but the pool still runs: a sampled jobs=2 run is sharded
+        and matches jobs=1."""
         seq = PGHive(
             PGHiveConfig(infer_datatypes_by_sampling=True)
         ).discover_incremental(
@@ -449,31 +458,25 @@ class TestShardedPostprocess:
         ).discover_incremental(
             GraphStore(ldbc_graph), num_batches=NUM_BATCHES
         )
+        assert par.parallel_fallback is None
+        assert all(r.worker is not None for r in par.batches)
         assert serialize_pg_schema(par.schema) == serialize_pg_schema(
             seq.schema
         )
 
-    def test_sampling_mode_disables_worker_stats(self):
-        assert not sharded_postprocess_enabled(
-            PGHiveConfig(infer_datatypes_by_sampling=True)
-        )
-        assert not sharded_postprocess_enabled(
-            PGHiveConfig(post_processing=False)
-        )
-        assert sharded_postprocess_enabled(PGHiveConfig())
-
     def test_final_schema_carries_no_stats(self, ldbc_graph):
-        result = PGHive(PGHiveConfig(jobs=2)).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
-        )
-        for node_type in result.schema.node_types.values():
-            assert node_type.stats is None
-        for edge_type in result.schema.edge_types.values():
-            assert edge_type.stats is None
+        for jobs in (1, 2):
+            result = PGHive(PGHiveConfig(jobs=jobs)).discover_incremental(
+                GraphStore(ldbc_graph), num_batches=NUM_BATCHES
+            )
+            for node_type in result.schema.node_types.values():
+                assert node_type.stats is None, jobs
+            for edge_type in result.schema.edge_types.values():
+                assert edge_type.stats is None, jobs
 
 
 class TestDegreeMerge:
-    """Summed per-node degree maps must equal whole-store extremes."""
+    """Summed per-node degree maps must equal whole-graph extremes."""
 
     @given(
         st.lists(
@@ -489,7 +492,9 @@ class TestDegreeMerge:
         self, endpoints, num_shards, seed
     ):
         """Random edge multiset, random split: merging per-shard count
-        maps by summation reproduces ``degree_extremes`` exactly."""
+        maps by summation reproduces the whole-graph degree extremes."""
+        from collections import Counter
+
         from repro.graph.builder import GraphBuilder
 
         builder = GraphBuilder()
@@ -498,15 +503,12 @@ class TestDegreeMerge:
             for raw in (source, target):
                 if raw not in node_ids:
                     node_ids[raw] = builder.node(["N"], {})
-        edge_ids = [
+        for s, t in endpoints:
             builder.edge(node_ids[s], node_ids[t], ["E"], {})
-            for s, t in endpoints
-        ]
-        store = GraphStore(builder.build())
+        edges = list(builder.build().edges())
         rng = random.Random(seed)
         shards = [TypeStats() for _ in range(num_shards)]
-        for edge_id in edge_ids:
-            edge = store.graph.edge(edge_id)
+        for edge in edges:
             stats = rng.choice(shards)
             stats.out_degrees[edge.source] = (
                 stats.out_degrees.get(edge.source, 0) + 1
@@ -520,7 +522,11 @@ class TestDegreeMerge:
             merged.merge(other)
         max_out = max(merged.out_degrees.values(), default=0)
         max_in = max(merged.in_degrees.values(), default=0)
-        assert (max_out, max_in) == store.degree_extremes(edge_ids)
+        out_degree = Counter(edge.source for edge in edges)
+        in_degree = Counter(edge.target for edge in edges)
+        assert (max_out, max_in) == (
+            max(out_degree.values()), max(in_degree.values())
+        )
 
     def test_max_of_maxes_would_undercount(self):
         """The regression the summed merge prevents: one node's incoming

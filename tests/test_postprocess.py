@@ -1,10 +1,13 @@
 """Tests for post-processing: constraints, datatypes, cardinalities."""
 
+import re
+
 import pytest
 
 from repro.core.config import PGHiveConfig
 from repro.core.pipeline import PGHive
 from repro.core.postprocess import (
+    apply_partial_stats,
     compute_cardinalities,
     infer_datatypes,
     infer_property_constraints,
@@ -126,3 +129,11 @@ class TestCardinalities:
         assert knows.cardinality is Cardinality.UNKNOWN
         person = result.schema.node_types["Person"]
         assert person.properties["name"].datatype is DataType.UNKNOWN
+
+    def test_applying_without_stats_names_the_type(self, figure1_graph):
+        """A run without post-processing folds no stats; applying them
+        anyway is an error naming a type, not a silent partial answer."""
+        result, _ = _discover(figure1_graph, post_processing=False)
+        first = next(iter(result.schema.node_types))
+        with pytest.raises(ValueError, match=re.escape(repr(first))):
+            apply_partial_stats(result.schema)

@@ -19,7 +19,9 @@ from repro.core.parallel import ShardRecoveryError, fork_available
 from repro.datasets import get_dataset
 from repro.datasets.registry import dataset_spec
 from repro.datasets.stream import GraphStream
+from repro.graph.builder import GraphBuilder
 from repro.graph.store import GraphStore
+from repro.schema.model import DataType
 from repro.schema.persist import SchemaPersistError
 from repro.schema.serialize_pgschema import serialize_pg_schema
 
@@ -318,6 +320,27 @@ class TestCheckpointResume:
                 store, num_batches=NUM_BATCHES + 1, resume=True
             )
 
+    @pytest.mark.parametrize("written,key", [
+        ({"post_processing": False}, "post_processing"),
+        ({"infer_value_profiles": False}, "infer_value_profiles"),
+    ])
+    def test_resume_refuses_checkpoint_folded_another_way(
+        self, tmp_path, ldbc_graph, written, key
+    ):
+        """A checkpoint without stats (or without value sketches) cannot
+        finish a run that needs them: resume refuses it by name."""
+        ckpt = tmp_path / "ckpt"
+        store = GraphStore(ldbc_graph)
+        PGHive(PGHiveConfig(
+            checkpoint_dir=str(ckpt), **written
+        )).discover_incremental(store, num_batches=NUM_BATCHES)
+        with pytest.raises(SchemaPersistError, match=key):
+            PGHive(PGHiveConfig(
+                checkpoint_dir=str(ckpt), infer_value_profiles=True
+            )).discover_incremental(
+                store, num_batches=NUM_BATCHES, resume=True
+            )
+
     def test_completed_run_resumes_to_same_schema(
         self, tmp_path, ldbc_graph, sequential_schema
     ):
@@ -492,6 +515,46 @@ class TestParallelJournalResume:
         assert resumed.resumed_shards == []
         assert "parallel/journal_skipped" in resumed.parameters
         assert serialize_pg_schema(resumed.schema) == sequential_schema
+
+    def test_stat_less_entries_are_recomputed(self, tmp_path):
+        """Shards journaled with post-processing off carry no stats.  A
+        resume with it on must recompute them: folding only the fresh
+        shards would print the datatype of those shards alone."""
+        def build(text_ids):
+            builder = GraphBuilder("mixed")
+            ids = [
+                builder.node(["T"], {"v": "text" if i in text_ids else i})
+                for i in range(400)
+            ]
+            for source, target in zip(ids, ids[1:]):
+                builder.edge(source, target, ["R"])
+            return builder.build()
+
+        probe = GraphStore(build(set()))
+        text_ids = {
+            node.id
+            for plan in probe.plan_shards(4, seed=7)[:2]
+            for node in probe.materialize_shard(plan).nodes
+        }
+        store = GraphStore(build(text_ids))
+        ckpt = tmp_path / "ckpt"
+        PGHive(PGHiveConfig(
+            jobs=2, seed=7, checkpoint_dir=str(ckpt), post_processing=False
+        )).discover_incremental(store, num_batches=4)
+        for index in (2, 3):
+            (ckpt / "shards" / f"shard-{index:05d}.json").unlink()
+        resumed = PGHive(PGHiveConfig(
+            jobs=2, seed=7, checkpoint_dir=str(ckpt)
+        )).discover_incremental(store, num_batches=4, resume=True)
+        clean = PGHive(PGHiveConfig(seed=7)).discover_incremental(
+            store, num_batches=4
+        )
+        (node_type,) = resumed.schema.node_types.values()
+        assert node_type.properties["v"].datatype is DataType.STRING
+        assert resumed.resumed_shards == []
+        assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
+            clean.schema
+        )
 
     def test_corrupt_journal_entry_is_recomputed(
         self, tmp_path, ldbc_graph, sequential_schema
