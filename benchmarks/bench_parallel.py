@@ -6,7 +6,7 @@ the sequential one.  Because container CPU quotas routinely make fewer
 effective cores available than ``nproc`` reports, the harness first
 *calibrates* the machine with fixed-work spin tasks and reports, next to
 each measured wall-clock speedup, the Amdahl projection from the
-measured serial fraction (shard partitioning + merge tree; the per-shard
+measured serial fraction (shard partitioning + shard merge; the per-shard
 discovery itself is fully parallel in plan mode).  On an unconstrained
 host the measured speedup approaches the projection; on a quota-limited
 host the calibration documents the ceiling.
@@ -106,7 +106,7 @@ def _measure_serial_components(graph, config) -> dict:
 
     Discovers every shard in-process (so the measurement is not polluted
     by pool scheduling), then times (a) the driver's serial partition
-    (``store.plan_shards``), (b) the merge tree over the per-shard
+    (``store.plan_shards``), (b) the batch-order fold of the per-shard
     schemas, and (c) what a pool run ships across the pipe.
     """
     store = GraphStore(graph)
@@ -279,7 +279,7 @@ def run_parallel_bench(
             "schemas.  measured_speedup is bounded above by the host's "
             "effective_parallelism (CPU-quota calibration below); "
             "amdahl_projected_speedup applies the measured serial "
-            "fraction (serial plan_shards partition + merge tree) to "
+            "fraction (serial plan_shards partition + shard merge) to "
             "ideal cores.  Each run's "
             "postprocess block compares the serial store-backed "
             "section 4.4 passes against the sharded partial-stats fold "

@@ -51,11 +51,10 @@ WORKER_ROOTS: tuple[str, ...] = (
     "core/parallel.py:_discover_one",
 )
 
-#: The merge fold: must be a pure in-memory computation so the pairwise
-#: merge tree is byte-identical for any shard arrival order.
+#: The merge fold: must be a pure in-memory computation so the batch-order
+#: fold is byte-identical for any shard arrival order.
 MERGE_ROOTS: tuple[str, ...] = (
     "schema/merge.py:merge_schemas",
-    "schema/merge.py:merge_schema_tree",
     "schema/merge.py:_merge_stats",
     "core/parallel.py:combine_shard_results",
 )
@@ -217,7 +216,7 @@ class MergePurityRule(_InterprocRule):
 
     name = "merge-purity"
     description = (
-        "the merge_schemas/merge_schema_tree/combine_shard_results call "
+        "the merge_schemas/combine_shard_results call "
         "tree performs no I/O, no global writes, no nondeterministic "
         "reads and never mutates the shared config"
     )

@@ -63,10 +63,11 @@ class PGHiveConfig:
         jobs: Worker processes for incremental discovery.  ``1`` (default)
             keeps the fully sequential engine (byte-identical to previous
             releases); ``N > 1`` runs batch schemas in a process pool and
-            combines them through the order-independent merge tree of
-            :mod:`repro.core.parallel`.  The final schema does not depend
-            on the worker count or on worker completion order.  Shard
-            results return pickled through the pool's own pipe.
+            folds them in batch order like the sequential engine
+            (:mod:`repro.core.parallel`), so the final schema is
+            byte-identical to ``jobs=1`` and does not depend on worker
+            completion order.  Shard results return pickled through the
+            pool's own pipe.
         parallel_chunk: How many shards each pool task processes:
             ``"auto"`` balances tasks across workers, or a positive
             integer literal (e.g. ``"2"``).  Pure scheduling knob -- the

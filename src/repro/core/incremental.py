@@ -114,6 +114,36 @@ def _refine_by_label_ids(
     return refined
 
 
+def run_context(
+    source: str,
+    num_batches: int,
+    seed: int,
+    config: PGHiveConfig,
+    fingerprint: dict[str, str] | None = None,
+) -> dict[str, object]:
+    """Identify the run a checkpoint or shard journal belongs to.
+
+    The sequential checkpoint and the pool's shard journal both store
+    this context, and a resume uses only state whose context matches:
+    the same source, batch plan and seed, folded the same way.  Stats
+    are folded only with post-processing on and value sketches only with
+    profiles, so resuming state folded another way would print wrong
+    datatypes or empty profiles.  Durable stores add their on-disk
+    ``fingerprint`` (row counts and heap sizes), so state written
+    against one slab generation never resumes against another.
+    """
+    context: dict[str, object] = {
+        "source": source,
+        "num_batches": num_batches,
+        "seed": seed,
+        "post_processing": config.post_processing,
+        "infer_value_profiles": config.infer_value_profiles,
+    }
+    if fingerprint is not None:
+        context["store"] = fingerprint
+    return context
+
+
 class IncrementalDiscovery:
     """Stateful schema discovery over a stream of graph batches."""
 
@@ -249,6 +279,7 @@ class IncrementalDiscovery:
         nodes: Sequence[Node],
         edges: Sequence[Edge],
         endpoint_labels: dict[int, frozenset[str]] | None = None,
+        batch_index: int | None = None,
     ) -> BatchReport:
         """Cluster one batch and merge its types into the running schema.
 
@@ -262,6 +293,9 @@ class IncrementalDiscovery:
             endpoint_labels: node id -> label set for every endpoint the
                 edges reference; defaults to the labels of the batch's own
                 nodes.
+            batch_index: The batch's index in its source's plan, as for
+                :meth:`discover_batch_columns`; defaults to the engine's
+                own counter.
 
         Returns:
             A :class:`BatchReport` with timings (total and per stage) and
@@ -276,7 +310,7 @@ class IncrementalDiscovery:
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
         batch_schema, report = self.discover_batch(
-            nodes, edges, endpoint_labels
+            nodes, edges, endpoint_labels, batch_index
         )
         merge_started = time.perf_counter()
         merge_schemas(
@@ -529,8 +563,8 @@ class IncrementalDiscovery:
         workers: the caller (or the worker itself) columnizes a shard
         once, and this method runs the vectorized pipeline on the compact
         arrays, returning the *batch* schema and its report.  The running
-        schema is not touched -- shard schemas combine downstream through
-        the merge tree of :func:`repro.schema.merge.merge_schema_tree`.
+        schema is not touched -- the driver folds shard schemas in batch
+        order with :func:`repro.core.parallel.combine_shard_results`.
 
         Args:
             ncols / ecols: Columnized shard (see :mod:`repro.core.columns`).

@@ -4,10 +4,10 @@ The incremental engine computes each batch schema *independently* of the
 running schema, and the merge rules of :mod:`repro.schema.merge` are
 union-only (Lemmas 1-2).  Batch discovery therefore parallelizes
 embarrassingly: shard the source into batches, discover each shard's
-schema in a worker process, and combine the per-shard schemas through
-the canonical pairwise merge tree of
-:func:`repro.schema.merge.merge_schema_tree`.  Pattern memoization is
-the exception -- it reads the running schema -- so
+schema in a worker process, and fold the per-shard schemas in batch
+order with :func:`repro.schema.merge.merge_schemas`, exactly as the
+sequential engine folds each batch into its running schema.  Pattern
+memoization is the exception -- it reads the running schema -- so
 :class:`repro.core.pipeline.PGHive` never sends a memoized run here.
 
 Payload contract
@@ -53,11 +53,12 @@ identical schema -- re-execution is the entire recovery strategy:
 Determinism contract
 --------------------
 The final schema is a pure function of the set of *successful* shard
-schemas: the driver sorts them by shard index and reduces them through
-the canonical index-ordered merge tree, so the result is independent of
-worker count, chunking, completion order, and of how many attempts each
-shard needed.  On labeled data the result is byte-identical to ``jobs=1``
-(``tests/test_parallel.py`` enforces both properties).
+schemas: the driver sorts them by shard index and folds them in that
+order, so the result is independent of worker count, chunking,
+completion order, and of how many attempts each shard needed.  It is the
+sequential engine's fold over the same batches, so the result is
+byte-identical to ``jobs=1`` (``tests/test_parallel.py`` enforces both
+properties).
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ from typing import Sequence
 
 from repro.core.config import PGHiveConfig
 from repro.core.faults import FaultInjector
-from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
+from repro.core.incremental import (
+    IncrementalDiscovery,
+    preload_engine_imports,
+    run_context,
+)
 from repro.core.postprocess import (
     schema_stats_from_dict,
     schema_stats_to_dict,
@@ -84,7 +89,7 @@ from repro.core.result import BatchReport, DiscoveryResult, ShardFailure
 from repro.core.type_extraction import resolve_edge_endpoints
 from repro.graph.slab import SlabCorruptionError
 from repro.graph.store import BaseGraphStore, ShardPlan
-from repro.schema.merge import merge_schema_tree, merge_schemas
+from repro.schema.merge import merge_schemas
 from repro.schema.model import SchemaGraph
 from repro.schema.persist import (
     SchemaPersistError,
@@ -158,28 +163,26 @@ def combine_shard_results(
     results: Sequence[ShardResult],
     config: PGHiveConfig,
 ) -> SchemaGraph:
-    """Reduce per-shard schemas into the final schema (pure function).
+    """Fold per-shard schemas into the final schema (pure function).
 
-    Sorts by shard index, merges through the canonical pairwise tree,
-    then folds the tree result into a fresh named schema -- mirroring
-    the sequential engine's "merge batch into running schema" step -- and
-    resolves edge endpoint types once at the end.  Because the reduction
-    only depends on the *sorted* results, any permutation of ``results``
-    (worker completion order) yields the identical schema; the
-    order-invariance property test calls this directly.
+    Sorts by shard index and merges each shard schema into a fresh named
+    schema with :func:`~repro.schema.merge.merge_schemas` -- the left
+    fold the sequential engine computes, one batch at a time -- then
+    resolves edge endpoint types once.  Resolution only overwrites
+    ``source_types``/``target_types``, which no merge decision reads, so
+    resolving after the last merge equals resolving after every one.
+    Because the fold depends only on the *sorted* results, any
+    permutation of ``results`` (worker completion order) yields the
+    identical schema.
     """
-    ordered = sorted(results, key=lambda r: r.index)
-    tree = merge_schema_tree(
-        [r.schema for r in ordered],
-        config.jaccard_threshold,
-        config.endpoint_jaccard_threshold,
-    )
-    final = merge_schemas(
-        SchemaGraph(name),
-        tree,
-        config.jaccard_threshold,
-        config.endpoint_jaccard_threshold,
-    )
+    final = SchemaGraph(name)
+    for result in sorted(results, key=lambda r: r.index):
+        merge_schemas(
+            final,
+            result.schema,
+            config.jaccard_threshold,
+            config.endpoint_jaccard_threshold,
+        )
     resolve_edge_endpoints(final)
     return final
 
@@ -310,14 +313,13 @@ class _ShardJournal:
 
     Each entry is one atomic JSON document (shard schema with members,
     partial post-processing stats, batch report, parameters) plus the
-    run context ``{source, num_batches, seed, post_processing,
-    infer_value_profiles}`` (with the store fingerprint when it
-    applies).  A resumed run loads every entry whose context matches,
-    skips those shards in the pool, and merges journaled and fresh
-    results identically -- shard purity guarantees a journaled shard
-    equals its recomputation byte for byte.  Entries that cannot be used
-    (corrupt files, foreign versions, a different run context) are
-    recomputed and reported, never fatal.
+    :func:`~repro.core.incremental.run_context` the sequential
+    checkpoint also records.  A resumed run loads every entry whose
+    context matches, skips those shards in the pool, and merges
+    journaled and fresh results identically -- shard purity guarantees
+    a journaled shard equals its recomputation byte for byte.  Entries
+    that cannot be used (corrupt files, foreign versions, a different
+    run context) are recomputed and reported, never fatal.
     """
 
     def __init__(self, directory: str, context: dict[str, object]) -> None:
@@ -379,7 +381,7 @@ class ParallelDiscovery:
     with :func:`combine_shard_results`.  Each worker runs the engine's
     one batch method, so with post-processing on its shard types carry
     the folded §4.4 statistics (:class:`~repro.core.postprocess.TypeStats`)
-    through the merge tree, and :class:`repro.core.pipeline.PGHive`
+    through the merge, and :class:`repro.core.pipeline.PGHive`
     finishes the merged schema exactly as it finishes a sequential one.
     See the module docstring for the failure model and for why memoized
     runs never reach the pool.
@@ -387,31 +389,6 @@ class ParallelDiscovery:
 
     def __init__(self, config: PGHiveConfig | None = None) -> None:
         self.config = config or PGHiveConfig()
-
-    def _journal_context(
-        self,
-        source_name: str,
-        num_batches: int,
-        seed_value: int,
-        fingerprint: dict[str, str] | None = None,
-    ) -> dict[str, object]:
-        context: dict[str, object] = {
-            "source": source_name,
-            "num_batches": num_batches,
-            "seed": seed_value,
-            # An entry carries stats only when post-processing was on,
-            # and value sketches only with profiles; resuming from one
-            # folded another way would print wrong datatypes or empty
-            # profiles, so such entries are recomputed.
-            "post_processing": self.config.post_processing,
-            "infer_value_profiles": self.config.infer_value_profiles,
-        }
-        if fingerprint is not None:
-            # Durable stores stamp their on-disk state (row counts and
-            # heap sizes) into the journal key: a journal written against
-            # one slab generation never resumes against another.
-            context["store"] = fingerprint
-        return context
 
     def _prepare_journal(
         self, context: dict[str, object], resume: bool
@@ -445,9 +422,9 @@ class ParallelDiscovery:
         started = time.perf_counter()
         config = self.config
         journal, preloaded = self._prepare_journal(
-            self._journal_context(
-                store.name, num_batches, config.seed,
-                fingerprint=store.journal_fingerprint(),
+            run_context(
+                store.name, num_batches, config.seed, config,
+                store.journal_fingerprint(),
             ),
             resume,
         )

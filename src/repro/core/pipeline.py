@@ -26,7 +26,7 @@ from typing import Iterator
 
 from repro.core.config import PGHiveConfig
 from repro.core.faults import FaultInjector
-from repro.core.incremental import IncrementalDiscovery
+from repro.core.incremental import IncrementalDiscovery, run_context
 from repro.core.postprocess import (
     apply_partial_stats,
     clear_partial_stats,
@@ -80,7 +80,6 @@ class PGHive:
         self,
         store: BaseGraphStore | GraphStream,
         num_batches: int,
-        post_process_each_batch: bool = False,
         resume: bool = False,
     ) -> DiscoveryResult:
         """Run discovery over ``num_batches`` batches of the source.
@@ -94,10 +93,6 @@ class PGHive:
                 ``parallel_fallback``).
             num_batches: How many batches to stream (1 = static run).
                 For a stream this must equal ``stream.num_batches``.
-            post_process_each_batch: Run the post-processing passes after
-                every batch instead of only at the end (Algorithm 1's
-                ``postProcessing`` flag).  The final schema is identical;
-                intermediate schemas are then always fully annotated.
             resume: Continue from the checkpoint in
                 ``config.checkpoint_dir`` if one exists (no-op when the
                 directory is unset or empty).  Batch partitioning (and
@@ -118,8 +113,7 @@ class PGHive:
         started = time.perf_counter()
         config = self.config
         fallback_reason = self._parallel_fallback_reason(
-            num_batches, post_process_each_batch,
-            streaming=isinstance(store, GraphStream),
+            num_batches, streaming=isinstance(store, GraphStream)
         )
         if (
             isinstance(store, BaseGraphStore)
@@ -149,22 +143,9 @@ class PGHive:
             name, seed = store.name, config.seed
             backing = store
             batches = _iter_batches(store, num_batches, config, shard_failures)
-        context: dict[str, object] = {
-            "source": name,
-            "num_batches": num_batches,
-            "seed": seed,
-            # The checkpoint carries the folded §4.4 stats only when
-            # post-processing is on, and value sketches only with
-            # profiles: a resume must fold the same way.
-            "post_processing": config.post_processing,
-            "infer_value_profiles": config.infer_value_profiles,
-        }
-        fingerprint = backing.journal_fingerprint()
-        if fingerprint is not None:
-            # Durable stores key the checkpoint to their on-disk state,
-            # so a resume never replays against a different slab
-            # generation (appends change the fingerprint).
-            context["store"] = fingerprint
+        context = run_context(
+            name, num_batches, seed, config, backing.journal_fingerprint()
+        )
         engine: IncrementalDiscovery | None = None
         if (
             checkpoint_dir
@@ -186,12 +167,13 @@ class PGHive:
                 continue
             if injector is not None:
                 injector.fire("batch", batch.index)
+            # The plan's index, not the engine's counter: a shard that
+            # ``corrupt_slab_policy="skip"`` quarantined leaves a gap.
             report = engine.process_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels
+                batch.nodes, batch.edges, batch.endpoint_labels,
+                batch_index=batch.index,
             )
             discovery_seconds += report.seconds
-            if post_process_each_batch:
-                self._finish(engine.schema, backing, keep_stats=True)
             if checkpoint_dir and (
                 (batch.index + 1) % config.checkpoint_every == 0
                 or batch.index + 1 == num_batches
@@ -216,22 +198,18 @@ class PGHive:
         return result
 
     def _parallel_fallback_reason(
-        self,
-        num_batches: int,
-        post_process_each_batch: bool,
-        streaming: bool = False,
+        self, num_batches: int, streaming: bool = False
     ) -> str | None:
         """Why a ``jobs > 1`` request cannot use the multi-process driver.
 
         Returns ``None`` when parallel execution is possible (or when
         parallelism was never requested: ``jobs=1`` always takes the
         sequential path, whose output the parallel path matches byte for
-        byte on labeled data).  Parallel sharding requires independent
-        batches of a partitioned store: a stream's batches are generated
-        in order, per-batch post-processing couples batches
-        sequentially, and pattern memoization consults the running
-        schema built from every earlier batch -- so ``--memoize`` output
-        is the same at any ``jobs``.  ``checkpoint_dir`` does not force
+        byte).  Parallel sharding requires independent batches of a
+        partitioned store: a stream's batches are generated in order,
+        and pattern memoization consults the running schema built from
+        every earlier batch -- so ``--memoize`` output is the same at any
+        ``jobs``.  ``checkpoint_dir`` does not force
         the sequential engine: checkpointed parallel runs journal
         completed shards under ``checkpoint_dir/shards/`` and resume
         mid-pool.
@@ -244,28 +222,19 @@ class PGHive:
             return "a stream is generated in order"
         if num_batches <= 1:
             return "a single batch cannot be sharded"
-        if post_process_each_batch:
-            return "per-batch post-processing couples batches sequentially"
         if self.config.memoize_patterns:
             return "pattern memoization consults the running schema"
         if not fork_available():
             return "fork start method unavailable on this platform"
         return None
 
-    def _finish(
-        self,
-        schema: SchemaGraph,
-        store: BaseGraphStore,
-        keep_stats: bool = False,
-    ) -> None:
+    def _finish(self, schema: SchemaGraph, store: BaseGraphStore) -> None:
         """The §4.4 finishing step every engine ends with.
 
         Constraints, datatypes, profiles and cardinalities come from the
         stats each batch folded (:func:`apply_partial_stats`); the store
         is read only to re-sample datatypes and profiles in sampling mode
-        and for exact ``--bounds``.  The stats are then dropped, unless
-        ``keep_stats`` (per-batch post-processing) keeps them for later
-        batches to fold into.
+        and for exact ``--bounds``.  The stats are then dropped.
         """
         config = self.config
         if config.post_processing:
@@ -274,8 +243,7 @@ class PGHive:
                 infer_datatypes(schema, store, config)
             if config.exact_cardinality_bounds:
                 self._apply_exact_bounds(schema, store)
-        if not keep_stats:
-            clear_partial_stats(schema)
+        clear_partial_stats(schema)
 
     def _apply_exact_bounds(
         self, schema: SchemaGraph, store: BaseGraphStore

@@ -29,7 +29,7 @@ members back out of the store.
 * the stats ride on the types through the ordinary schema merge
   (:func:`repro.schema.merge.merge_node_types` /
   :func:`~repro.schema.merge.merge_edge_types` fold them whenever types
-  merge), whether into a running schema or up the pool's merge tree;
+  merge), in every engine's batch-order fold;
 * :func:`apply_partial_stats` turns the merged stats into statuses,
   datatypes, profiles and cardinalities.  It keeps the stats, so it can
   run after every batch; the finishing step of

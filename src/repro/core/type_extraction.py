@@ -32,6 +32,8 @@ from repro.graph.model import canonical_label
 from repro.schema.merge import (
     EdgeTypeIndex,
     NodeTypeIndex,
+    best_jaccard_edge_host,
+    best_jaccard_host,
     find_labeled_edge_host,
     merge_edge_types,
     merge_node_types,
@@ -291,7 +293,7 @@ def extract_node_types(
     labeled_index = NodeTypeIndex(schema, labeled_only=True)
     still_unlabeled: list[NodeType] = []
     for node_type in unlabeled:
-        host = _best_labeled_host(labeled_index, node_type, theta)
+        host = best_jaccard_host(labeled_index, node_type, theta)
         if host is not None:
             merge_node_types(host, node_type)
             labeled_index.add(host)
@@ -363,7 +365,9 @@ def extract_edge_types(
     # data fragments into thousands of candidate clusters.
     index = EdgeTypeIndex(schema)
     for edge_type in unlabeled:
-        host = _best_edge_host(index, edge_type, theta, endpoint_theta)
+        host = best_jaccard_edge_host(
+            index, edge_type, theta, endpoint_theta
+        )
         if host is not None:
             merge_edge_types(host, edge_type)
             index.add(host)
@@ -468,38 +472,3 @@ def _edge_type_from_cluster(cluster: CandidateCluster) -> EdgeType:
     for key in cluster.property_keys:
         edge_type.ensure_property(key)
     return edge_type
-
-
-def _best_labeled_host(
-    index: NodeTypeIndex, candidate: NodeType, theta: float
-) -> NodeType | None:
-    """Labeled node type with the highest Jaccard >= theta, if any."""
-    best: NodeType | None = None
-    best_score = theta
-    candidate_keys = candidate.property_keys
-    for node_type in index.candidates(candidate):
-        score = jaccard(candidate_keys, node_type.property_keys)
-        if score >= best_score:
-            best, best_score = node_type, score
-    return best
-
-
-def _best_edge_host(
-    index: EdgeTypeIndex,
-    candidate: EdgeType,
-    theta: float,
-    endpoint_theta: float = 0.5,
-) -> EdgeType | None:
-    """Host for an unlabeled edge cluster: Jaccard + endpoint compatibility."""
-    from repro.schema.merge import endpoints_compatible
-
-    best: EdgeType | None = None
-    best_score = theta
-    candidate_keys = candidate.property_keys
-    for edge_type in index.candidates(candidate):
-        score = jaccard(candidate_keys, edge_type.property_keys)
-        if score >= best_score and endpoints_compatible(
-            edge_type, candidate, endpoint_theta
-        ):
-            best, best_score = edge_type, score
-    return best

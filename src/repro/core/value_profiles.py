@@ -17,7 +17,7 @@ the STRICT PG-Schema output, e.g. ``status STRING /* enum {open, closed}
 
 :class:`PropertyPartial` is the *mergeable* form of the same statistics:
 parallel shard workers accumulate one partial per (type, property key),
-the schema merge tree folds them with :meth:`PropertyPartial.merge`, and
+the schema merge folds them with :meth:`PropertyPartial.merge`, and
 :meth:`PropertyPartial.to_profile` reconstructs the exact profile a
 serial :func:`profile_values` scan over the concatenated values would
 produce.  Every constituent statistic is an associative, commutative

@@ -20,8 +20,6 @@ subsumed by S_{i+1}).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
 from repro.util.similarity import jaccard
 
@@ -73,12 +71,10 @@ def _merge_stats(
     With post-processing on, every batch schema's types carry
     :class:`~repro.core.postprocess.TypeStats`; folding them here means
     the post-processing reduction rides the same merges as the schemas
-    themselves, into a running schema or up the pool's merge tree.
-    Every constituent fold (datatype lattice join, count sums, set
-    unions, canonical bounds) is associative and commutative, so the
-    merged stats are independent of the bracketing -- exactly like the
-    merged schema.  Runs without post-processing carry no stats and
-    skip this entirely.
+    themselves, in every engine's batch-order fold.  Every constituent
+    fold (datatype lattice join, count sums, set unions, canonical
+    bounds) is associative and commutative.  Runs without
+    post-processing carry no stats and skip this entirely.
     """
     if other.stats is None:
         return
@@ -275,11 +271,11 @@ def merge_schemas(
     labeled_index = NodeTypeIndex(base, labeled_only=True)
     unlabeled_index = NodeTypeIndex(base, labeled_only=False)
     for node_type in pending_unlabeled:
-        host = _best_jaccard_host(
+        host = best_jaccard_host(
             labeled_index, node_type, jaccard_threshold
         )
         if host is None:
-            host = _best_jaccard_host(
+            host = best_jaccard_host(
                 unlabeled_index, node_type, jaccard_threshold
             )
         if host is not None:
@@ -299,7 +295,7 @@ def merge_schemas(
                 base, edge_type, endpoint_threshold
             )
         else:
-            existing = _best_jaccard_edge_host(
+            existing = best_jaccard_edge_host(
                 index, edge_type, jaccard_threshold, endpoint_threshold
             )
         if existing is not None:
@@ -312,43 +308,6 @@ def merge_schemas(
             _add_edge_with_unique_name(base, edge_type)
             index.add(edge_type)
     return base
-
-
-def merge_schema_tree(
-    schemas: Sequence[SchemaGraph],
-    jaccard_threshold: float = 0.9,
-    endpoint_threshold: float = 0.5,
-) -> SchemaGraph:
-    """Combine batch schemas through a pairwise merge tree.
-
-    The schemas are reduced level by level -- ``(S1+S2), (S3+S4), ...`` --
-    until one remains, always pairing neighbours in input order.  Because
-    :func:`merge_schemas` is union-only (Lemmas 1-2 make the batch chain
-    monotone), every tree shape over the same input order yields the same
-    types; fixing the shape to this canonical bracketing additionally
-    pins down bookkeeping order (type insertion, abstract numbering), so
-    the output is a pure function of the input *sequence* -- independent
-    of which parallel worker finished first.
-
-    Mutates the input schemas (they become intermediate accumulators) and
-    returns the root.  An empty input yields a fresh empty schema.
-    """
-    level = [s for s in schemas if s is not None]
-    if not level:
-        return SchemaGraph("empty")
-    while len(level) > 1:
-        next_level: list[SchemaGraph] = []
-        for i in range(0, len(level) - 1, 2):
-            next_level.append(
-                merge_schemas(
-                    level[i], level[i + 1],
-                    jaccard_threshold, endpoint_threshold,
-                )
-            )
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-    return level[0]
 
 
 def _merge_property_specs(into: NodeType | EdgeType, other: NodeType | EdgeType) -> None:
@@ -366,7 +325,7 @@ def _merge_property_specs(into: NodeType | EdgeType, other: NodeType | EdgeType)
             mine.datatype = DataType.STRING  # conflicting evidence: generalize
 
 
-def _best_jaccard_host(
+def best_jaccard_host(
     index: NodeTypeIndex,
     candidate: NodeType,
     threshold: float,
@@ -382,7 +341,7 @@ def _best_jaccard_host(
     return best
 
 
-def _best_jaccard_edge_host(
+def best_jaccard_edge_host(
     index: EdgeTypeIndex,
     candidate: EdgeType,
     threshold: float,

@@ -1,9 +1,9 @@
 """Fixture merge fold: impure two hops down, and mutates the config.
 
 Never imported -- only parsed.  ``merge_schemas`` reaches a filesystem
-write via ``_audit_merge -> _note``; ``merge_schema_tree`` mutates its
-``config`` parameter, which the purity rule flags wherever it happens
-in the reachable set.
+write via ``_audit_merge -> _note``, and mutates a ``config`` parameter
+via ``_retune``, which the purity rule flags wherever it happens in the
+reachable set.
 """
 
 from __future__ import annotations
@@ -21,21 +21,18 @@ def _audit_merge(schema: Any) -> None:
     _note("merged\n")
 
 
+def _retune(config: Any) -> None:
+    config.threshold = 0.5  # plant: config-parameter mutation
+
+
 def _merge_stats(left: Any, right: Any) -> Any:
     del right
     return left
 
 
-def merge_schemas(left: Any, right: Any) -> Any:
-    """Merge root: reaches the fs write via _audit_merge -> _note."""
+def merge_schemas(left: Any, right: Any, config: Any) -> Any:
+    """Merge root: reaches the fs write via _audit_merge -> _note and
+    mutates the shared config via _retune (the purity breach)."""
     _audit_merge(left)
+    _retune(config)
     return _merge_stats(left, right)
-
-
-def merge_schema_tree(schemas: list[Any], config: Any) -> Any:
-    """Merge root: mutates the shared config (the purity breach)."""
-    config.threshold = 0.5  # plant: config-parameter mutation
-    merged = schemas[0]
-    for item in schemas[1:]:
-        merged = merge_schemas(merged, item)
-    return merged

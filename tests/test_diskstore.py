@@ -623,6 +623,42 @@ class TestCorruption:
         )
         assert result.schema.node_types  # undamaged shards contributed
 
+    def test_skip_then_resume_replays_no_batch(
+        self, damaged_store, tmp_path
+    ):
+        """Batches after a quarantined shard keep their plan indices, so
+        a run killed at the last batch resumes there, not one batch
+        earlier (which would fold a batch twice)."""
+        batches = 6  # the damaged record lands in shard 3 of 6
+        config = PGHiveConfig(
+            corrupt_slab_policy="skip", checkpoint_dir=str(tmp_path / "ck")
+        )
+        whole = PGHive(config).discover_incremental(
+            damaged_store, num_batches=batches
+        )
+        survivors = [
+            i for i in range(batches) if i not in whole.degraded_shards
+        ]
+        assert whole.degraded_shards and survivors[-1] == batches - 1
+        assert [r.index for r in whole.batches] == survivors
+        crashing = PGHiveConfig(
+            corrupt_slab_policy="skip", checkpoint_dir=str(tmp_path / "ck"),
+            faults=f"batch:{batches - 1}:raise",
+        )
+        with pytest.raises(InjectedFault):
+            PGHive(crashing).discover_incremental(
+                damaged_store, num_batches=batches
+            )
+        resumed = PGHive(config).discover_incremental(
+            damaged_store, num_batches=batches, resume=True
+        )
+        assert resumed.resumed_from == batches - 1
+        assert [r.index for r in resumed.batches] == survivors
+        assert sorted(resumed.parameters) == sorted(whole.parameters)
+        assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
+            whole.schema
+        )
+
     def test_skip_policy_with_strict_recovery_still_fails(
         self, damaged_store
     ):

@@ -3,8 +3,8 @@
 Set iteration order changes with ``PYTHONHASHSEED``, so any set that
 reaches a tie-break (for instance two merge hosts with the same Jaccard
 score) can make the schema differ between processes.  The §4.6 monotone
-chain and the parallel merge tree both assume a schema that is a pure
-function of (graph, config, seed); these tests run ``pghive discover``
+chain, in every engine, assumes a schema that is a pure function of
+(graph, config, seed); these tests run ``pghive discover``
 on a noisy, half-labeled IYP graph in three processes with different
 hash seeds and require byte-identical stdout.
 """

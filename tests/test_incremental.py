@@ -80,17 +80,6 @@ class TestIncrementalEngine:
                     f"{name}.{key}"
                 )
 
-    def test_post_process_each_batch_flag(self):
-        dataset = get_dataset("POLE", scale=0.2, seed=3)
-        result = PGHive().discover_incremental(
-            GraphStore(dataset.graph), num_batches=2,
-            post_process_each_batch=True,
-        )
-        from repro.schema.model import DataType
-
-        person = result.schema.node_types["Person"]
-        assert person.properties["name"].datatype is not DataType.UNKNOWN
-
     def test_empty_batch_is_harmless(self):
         engine = IncrementalDiscovery()
         report = engine.process_batch([], [], {})

@@ -2,8 +2,8 @@
 
 The determinism contract under test: the final schema is a pure function
 of the shard sequence -- independent of worker count, chunk size, and the
-order in which shard results arrive -- and on labeled data it is
-byte-identical to the sequential engine's output.
+order in which shard results arrive -- and byte-identical to the
+sequential engine's output.
 """
 
 import dataclasses
@@ -39,6 +39,7 @@ from repro.core.postprocess import (
 from repro.datasets import get_dataset, inject_noise
 from repro.datasets.registry import dataset_spec
 from repro.datasets.stream import GraphStream
+from repro.graph.diskstore import write_graph_to_slabs
 from repro.graph.store import GraphStore
 from repro.schema.serialize_pgschema import serialize_pg_schema
 
@@ -52,6 +53,17 @@ NUM_BATCHES = 6
 @pytest.fixture(scope="module")
 def ldbc_graph():
     return get_dataset("ldbc", scale=1, seed=0).graph
+
+
+@pytest.fixture(scope="module")
+def noisy_iyp_graph():
+    """Half-labeled, noisy input: unlabeled types merge by Jaccard."""
+    return inject_noise(
+        get_dataset("IYP", scale=0.5, seed=1),
+        property_noise=0.2,
+        label_availability=0.5,
+        seed=1,
+    ).graph
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +100,39 @@ class TestWorkerCountInvariance:
         )
         assert serialize_pg_schema(result.schema) == sequential_schema
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize(
+        "graph_name, store, jobs",
+        [
+            pytest.param("ldbc", "memory", 2, id="2"),
+            pytest.param("ldbc", "memory", 3, id="3"),
+            pytest.param("noisy-iyp", "memory", 2, id="noisy-iyp-memory"),
+            pytest.param("noisy-iyp", "disk", 2, id="noisy-iyp-disk"),
+        ],
+    )
     def test_byte_identical_to_sequential(
-        self, ldbc_graph, sequential_schema, jobs
+        self, request, tmp_path, graph_name, store, jobs
     ):
+        """The pool folds shard schemas in batch order, like the
+        sequential engine, so unlabeled noisy input matches too."""
+        if graph_name == "ldbc":
+            graph = request.getfixturevalue("ldbc_graph")
+            expected = request.getfixturevalue("sequential_schema")
+        else:
+            graph = request.getfixturevalue("noisy_iyp_graph")
+            expected = serialize_pg_schema(
+                PGHive(PGHiveConfig()).discover_incremental(
+                    GraphStore(graph), num_batches=NUM_BATCHES
+                ).schema
+            )
+        source = GraphStore(graph)
+        if store == "disk":
+            source = write_graph_to_slabs(graph, tmp_path / "slabs")
+            request.addfinalizer(source.close)
         result = PGHive(PGHiveConfig(jobs=jobs)).discover_incremental(
-            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
+            source, num_batches=NUM_BATCHES
         )
-        assert serialize_pg_schema(result.schema) == sequential_schema
+        assert result.parallel_fallback is None
+        assert serialize_pg_schema(result.schema) == expected
 
     def test_assignments_match_sequential(self, ldbc_graph):
         seq = PGHive(PGHiveConfig()).discover_incremental(
@@ -552,16 +589,11 @@ class TestReportsAndFallbacks:
         assert "parallel/jobs" in result.parameters
         assert "parallel/merge_seconds" in result.parameters
 
-    def test_memoization_rides_the_pool(self):
+    def test_memoization_rides_the_pool(self, noisy_iyp_graph):
         """The memo fast path consults the running schema, so jobs=2
         runs the sequential engine, says why, and prints the jobs=1
         bytes -- on noisy, half-labeled input too."""
-        graph = inject_noise(
-            get_dataset("IYP", scale=0.5, seed=1),
-            property_noise=0.2,
-            label_availability=0.5,
-            seed=1,
-        ).graph
+        graph = noisy_iyp_graph
         seq, par = (
             PGHive(
                 PGHiveConfig(jobs=jobs, memoize_patterns=True)

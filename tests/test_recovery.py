@@ -378,15 +378,13 @@ class TestCheckpointResume:
 
     def test_forced_sequential_fallback_is_reported(self, ldbc_graph):
         """When parallelism genuinely cannot run, the result says why."""
-        config = PGHiveConfig(jobs=2)
+        config = PGHiveConfig(jobs=2, memoize_patterns=True)
         result = PGHive(config).discover_incremental(
-            GraphStore(ldbc_graph),
-            num_batches=NUM_BATCHES,
-            post_process_each_batch=True,
+            GraphStore(ldbc_graph), num_batches=NUM_BATCHES
         )
         assert all(r.worker is None for r in result.batches)
         assert result.parallel_fallback is not None
-        assert "per-batch post-processing" in result.parallel_fallback
+        assert "pattern memoization" in result.parallel_fallback
 
     def test_clean_parallel_run_reports_no_fallback(self, ldbc_graph):
         result = PGHive(PGHiveConfig(jobs=1)).discover_incremental(

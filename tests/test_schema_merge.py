@@ -2,7 +2,6 @@
 
 import copy
 from collections import Counter
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,6 @@ from repro.schema.merge import (
     find_labeled_edge_host,
     merge_edge_types,
     merge_node_types,
-    merge_schema_tree,
     merge_schemas,
 )
 from repro.schema.model import DataType, EdgeType, NodeType, SchemaGraph
@@ -255,14 +253,6 @@ def _et_fingerprint(edge_type: EdgeType):
     )
 
 
-def _schema_fingerprint(schema: SchemaGraph):
-    """Canonical content of a whole schema, ignoring names and order."""
-    return (
-        frozenset(_nt_fingerprint(t) for t in schema.node_types.values()),
-        frozenset(_et_fingerprint(t) for t in schema.edge_types.values()),
-    )
-
-
 datatype_strategy = st.sampled_from(
     [DataType.UNKNOWN, DataType.INTEGER, DataType.DATE]
 )
@@ -306,30 +296,11 @@ def edge_types(draw):
     return edge_type
 
 
-@st.composite
-def batch_schemas(draw):
-    """A randomized batch schema: labeled node types plus edge types."""
-    schema = SchemaGraph(f"batch{draw(st.integers(0, 9))}")
-    drawn_nodes = draw(
-        st.lists(node_types(require_labels=True), max_size=3)
-    )
-    for i, node_type in enumerate(drawn_nodes):
-        node_type.name = f"n{i}"
-        schema.add_node_type(node_type)
-    drawn_edges = draw(st.lists(edge_types(), max_size=3))
-    for i, edge_type in enumerate(drawn_edges):
-        edge_type.name = f"e{i}"
-        schema.add_edge_type(edge_type)
-    return schema
-
-
 class TestMergeAlgebra:
     """The type-level merges are commutative and associative monoids.
 
-    These are the algebraic facts that license the parallel driver's
-    merge tree: because type content (modulo name and member order) does
-    not depend on merge order, any bracketing of the batch sequence
-    yields the same schema.
+    Type content (modulo name and member order) therefore does not
+    depend on the order in which two types meet.
     """
 
     @given(node_types(), node_types())
@@ -371,56 +342,6 @@ class TestMergeAlgebra:
             merge_edge_types(copy.deepcopy(b), copy.deepcopy(c)),
         )
         assert _et_fingerprint(left) == _et_fingerprint(right)
-
-
-class TestMergeSchemaTree:
-    @staticmethod
-    def _finalize(schema):
-        """The driver's closing step: fold into a fresh named schema.
-
-        A raw batch schema may still contain internally-mergeable edge
-        types (extraction keeps clusters apart that the schema-level
-        rules would unite); both the sequential engine's first fold and
-        the parallel driver's final fold collapse them, so equality is
-        stated after this normalization -- exactly what
-        ``combine_shard_results`` computes.
-        """
-        return merge_schemas(SchemaGraph("final"), schema)
-
-    @given(st.lists(batch_schemas(), min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_tree_equals_left_fold(self, schemas):
-        """Finalized tree == the sequential engine's running-schema fold."""
-        tree = self._finalize(
-            merge_schema_tree([copy.deepcopy(s) for s in schemas])
-        )
-        fold = reduce(
-            merge_schemas,
-            [copy.deepcopy(s) for s in schemas],
-            SchemaGraph("fold"),
-        )
-        assert _schema_fingerprint(tree) == _schema_fingerprint(fold)
-
-    @given(st.lists(batch_schemas(), min_size=2, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_tree_shape_independence(self, schemas):
-        """Pairwise tree and serial fold of the same order agree, so any
-        bracketing does (both are extreme tree shapes)."""
-        tree = self._finalize(
-            merge_schema_tree([copy.deepcopy(s) for s in schemas])
-        )
-        serial = self._finalize(
-            reduce(merge_schemas, [copy.deepcopy(s) for s in schemas])
-        )
-        assert _schema_fingerprint(tree) == _schema_fingerprint(serial)
-
-    def test_empty_input(self):
-        assert merge_schema_tree([]).node_types == {}
-
-    def test_single_schema_passthrough(self):
-        schema = SchemaGraph("only")
-        schema.add_node_type(_node_type("A", ("A",), ("k",)))
-        assert merge_schema_tree([schema]) is schema
 
 
 class TestEdgeTypeIndex:
