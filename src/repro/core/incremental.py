@@ -431,7 +431,6 @@ class IncrementalDiscovery:
                 self.config.jaccard_threshold,
                 self.config.endpoint_jaccard_threshold,
             )
-            resolve_edge_endpoints(batch_schema)
         return node_clusters, edge_clusters, embedder_reused
 
     # ------------------------------------------------------------------

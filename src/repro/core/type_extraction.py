@@ -39,7 +39,7 @@ from repro.schema.merge import (
     merge_node_types,
 )
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
-from repro.util.similarity import jaccard
+from repro.util.similarity import jaccard, jaccard_size_bound
 
 
 # Prefix marking pseudo-labels derived from node cluster identity (used to
@@ -314,8 +314,11 @@ def extract_node_types(
         else:
             candidate_ids = set(pool_empty)
         host = None
+        size = len(keys)
         for pool_id in sorted(candidate_ids):
             candidate = merged_pool[pool_id]
+            if jaccard_size_bound(size, len(candidate.properties)) < theta:
+                continue
             if jaccard(keys, candidate.property_keys) >= theta:
                 host = candidate
                 host_id = pool_id
@@ -410,30 +413,43 @@ def resolve_edge_endpoints(schema: SchemaGraph) -> None:
 
     Labeled endpoints match node types by label intersection; unlabeled
     endpoints match ABSTRACT node types through the shared cluster tokens.
+    A node type matches on a shared label or, failing that, on a shared
+    token, so an endpoint resolves to the union of the node types indexed
+    under its labels and under its tokens.  The two inverted indexes are
+    built once per call, which makes resolution linear in the schema
+    instead of (edge types x node types).
     """
-    for edge_type in schema.edge_types.values():
-        edge_type.source_types = _matching_node_types(
-            schema, edge_type.source_labels, edge_type.source_tokens
-        )
-        edge_type.target_types = _matching_node_types(
-            schema, edge_type.target_labels, edge_type.target_tokens
-        )
-
-
-def _matching_node_types(
-    schema: SchemaGraph,
-    labels: frozenset[str],
-    tokens: set[str] | frozenset[str] = frozenset(),
-) -> set[str]:
-    """Node types whose labels or cluster tokens match the endpoint."""
-    if not labels and not tokens:
-        return set()
-    matched = set()
+    by_label: dict[str, set[str]] = {}
+    by_token: dict[str, set[str]] = {}
     for node_type in schema.node_types.values():
-        if node_type.labels & labels:
-            matched.add(node_type.name)
-        elif tokens and node_type.cluster_tokens & set(tokens):
-            matched.add(node_type.name)
+        name = node_type.name
+        for label in node_type.labels:
+            by_label.setdefault(label, set()).add(name)
+        for token in node_type.cluster_tokens:
+            by_token.setdefault(token, set()).add(name)
+    for edge_type in schema.edge_types.values():
+        edge_type.source_types = _indexed_node_types(
+            by_label, by_token,
+            edge_type.source_labels, edge_type.source_tokens,
+        )
+        edge_type.target_types = _indexed_node_types(
+            by_label, by_token,
+            edge_type.target_labels, edge_type.target_tokens,
+        )
+
+
+def _indexed_node_types(
+    by_label: dict[str, set[str]],
+    by_token: dict[str, set[str]],
+    labels: frozenset[str],
+    tokens: set[str] | frozenset[str],
+) -> set[str]:
+    """Node type names indexed under any of the endpoint's labels/tokens."""
+    matched: set[str] = set()
+    for label in labels:
+        matched.update(by_label.get(label, ()))
+    for token in tokens:
+        matched.update(by_token.get(token, ()))
     return matched
 
 

@@ -64,8 +64,12 @@ class Word2Vec:
         Args:
             sentences: Token-index sentences; pairs are generated with the
                 configured window.
-            counts: Optional per-token occurrence counts used for the
-                negative-sampling distribution; uniform when omitted.
+            counts: Optional per-token occurrence counts, one per
+                vocabulary index, used for the negative-sampling
+                distribution; uniform when omitted.
+
+        Raises:
+            ValueError: ``counts`` does not have ``vocab_size`` entries.
         """
         if self.vocab_size == 0:
             self._trained = True
@@ -81,15 +85,19 @@ class Word2Vec:
         step = 0
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(pairs))
-            for idx in order:
-                center, context = pairs[idx]
+            # One draw per epoch: ``choice`` with ``p`` maps one uniform
+            # per sample through the noise CDF, so row i holds exactly
+            # the negatives a per-step call would have drawn at step i.
+            negatives = rng.choice(
+                self.vocab_size, size=(len(pairs), cfg.negatives), p=noise
+            )
+            for (center, context), step_negatives in zip(
+                pairs[order].tolist(), negatives.tolist()
+            ):
                 lr = cfg.learning_rate * max(
                     0.05, 1.0 - step / max(1, total_steps)
                 )
-                negatives = rng.choice(
-                    self.vocab_size, size=cfg.negatives, p=noise
-                )
-                self._sgd_step(center, context, negatives, lr)
+                self._sgd_step(center, context, step_negatives, lr)
                 step += 1
         self._trained = True
 
@@ -109,27 +117,36 @@ class Word2Vec:
         return np.asarray(pairs, dtype=np.int64)
 
     def _noise_distribution(self, counts: list[int] | None) -> np.ndarray:
-        """Unigram^0.75 negative-sampling distribution."""
-        if counts is None or len(counts) != self.vocab_size:
+        """Unigram^0.75 negative-sampling distribution; uniform without counts.
+
+        Raises:
+            ValueError: ``counts`` does not have one entry per token.
+        """
+        if counts is None:
             return np.full(self.vocab_size, 1.0 / self.vocab_size)
+        if len(counts) != self.vocab_size:
+            raise ValueError(
+                f"{len(counts)} token counts for a vocabulary of "
+                f"{self.vocab_size} tokens"
+            )
         freq = np.asarray(counts, dtype=np.float64)
         freq = np.maximum(freq, 1.0) ** 0.75
         return freq / freq.sum()
 
     def _sgd_step(
-        self, center: int, context: int, negatives: np.ndarray, lr: float
+        self, center: int, context: int, negatives: list[int], lr: float
     ) -> None:
         """One negative-sampling SGD update."""
         v = self._center[center]
         u_pos = self._context[context]
-        score = _sigmoid(u_pos @ v)
+        score = _sigmoid(float(u_pos @ v))
         grad_v = (score - 1.0) * u_pos
         self._context[context] = u_pos - lr * (score - 1.0) * v
         for neg in negatives:
             if neg == context:
                 continue
             u_neg = self._context[neg]
-            score_neg = _sigmoid(u_neg @ v)
+            score_neg = _sigmoid(float(u_neg @ v))
             grad_v = grad_v + score_neg * u_neg
             self._context[neg] = u_neg - lr * score_neg * v
         self._center[center] = v - lr * grad_v

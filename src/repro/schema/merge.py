@@ -21,7 +21,7 @@ subsumed by S_{i+1}).
 from __future__ import annotations
 
 from repro.schema.model import EdgeType, NodeType, SchemaGraph
-from repro.util.similarity import jaccard
+from repro.util.similarity import jaccard, jaccard_size_bound
 
 
 def merge_node_types(into: NodeType, other: NodeType) -> NodeType:
@@ -330,11 +330,20 @@ def best_jaccard_host(
     candidate: NodeType,
     threshold: float,
 ) -> NodeType | None:
-    """Highest-Jaccard node type at or above the threshold, or None."""
+    """Highest-Jaccard node type at or above the threshold, or None.
+
+    Candidates whose key-set sizes alone bound the Jaccard score below
+    the threshold (:func:`~repro.util.similarity.jaccard_size_bound`)
+    are skipped unscored; they could never win, so the choice and its
+    tie-break are those of scoring every candidate.
+    """
     best: NodeType | None = None
     best_score = threshold
     candidate_keys = candidate.property_keys
+    size = len(candidate_keys)
     for node_type in index.candidates(candidate):
+        if jaccard_size_bound(size, len(node_type.properties)) < threshold:
+            continue
         score = jaccard(candidate_keys, node_type.property_keys)
         if score >= best_score:
             best, best_score = node_type, score
@@ -352,11 +361,15 @@ def best_jaccard_edge_host(
     Property-set Jaccard must reach the threshold, and the endpoint label
     sets (or cluster tokens) must be compatible -- this is what keeps
     structurally bare but differently-wired relationship types apart.
+    Candidates are pruned by key-set size as in :func:`best_jaccard_host`.
     """
     best: EdgeType | None = None
     best_score = threshold
     candidate_keys = candidate.property_keys
+    size = len(candidate_keys)
     for edge_type in index.candidates(candidate):
+        if jaccard_size_bound(size, len(edge_type.properties)) < threshold:
+            continue
         score = jaccard(candidate_keys, edge_type.property_keys)
         if score >= best_score and endpoints_compatible(
             edge_type, candidate, endpoint_threshold

@@ -36,7 +36,6 @@ from repro.core.type_extraction import (
     PSEUDO_PREFIX,
     extract_edge_types,
     extract_node_types,
-    resolve_edge_endpoints,
 )
 from repro.core.vectorize import EdgeVectorizer, FeatureInterner, NodeVectorizer
 from repro.embeddings.embedder import LabelEmbedder
@@ -148,7 +147,6 @@ class ReferenceDiscovery(IncrementalDiscovery):
                 self.config.jaccard_threshold,
                 self.config.endpoint_jaccard_threshold,
             )
-            resolve_edge_endpoints(batch_schema)
         return node_clusters, edge_clusters, False
 
     def _effective_endpoint_labels(

@@ -17,7 +17,16 @@ Oracle -> production kernel:
 * :func:`cluster_by_band_union_reference` -> ``cluster_by_band_union``;
 * :func:`refine_by_labels` -> ``core.incremental._refine_by_label_ids``;
 * :func:`build_node_clusters` / :func:`build_edge_clusters`
-  -> ``build_node_clusters_from_columns`` / ``build_edge_clusters_from_columns``.
+  -> ``build_node_clusters_from_columns`` / ``build_edge_clusters_from_columns``;
+* :func:`train_word2vec_reference` -> ``Word2Vec.train`` (one
+  ``rng.choice`` per SGD step instead of one per epoch);
+* :func:`resolve_edge_endpoints_reference` -> ``resolve_edge_endpoints``
+  (a scan over every node type per endpoint instead of inverted indexes);
+* :func:`best_jaccard_host_reference` /
+  :func:`best_jaccard_edge_host_reference` -> ``best_jaccard_host`` /
+  ``best_jaccard_edge_host`` and
+  :func:`extract_node_types_reference` -> ``extract_node_types`` (every
+  candidate scored, without the key-set size bound).
 """
 
 from __future__ import annotations
@@ -29,13 +38,24 @@ import numpy as np
 from repro.core.type_extraction import (
     PSEUDO_PREFIX,
     CandidateCluster,
+    _add_node_unique,
+    _node_type_from_cluster,
     _split_pseudo,
 )
 from repro.core.vectorize import EdgeVectorizer, FeatureInterner, NodeVectorizer
+from repro.embeddings.word2vec import Word2Vec, _sigmoid
 from repro.graph.model import Edge, Node
 from repro.lsh.buckets import _renumber
 from repro.lsh.minhash import MinHashLSH
 from repro.lsh.unionfind import UnionFind
+from repro.schema.merge import (
+    EdgeTypeIndex,
+    NodeTypeIndex,
+    endpoints_compatible,
+    merge_node_types,
+)
+from repro.schema.model import EdgeType, NodeType, SchemaGraph
+from repro.util.similarity import jaccard
 
 
 def vectorize_nodes_reference(
@@ -223,3 +243,163 @@ def build_edge_clusters(
         cluster.source_tokens = cluster.source_tokens | src_tokens
         cluster.target_tokens = cluster.target_tokens | tgt_tokens
     return [clusters[cid] for cid in sorted(clusters)]
+
+
+def train_word2vec_reference(
+    model: Word2Vec,
+    sentences: list[list[int]],
+    counts: list[int] | None = None,
+) -> None:
+    """Skip-gram SGD drawing each step's negatives with its own ``choice``."""
+    if model.vocab_size == 0:
+        return
+    pairs = model._make_pairs(sentences)
+    if pairs.size == 0:
+        return
+    if counts is None:
+        noise = np.full(model.vocab_size, 1.0 / model.vocab_size)
+    else:
+        freq = np.maximum(np.asarray(counts, dtype=np.float64), 1.0) ** 0.75
+        noise = freq / freq.sum()
+    cfg = model.config
+    rng = np.random.default_rng(cfg.seed + 1)
+    total_steps = cfg.epochs * len(pairs)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(pairs))
+        for idx in order:
+            center, context = pairs[idx]
+            lr = cfg.learning_rate * max(
+                0.05, 1.0 - step / max(1, total_steps)
+            )
+            negatives = rng.choice(
+                model.vocab_size, size=cfg.negatives, p=noise
+            )
+            _sgd_step_reference(model, center, context, negatives, lr)
+            step += 1
+
+
+def _sgd_step_reference(
+    model: Word2Vec,
+    center: int,
+    context: int,
+    negatives: np.ndarray,
+    lr: float,
+) -> None:
+    """One negative-sampling SGD update on numpy scalars."""
+    v = model._center[center]
+    u_pos = model._context[context]
+    score = _sigmoid(u_pos @ v)
+    grad_v = (score - 1.0) * u_pos
+    model._context[context] = u_pos - lr * (score - 1.0) * v
+    for neg in negatives:
+        if neg == context:
+            continue
+        u_neg = model._context[neg]
+        score_neg = _sigmoid(u_neg @ v)
+        grad_v = grad_v + score_neg * u_neg
+        model._context[neg] = u_neg - lr * score_neg * v
+    model._center[center] = v - lr * grad_v
+
+
+def resolve_edge_endpoints_reference(schema: SchemaGraph) -> None:
+    """Endpoint resolution scanning every node type for every endpoint."""
+    for edge_type in schema.edge_types.values():
+        edge_type.source_types = _matching_node_types(
+            schema, edge_type.source_labels, edge_type.source_tokens
+        )
+        edge_type.target_types = _matching_node_types(
+            schema, edge_type.target_labels, edge_type.target_tokens
+        )
+
+
+def _matching_node_types(
+    schema: SchemaGraph,
+    labels: frozenset[str],
+    tokens: set[str] | frozenset[str] = frozenset(),
+) -> set[str]:
+    """Node types whose labels or cluster tokens match the endpoint."""
+    if not labels and not tokens:
+        return set()
+    matched = set()
+    for node_type in schema.node_types.values():
+        if node_type.labels & labels:
+            matched.add(node_type.name)
+        elif tokens and node_type.cluster_tokens & set(tokens):
+            matched.add(node_type.name)
+    return matched
+
+
+def best_jaccard_host_reference(
+    index: NodeTypeIndex, candidate: NodeType, threshold: float
+) -> NodeType | None:
+    """Highest-Jaccard node type at or above the threshold, all scored."""
+    best: NodeType | None = None
+    best_score = threshold
+    candidate_keys = candidate.property_keys
+    for node_type in index.candidates(candidate):
+        score = jaccard(candidate_keys, node_type.property_keys)
+        if score >= best_score:
+            best, best_score = node_type, score
+    return best
+
+
+def best_jaccard_edge_host_reference(
+    index: EdgeTypeIndex,
+    candidate: EdgeType,
+    threshold: float,
+    endpoint_threshold: float = 0.5,
+) -> EdgeType | None:
+    """Closest endpoint-compatible edge-type host, all candidates scored."""
+    best: EdgeType | None = None
+    best_score = threshold
+    candidate_keys = candidate.property_keys
+    for edge_type in index.candidates(candidate):
+        score = jaccard(candidate_keys, edge_type.property_keys)
+        if score >= best_score and endpoints_compatible(
+            edge_type, candidate, endpoint_threshold
+        ):
+            best, best_score = edge_type, score
+    return best
+
+
+def extract_node_types_reference(
+    schema: SchemaGraph,
+    clusters: Sequence[CandidateCluster],
+    theta: float,
+) -> None:
+    """Node half of Algorithm 2 with unpruned host searches."""
+    unlabeled: list[NodeType] = []
+    for cluster in clusters:
+        node_type = _node_type_from_cluster(cluster)
+        if cluster.is_labeled:
+            existing = schema.node_type_for_labels(node_type.labels)
+            if existing is not None:
+                merge_node_types(existing, node_type)
+            else:
+                _add_node_unique(schema, node_type)
+        else:
+            unlabeled.append(node_type)
+    labeled_index = NodeTypeIndex(schema, labeled_only=True)
+    still_unlabeled: list[NodeType] = []
+    for node_type in unlabeled:
+        host = best_jaccard_host_reference(labeled_index, node_type, theta)
+        if host is not None:
+            merge_node_types(host, node_type)
+            labeled_index.add(host)
+        else:
+            still_unlabeled.append(node_type)
+    # First fit among the remaining unlabeled types, in appearance order.
+    merged_pool: list[NodeType] = []
+    for node_type in still_unlabeled:
+        keys = node_type.property_keys
+        for candidate in merged_pool:
+            if jaccard(keys, candidate.property_keys) >= theta:
+                merge_node_types(candidate, node_type)
+                break
+        else:
+            merged_pool.append(node_type)
+    for node_type in merged_pool:
+        node_type.name = schema.next_abstract_name("NODE")
+        node_type.abstract = True
+        schema.add_node_type(node_type)

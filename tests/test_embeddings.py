@@ -92,6 +92,20 @@ class TestWord2Vec:
         model.train([])
         assert model.is_trained
 
+    def test_counts_must_cover_the_vocabulary(self):
+        """A count list of the wrong length is an error, not a silent
+        uniform noise distribution."""
+        model = Word2Vec(3, Word2VecConfig(dimension=4))
+        with pytest.raises(ValueError, match="2 token counts .* 3 tokens"):
+            model.train([[0, 1], [1, 2]], counts=[4, 1])
+        with pytest.raises(ValueError, match="4 token counts .* 3 tokens"):
+            model.train([[0, 1], [1, 2]], counts=[4, 1, 1, 1])
+
+    def test_counts_none_is_uniform(self):
+        model = Word2Vec(3, Word2VecConfig(dimension=4))
+        uniform = model._noise_distribution(None)
+        assert np.array_equal(uniform, np.full(3, 1 / 3))
+
 
 class TestLabelEmbedder:
     def test_unlabeled_is_zero_vector(self, figure1_graph):
