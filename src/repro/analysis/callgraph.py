@@ -970,7 +970,7 @@ class _Resolver:
         self, call: ast.Call, guards: tuple[frozenset[str], ...]
     ) -> None:
         targets, externals, dynamic, receiver = self.call_targets(call)
-        bindings = self._bindings(call, receiver)
+        bindings = self._bindings(call, receiver, targets)
         self._register_passed_callables(call, targets)
         target_ids = tuple(sorted(targets)) if targets else (
             (UNKNOWN,) if dynamic else ()
@@ -989,7 +989,7 @@ class _Resolver:
             self.graph.edges[self.function.id].add(target)
 
     def _bindings(
-        self, call: ast.Call, receiver: ast.expr | None
+        self, call: ast.Call, receiver: ast.expr | None, targets: set[str]
     ) -> tuple[tuple[int, str], ...]:
         out: list[tuple[int, str]] = []
         offset = 0
@@ -997,6 +997,13 @@ class _Resolver:
             base = _base_name(receiver)
             if base is not None:
                 out.append((0, base))
+            offset = 1
+        elif targets and all(
+            target.endswith((".__init__", ".__post_init__"))
+            for target in targets
+        ):
+            # ``Cls(a)``: the instance under construction is ``self``,
+            # so the first argument binds to parameter 1.
             offset = 1
         for position, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred):

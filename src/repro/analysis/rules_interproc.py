@@ -56,6 +56,7 @@ WORKER_ROOTS: tuple[str, ...] = (
 MERGE_ROOTS: tuple[str, ...] = (
     "schema/merge.py:merge_schemas",
     "schema/merge.py:_merge_stats",
+    "core/incremental.py:IncrementalDiscovery.fold",
     "core/parallel.py:combine_shard_results",
 )
 
@@ -216,7 +217,7 @@ class MergePurityRule(_InterprocRule):
 
     name = "merge-purity"
     description = (
-        "the merge_schemas/combine_shard_results call "
+        "the merge_schemas/IncrementalDiscovery.fold call "
         "tree performs no I/O, no global writes, no nondeterministic "
         "reads and never mutates the shared config"
     )

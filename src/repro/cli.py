@@ -178,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="compute exact cardinality bounds")
     discover.add_argument("--memoize", action="store_true",
                           help="enable the incremental memoization fast "
-                               "path (with --batches); it runs the "
-                               "sequential engine at any --jobs")
+                               "path (with --batches); it maps batches "
+                               "in-process at any --jobs")
     discover.add_argument("--on-error", choices=["raise", "skip", "collect"],
                           default="raise",
                           help="policy for malformed input records: stop "
@@ -187,18 +187,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(skip), or drop and report each rejected "
                                "line (collect)")
     discover.add_argument("--checkpoint-dir",
-                          help="journal run state here: the running "
-                               "schema every --checkpoint-every batches "
-                               "(sequential runs) or one entry per "
-                               "completed shard (--jobs > 1)")
+                          help="journal run state here, at any --jobs: "
+                               "the folded schema every --checkpoint-every "
+                               "batches, plus completed shards that cannot "
+                               "be folded yet")
     discover.add_argument("--checkpoint-every", type=int, default=1,
                           help="batches between checkpoints")
     discover.add_argument("--resume", action="store_true",
-                          help="continue from the checkpoint in "
-                               "--checkpoint-dir if one exists")
+                          help="continue from the journal in "
+                               "--checkpoint-dir if one exists, whatever "
+                               "--jobs wrote it")
     discover.add_argument("--strict-recovery", action="store_true",
-                          help="fail the run if any parallel shard cannot "
-                               "be recovered (default: degrade and report)")
+                          help="fail the run if any shard cannot be "
+                               "recovered (default: degrade and report)")
     discover.add_argument("--store", choices=["memory", "disk"],
                           default="memory",
                           help="graph storage backend: in-memory objects "
@@ -452,14 +453,10 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             f"({result.parallel_fallback}); ran sequentially",
             file=sys.stderr,
         )
-    if result.resumed_from:
+    if result.resumed_from or result.resumed_shards:
         print(
-            f"-- resumed from checkpoint at batch {result.resumed_from}",
-            file=sys.stderr,
-        )
-    if result.resumed_shards:
-        print(
-            f"-- resumed {len(result.resumed_shards)} shard(s) from the "
+            f"-- resumed from checkpoint at batch {result.resumed_from}: "
+            f"resumed {len(result.resumed_shards)} shard(s) from the "
             f"parallel journal",
             file=sys.stderr,
         )

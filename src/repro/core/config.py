@@ -49,7 +49,7 @@ class PGHiveConfig:
             fully labeled graphs; with unlabeled elements present it
             changes which elements the batch's LSH stage sees, so the
             unlabeled ones may cluster differently.  Consults the running
-            schema, so it always runs the sequential engine, at any
+            schema, so it always runs the in-process executor, at any
             ``jobs``.  Off by default.
         infer_value_profiles: Additionally profile value domains
             (enumerations, numeric/temporal ranges -- the paper's "future
@@ -60,14 +60,15 @@ class PGHiveConfig:
         infer_datatypes_by_sampling: Use the sampled datatype mode.
         datatype_sample_fraction / datatype_sample_minimum: Its parameters
             (paper: 10 % of the properties, at least 1000).
-        jobs: Worker processes for incremental discovery.  ``1`` (default)
-            keeps the fully sequential engine (byte-identical to previous
-            releases); ``N > 1`` runs batch schemas in a process pool and
-            folds them in batch order like the sequential engine
-            (:mod:`repro.core.parallel`), so the final schema is
-            byte-identical to ``jobs=1`` and does not depend on worker
-            completion order.  Shard results return pickled through the
-            pool's own pipe.
+        jobs: Worker processes for incremental discovery.  It only picks
+            the executor of the one map-then-fold driver
+            (:meth:`repro.core.pipeline.PGHive.drive`): ``1`` (default)
+            maps batches in-process, ``N > 1`` on a fork pool
+            (:mod:`repro.core.parallel`).  Either way the driver folds
+            batch schemas in batch order, so the final schema is
+            byte-identical at every ``jobs`` and does not depend on
+            worker completion order.  Shard results return pickled
+            through the pool's own pipe.
         parallel_chunk: How many shards each pool task processes:
             ``"auto"`` balances tasks across workers, or a positive
             integer literal (e.g. ``"2"``).  Pure scheduling knob -- the
@@ -98,18 +99,18 @@ class PGHiveConfig:
             (see :mod:`repro.core.faults`), e.g. ``"shard:2:kill"``.
             ``None`` falls back to the ``PGHIVE_FAULTS`` environment
             variable; empty disables injection.  Test/CI facility.
-        checkpoint_dir: Directory for incremental-run checkpoints.  When
-            set, the sequential engine journals the running schema plus a
-            batch-index manifest (atomic write-and-rename) after every
-            ``checkpoint_every`` batches, and
+        checkpoint_dir: Directory for the run journal, one format at
+            every ``jobs``.  The folded prefix (running schema, reports,
+            parameters and failures, atomic write-and-rename) is written
+            every ``checkpoint_every`` folded batches and at the end; a
+            completed shard that cannot be folded yet (a lower index is
+            still running) is kept as ``checkpoint_dir/shards/`` entry
+            until a prefix covers it.  A fresh run clears both, and
             ``discover_incremental(..., resume=True)`` continues a killed
-            run from the last checkpoint to the identical final schema.
-            With ``jobs > 1`` the parallel driver instead journals each
-            completed shard under ``checkpoint_dir/shards/`` (one atomic
-            JSON document per shard) and ``resume=True`` reloads the
-            completed shards and recomputes only the missing ones --
-            shard discovery is pure, so the resumed schema is identical.
-        checkpoint_every: Checkpoint cadence in batches (default 1).
+            run at any ``jobs`` -- mapping only the batches the journal
+            lacks -- to the identical final schema.
+        checkpoint_every: Prefix checkpoint cadence in folded batches
+            (default 1).
         store: Which graph storage backend discovery reads from.
             ``"memory"`` (default) keeps every node and edge as Python
             objects in a :class:`~repro.graph.store.GraphStore`;

@@ -7,8 +7,8 @@ makes them *reproducible*: a :class:`FaultPlan` names exactly which sites
 (shard index, batch index, ...) misbehave, how (``raise`` an exception,
 ``hang`` for a while, ``kill`` the worker process), and how many attempts
 are affected, and a :class:`FaultInjector` fires those faults at the
-instrumented points of the parallel driver
-(:mod:`repro.core.parallel`) and the incremental pipeline
+instrumented points of the pool executor
+(:mod:`repro.core.parallel`) and the map-then-fold driver
 (:mod:`repro.core.pipeline`).
 
 Everything is deterministic: a fault fires if and only if the *attempt
@@ -25,7 +25,7 @@ configuration and environment variables unchanged::
     shard:2:raise            # shard 2 raises once, then behaves
     shard:3:kill:2           # shard 3 kills its worker on attempts 0 and 1
     shard:1:hang:1:30        # shard 1 sleeps 30s on its first attempt
-    batch:4:raise            # sequential batch 4 raises (crash simulation)
+    batch:4:raise            # the fold of batch 4 raises, at any jobs
     shard:*:raise:1:0:0.25   # every shard's first attempt fails w.p. 0.25
 
 Two modes exist specifically for the storage fault sites of the slab
@@ -83,7 +83,7 @@ class FaultSpec:
 
     Attributes:
         site: Instrumentation point name (``"shard"`` for pool workers,
-            ``"batch"`` for the sequential incremental loop).  Free-form:
+            ``"batch"`` for the driver's fold, at every ``jobs``).  Free-form:
             new call sites need no harness changes.
         index: Which shard/batch misbehaves; ``None`` matches every index
             (the ``*`` wildcard in the string form).

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import importlib
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -41,7 +42,7 @@ from repro.core.columns import (
     union_of,
 )
 from repro.core.config import LSHMethod, PGHiveConfig
-from repro.core.result import BatchReport
+from repro.core.result import BatchReport, ShardFailure, ShardResult
 from repro.core.postprocess import (
     attach_partial_stats,
     fold_edge,
@@ -69,6 +70,12 @@ from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
 from repro.schema.merge import merge_schemas
 from repro.schema.model import SchemaGraph
+from repro.schema.persist import (
+    SchemaPersistError,
+    clear_shard_journal,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.util.timing import StageTimer
 
 #: Modules a batch first imports lazily, inside a call: ``np.unique``
@@ -121,16 +128,18 @@ def run_context(
     config: PGHiveConfig,
     fingerprint: dict[str, str] | None = None,
 ) -> dict[str, object]:
-    """Identify the run a checkpoint or shard journal belongs to.
+    """Identify the run a journal belongs to.
 
-    The sequential checkpoint and the pool's shard journal both store
-    this context, and a resume uses only state whose context matches:
-    the same source, batch plan and seed, folded the same way.  Stats
-    are folded only with post-processing on and value sketches only with
-    profiles, so resuming state folded another way would print wrong
-    datatypes or empty profiles.  Durable stores add their on-disk
-    ``fingerprint`` (row counts and heap sizes), so state written
-    against one slab generation never resumes against another.
+    The folded prefix and every out-of-order shard entry store this
+    context, and a resume refuses state whose context differs (see
+    :func:`check_context`): the same source, batch plan and seed, folded
+    the same way.  Stats are folded only with post-processing on and
+    value sketches only with profiles, so resuming state folded another
+    way would print wrong datatypes or empty profiles.  The store's
+    ``fingerprint`` (its content digest, or a slab generation) keeps
+    state written against one input from resuming against another.
+    The worker count is not part of the context: a run killed at any
+    ``jobs`` resumes at any ``jobs``.
     """
     context: dict[str, object] = {
         "source": source,
@@ -142,6 +151,20 @@ def run_context(
     if fingerprint is not None:
         context["store"] = fingerprint
     return context
+
+
+def check_context(
+    where: object, stored: dict[str, Any], expected: dict[str, Any]
+) -> None:
+    """Raise :class:`SchemaPersistError` naming the first key of
+    ``expected`` that journal state at ``where`` stores differently."""
+    for key, value in expected.items():
+        if stored.get(key) != value:
+            raise SchemaPersistError(
+                f"{where}: checkpoint context mismatch for {key!r}: "
+                f"checkpoint has {stored.get(key)!r}, this run expects "
+                f"{value!r}"
+            )
 
 
 class IncrementalDiscovery:
@@ -166,6 +189,13 @@ class IncrementalDiscovery:
         self.schema = schema if schema is not None else SchemaGraph(name)
         self.reports: list[BatchReport] = []
         self.parameters: dict[str, str] = {}
+        #: Failure events of every batch folded so far (quarantined or
+        #: recovered shards); the prefix checkpoint keeps them.
+        self.failures: list[ShardFailure] = []
+        #: The context of the checkpoint this engine was restored from.
+        self.context: dict[str, Any] = {}
+        #: Length of the folded prefix: one past the last folded index.
+        self.next_batch = 0
         self._batch_counter = 0
         # Embedder reuse across batches: key is the deduplicated, sorted
         # sentence corpus; Word2Vec training is deterministic, so an
@@ -187,28 +217,22 @@ class IncrementalDiscovery:
     def save_checkpoint(
         self, directory: str | Path, context: dict[str, Any] | None = None
     ) -> Path:
-        """Journal the engine's full resumable state into ``directory``.
+        """Write the folded prefix, the resumable half of the journal.
 
-        Written atomically (one document, temp file + rename): the
-        running schema plus a manifest of how many batches completed,
-        the per-batch reports and LSH parameters, and an optional caller
-        ``context`` (e.g. the batch plan) that resume can validate
-        against; the types' folded §4.4 stats ride in that context under
-        ``"stats"``.  The embedder cache is deliberately *not* persisted --
-        it is a pure-cost cache, and a resumed engine simply refits.
-
-        Returns:
-            The checkpoint file path.
+        One atomic document: the running schema with members and §4.4
+        stats, ``next_batch``, reports, parameters, the failures folded
+        past and the caller's ``context``.  Shard entries it covers are
+        deleted.  The embedder cache is a pure-cost cache and is not
+        kept.  Returns the checkpoint file path.
         """
-        from repro.schema.persist import save_checkpoint
-
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         manifest: dict[str, Any] = {
-            "next_batch": self._batch_counter,
+            "next_batch": self.next_batch,
             "schema_name": self.schema.name,
             "parameters": dict(self.parameters),
             "reports": [report.to_dict() for report in self.reports],
+            "failures": [asdict(failure) for failure in self.failures],
             "context": {
                 **(context or {}),
                 "stats": schema_stats_to_dict(self.schema),
@@ -216,6 +240,7 @@ class IncrementalDiscovery:
         }
         path = self.checkpoint_path(directory)
         save_checkpoint(path, self.schema, manifest)
+        clear_shard_journal(directory, before=self.next_batch)
         return path
 
     @classmethod
@@ -228,45 +253,33 @@ class IncrementalDiscovery:
         """Rebuild an engine from :meth:`save_checkpoint` output.
 
         The resumed engine continues exactly where the checkpointed one
-        stopped: its batch counter, parameter log and reports pick up at
-        ``next_batch``, so feeding it the remaining batches of the same
-        sequence produces a final schema identical to an uninterrupted
-        run (the kill-at-batch-i equivalence test enforces this).
-
-        Args:
-            directory: Directory holding the checkpoint.
-            config: Configuration for the resumed engine.
-            expected_context: When given, every key must match the
-                checkpoint's stored context -- a cheap guard against
-                resuming with a different batch plan, seed or input, which
-                would silently corrupt the schema chain.
+        stopped (counter, parameters, reports and failures pick up at
+        ``next_batch``), so folding the remaining batches gives the
+        schema of an uninterrupted run.  Every key of
+        ``expected_context`` must match the stored context
+        (:func:`check_context`), which the engine keeps as ``context``.
 
         Raises:
             FileNotFoundError: No checkpoint in ``directory``.
             SchemaPersistError: Corrupt checkpoint or context mismatch.
         """
-        from repro.core.result import BatchReport
-        from repro.schema.persist import SchemaPersistError, load_checkpoint
-
         path = cls.checkpoint_path(directory)
         schema, manifest = load_checkpoint(path)
         stored_context = manifest.get("context", {})
-        for key, expected in (expected_context or {}).items():
-            stored = stored_context.get(key)
-            if stored != expected:
-                raise SchemaPersistError(
-                    f"{path}: checkpoint context mismatch for {key!r}: "
-                    f"checkpoint has {stored!r}, this run expects "
-                    f"{expected!r}"
-                )
+        check_context(path, stored_context, expected_context or {})
         schema_stats_from_dict(schema, stored_context.get("stats"))
         engine = cls(config, schema=schema)
-        engine._batch_counter = int(manifest.get("next_batch", 0))
+        engine.next_batch = int(manifest.get("next_batch", 0))
+        engine._batch_counter = engine.next_batch
         engine.parameters = dict(manifest.get("parameters", {}))
         engine.reports = [
             BatchReport.from_dict(record)
             for record in manifest.get("reports", ())
         ]
+        engine.failures = [
+            ShardFailure(**record) for record in manifest.get("failures", ())
+        ]
+        engine.context = stored_context
         return engine
 
     @classmethod
@@ -274,6 +287,9 @@ class IncrementalDiscovery:
         """Whether ``directory`` holds a checkpoint file."""
         return cls.checkpoint_path(directory).is_file()
 
+    # ------------------------------------------------------------------
+    # Map and fold
+    # ------------------------------------------------------------------
     def process_batch(
         self,
         nodes: Sequence[Node],
@@ -281,11 +297,10 @@ class IncrementalDiscovery:
         endpoint_labels: dict[int, frozenset[str]] | None = None,
         batch_index: int | None = None,
     ) -> BatchReport:
-        """Cluster one batch and merge its types into the running schema.
+        """Map one batch, fold it and resolve endpoints, for streaming.
 
-        Memoization absorbs the elements that match known types first;
-        the rest go through :meth:`discover_batch`, whose schema (and
-        stats) then merge into the running schema.
+        :meth:`map_batch` then :meth:`fold`, the steps the driver
+        (:meth:`repro.core.pipeline.PGHive.drive`) interleaves.
 
         Args:
             nodes: Batch nodes.
@@ -302,6 +317,28 @@ class IncrementalDiscovery:
             cluster counts.
         """
         started = time.perf_counter()
+        shard = self.map_batch(nodes, edges, endpoint_labels, batch_index)
+        self.fold(shard)
+        resolve_edge_endpoints(self.schema)
+        report = self.reports[-1]
+        report.seconds = time.perf_counter() - started
+        return report
+
+    def map_batch(
+        self,
+        nodes: Sequence[Node],
+        edges: Sequence[Edge],
+        endpoint_labels: dict[int, frozenset[str]] | None = None,
+        batch_index: int | None = None,
+    ) -> ShardResult:
+        """The in-process map step: absorb known patterns, then discover.
+
+        Memoization absorbs the elements that match types of the running
+        schema first, so batch ``i`` must be mapped after batch ``i-1``
+        was folded; the rest go through :meth:`discover_batch`.
+        Arguments are as for :meth:`process_batch`.
+        """
+        started = time.perf_counter()
         if endpoint_labels is None:
             endpoint_labels = {node.id: node.labels for node in nodes}
         memo_node_hits = memo_edge_hits = 0
@@ -309,25 +346,45 @@ class IncrementalDiscovery:
             nodes, edges, memo_node_hits, memo_edge_hits = (
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
+        seen = len(self.parameters)
         batch_schema, report = self.discover_batch(
             nodes, edges, endpoint_labels, batch_index
         )
-        merge_started = time.perf_counter()
-        merge_schemas(
-            self.schema,
-            batch_schema,
-            self.config.jaccard_threshold,
-            self.config.endpoint_jaccard_threshold,
-        )
-        resolve_edge_endpoints(self.schema)
-        report.stage_seconds["merge"] = time.perf_counter() - merge_started
         report.seconds = time.perf_counter() - started
         report.num_nodes += memo_node_hits
         report.num_edges += memo_edge_hits
         report.memo_node_hits = memo_node_hits
         report.memo_edge_hits = memo_edge_hits
-        self.reports.append(report)
-        return report
+        parameters = dict(list(self.parameters.items())[seen:])
+        return ShardResult(report.index, batch_schema, report, parameters)
+
+    def fold(self, shard: ShardResult) -> float:
+        """Fold one mapped batch into the running schema; return seconds.
+
+        The one fold every engine runs (the driver, the daemon and
+        :func:`repro.core.parallel.combine_shard_results`): merge the
+        batch schema and its stats with
+        :func:`~repro.schema.merge.merge_schemas`, keep its report
+        (timing the ``merge`` stage), parameters and failures, and step
+        the prefix past its index; a failed batch keeps its failures
+        only.  No merge reads endpoints, so callers resolve them once.
+        """
+        started = time.perf_counter()
+        self.failures.extend(shard.failures)
+        if shard.schema is not None and shard.report is not None:
+            merge_schemas(
+                self.schema,
+                shard.schema,
+                self.config.jaccard_threshold,
+                self.config.endpoint_jaccard_threshold,
+            )
+            self.reports.append(shard.report)
+            self.parameters.update(shard.parameters)
+        self.next_batch = shard.index + 1
+        elapsed = time.perf_counter() - started
+        if shard.report is not None:
+            shard.report.stage_seconds["merge"] = elapsed
+        return elapsed
 
     def discover_batch(
         self,
@@ -338,7 +395,7 @@ class IncrementalDiscovery:
     ) -> tuple[SchemaGraph, BatchReport]:
         """Build one batch's schema, with its §4.4 stats, without merging.
 
-        The batch method every engine runs -- :meth:`process_batch`, the
+        The batch method every engine runs -- :meth:`map_batch`, the
         pool workers of :mod:`repro.core.parallel` and the daemon's
         sessions: columnize the elements, run
         :meth:`discover_batch_columns`, then (with
@@ -562,8 +619,8 @@ class IncrementalDiscovery:
         workers: the caller (or the worker itself) columnizes a shard
         once, and this method runs the vectorized pipeline on the compact
         arrays, returning the *batch* schema and its report.  The running
-        schema is not touched -- the driver folds shard schemas in batch
-        order with :func:`repro.core.parallel.combine_shard_results`.
+        schema is not touched -- the driver folds batch schemas in batch
+        order with :meth:`fold`.
 
         Args:
             ncols / ecols: Columnized shard (see :mod:`repro.core.columns`).

@@ -51,6 +51,38 @@ class ShardFailure:
         )
 
 
+class ShardRecoveryError(RuntimeError):
+    """Raised in strict mode when a shard fails beyond all recovery.
+
+    Carries the full failure history so callers can distinguish a
+    poisoned shard (every attempt failed the same way) from flaky
+    infrastructure (mixed kinds across attempts).
+    """
+
+    def __init__(self, failures: Sequence[ShardFailure]) -> None:
+        self.failures = list(failures)
+        unrecovered = sorted({
+            f.index for f in self.failures if f.recovered_by is None
+        })
+        super().__init__(
+            f"shards {unrecovered} failed after retries and in-process "
+            f"fallback ({len(self.failures)} failure events)"
+        )
+
+
+@dataclass
+class ShardResult:
+    """One mapped batch, ready to fold: its schema, report, parameters
+    and failure events (``schema``/``report`` are ``None`` when the
+    batch failed beyond recovery)."""
+
+    index: int
+    schema: SchemaGraph | None
+    report: BatchReport | None
+    parameters: dict[str, str] = field(default_factory=dict)
+    failures: list[ShardFailure] = field(default_factory=list)
+
+
 @dataclass
 class BatchReport:
     """Per-batch diagnostics of an incremental run.
@@ -175,11 +207,11 @@ class DiscoveryResult:
             A recovered run's ``schema`` is byte-identical to a clean
             one; entries with ``recovered_by is None`` mark shards whose
             contribution is missing (non-strict degraded run).
-        resumed_from: First batch index actually processed by this run
-            (nonzero when a sequential run resumed from a checkpoint).
-        resumed_shards: Shard indices restored from the parallel shard
-            journal instead of recomputed (empty for clean and
-            sequential runs).
+        resumed_from: Length of the folded prefix a resumed run
+            restored from its checkpoint (0 for a fresh run).
+        resumed_shards: Every batch index restored from the journal
+            instead of recomputed: the prefix's folded batches plus the
+            out-of-order shard entries (empty for a fresh run).
         parallel_fallback: Human-readable reason why a ``jobs > 1``
             request ran on the sequential engine anyway (``None`` when
             parallel ran, or when parallelism was never requested).

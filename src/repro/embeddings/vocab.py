@@ -17,7 +17,7 @@ raw data is a graph rather than text.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.graph.model import PropertyGraph, canonical_label
 
@@ -97,12 +97,3 @@ def build_label_corpus(
             vocabulary.add(token)
     return vocabulary, sentences
 
-
-def tokens_for_labels(label_sets: Iterable[frozenset[str]]) -> list[str]:
-    """Canonical tokens for a collection of label sets, dropping empties."""
-    tokens = []
-    for labels in label_sets:
-        token = canonical_label(labels)
-        if token:
-            tokens.append(token)
-    return tokens

@@ -15,6 +15,7 @@ All randomness is seeded so experiments are reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from abc import ABC, abstractmethod
 from collections import defaultdict
@@ -147,12 +148,11 @@ class BaseGraphStore(ABC):
         """Build the single batch described by ``plan``."""
 
     def journal_fingerprint(self) -> dict[str, str] | None:
-        """Durable-state marker for checkpoint/journal context.
+        """Content marker for the run journal's context.
 
-        ``None`` for ephemeral in-memory stores; persistent backends
-        return something that changes whenever the stored graph does, so
-        a resumed run can refuse a journal written against different
-        data.
+        Something that changes whenever the stored graph does, so a
+        resumed run can refuse a journal written against different
+        data; ``None`` when the backend cannot tell.
         """
         return None
 
@@ -216,21 +216,6 @@ class GraphStore(BaseGraphStore):
     # ------------------------------------------------------------------
     # Batch streaming for the incremental mode (section 4.6)
     # ------------------------------------------------------------------
-    def batches(
-        self,
-        num_batches: int,
-        seed: int = 0,
-        shuffle: bool = True,
-    ) -> Iterator["GraphBatch"]:
-        """Split the graph into ``num_batches`` node-partitioned batches.
-
-        See :meth:`BaseGraphStore.batches`; this override materializes
-        straight from the cached partition.
-        """
-        partition = self._partition(num_batches, seed, shuffle)
-        for batch_index in range(num_batches):
-            yield self._make_batch(partition, batch_index)
-
     def plan_shards(
         self,
         num_shards: int,
@@ -262,6 +247,31 @@ class GraphStore(BaseGraphStore):
             )
         partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
         return self._make_batch(partition, plan.index)
+
+    def journal_fingerprint(self) -> dict[str, str] | None:
+        """Element counts plus a digest over every element in id order.
+
+        Labels, endpoints and properties all enter the digest, so an
+        edited input never resumes a journal of the old one.  It costs a
+        pass over the graph, so the driver asks only when it journals.
+        """
+        digest = hashlib.blake2b(digest_size=16)
+        nodes = sorted(self._graph.nodes(), key=lambda n: n.id)
+        edges = sorted(self._graph.edges(), key=lambda e: e.id)
+        for element in [*nodes, *edges]:
+            ends = (
+                (element.source, element.target)
+                if isinstance(element, Edge) else ()
+            )
+            digest.update(repr((
+                element.id, ends, sorted(element.labels),
+                sorted(element.properties.items()),
+            )).encode("utf-8"))
+        return {
+            "nodes": str(self.count_nodes()),
+            "edges": str(self.count_edges()),
+            "digest": digest.hexdigest(),
+        }
 
     def _partition(
         self, num_shards: int, seed: int, shuffle: bool

@@ -286,14 +286,6 @@ class SchemaGraph:
                 return node_type
         return None
 
-    def edge_type_for_labels(self, labels: Iterable[str]) -> EdgeType | None:
-        """Find one edge type whose label set equals the given labels."""
-        target = frozenset(labels)
-        for edge_type in self._edge_types.values():
-            if edge_type.labels == target:
-                return edge_type
-        return None
-
     def edge_types_for_labels(self, labels: Iterable[str]) -> list[EdgeType]:
         """All edge types whose label set equals the given labels.
 

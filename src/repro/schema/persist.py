@@ -15,18 +15,16 @@ Two failure-hardening facilities live here as well:
   :class:`SchemaPersistError` with the file path in the message, so a
   nightly job distinguishes "yesterday's schema is damaged" from its own
   bugs with one except clause;
-* :func:`save_checkpoint` / :func:`load_checkpoint` journal a *run in
-  progress* (the running schema plus a manifest of completed batches) as
-  one JSON document written atomically (temp file + ``os.replace``), so
-  a crash at any instant leaves either the previous checkpoint or the
-  new one, never a torn mix.  The monotone merge (Lemmas 1-2) is what
-  makes resuming from such a snapshot safe: re-processing the remaining
-  batches merges to the identical final schema.
-* :func:`save_shard_journal_entry` / :func:`load_shard_journal` /
-  :func:`clear_shard_journal` do the same for the *parallel* driver,
-  one atomic document per completed shard under
-  ``<checkpoint_dir>/shards/``, so a crashed ``jobs > 1`` run resumes
-  mid-pool from its completed shards.
+* the run journal's on-disk halves, each written atomically (temp file +
+  ``os.replace``) so a crash at any instant leaves whole documents,
+  never a torn mix.  :func:`save_checkpoint` / :func:`load_checkpoint`
+  hold the *folded prefix* (the running schema plus its manifest), and
+  :func:`save_shard_journal_entry` / :func:`load_shard_journal` /
+  :func:`clear_shard_journal` hold completed shards that could not be
+  folded yet, one document each under ``<checkpoint_dir>/shards/``.
+  The monotone merge (Lemmas 1-2) and shard purity are what make
+  resuming from them safe at any worker count: folding the remaining
+  batches gives the identical final schema.
 """
 
 from __future__ import annotations
@@ -245,18 +243,15 @@ def load_checkpoint(
 
 
 # ---------------------------------------------------------------------------
-# Parallel shard journal (one atomic document per completed shard)
+# Out-of-order shard entries (one atomic document per completed shard)
 # ---------------------------------------------------------------------------
 #
-# The sequential checkpoint above journals a linear batch frontier; a
-# parallel run completes shards in arbitrary order, so it journals each
-# completed shard as its own atomic document instead.  A driver crash at
-# any instant leaves a set of whole entries (never a torn one); resuming
-# re-runs only the shards without an entry, and shard purity makes the
-# merged result byte-identical either way.  The entry *content* (shard
-# schema, partial stats, report, context) is assembled by
-# :mod:`repro.core.parallel`, which owns those types; this module only
-# guarantees atomicity, versioning, and tolerant enumeration.
+# A pool completes shards in any order; a completed shard that cannot be
+# folded yet (a lower index is still running) is journaled as its own
+# atomic document, and deleted once a prefix checkpoint covers it.  The
+# entry *content* (shard schema, partial stats, report, context) is
+# assembled by :mod:`repro.core.pipeline`, which owns those types; this
+# module only guarantees atomicity, versioning and tolerant enumeration.
 
 def shard_journal_dir(directory: str | Path) -> Path:
     """Where a checkpoint directory keeps its parallel shard entries."""
@@ -316,17 +311,25 @@ def load_shard_journal(
     return entries, skipped
 
 
-def clear_shard_journal(directory: str | Path) -> int:
-    """Delete all shard journal entries; returns how many were removed.
+def clear_shard_journal(
+    directory: str | Path, before: int | None = None
+) -> int:
+    """Delete shard journal entries; returns how many were removed.
 
-    A fresh (non-resume) parallel run clears the journal first so a later
-    resume can never mix entries from two different runs.
+    A fresh (non-resume) run clears every entry so a later resume can
+    never mix two runs' shards; a prefix checkpoint deletes the entries
+    it covers (index below ``before``).
     """
     journal = shard_journal_dir(directory)
     if not journal.is_dir():
         return 0
     removed = 0
     for path in sorted(journal.glob("shard-*.json")):
+        index = path.stem.partition("-")[2]
+        if before is not None and not (
+            index.isdigit() and int(index) < before
+        ):
+            continue
         try:
             path.unlink()
         except OSError:

@@ -19,12 +19,12 @@ contract:
   queued-or-running per session; excess posts fail with 503 instead of
   buffering unboundedly.
 
-With ``checkpoint_dir`` set, a session journals its engine state (with
-its folded post-processing stats) plus the accumulated endpoint-label
-memory after every ``checkpoint_every`` batches under
-``<checkpoint_dir>/sessions/<name>/``, and the manager restores every
-journaled session on daemon start -- a crashed daemon resumes with the
-exact schemas it last checkpointed.
+With ``checkpoint_dir`` set, a session writes its folded prefix -- the
+engine checkpoint every one-shot run writes, with the accumulated
+endpoint-label memory in its context -- after every ``checkpoint_every``
+batches under ``<checkpoint_dir>/sessions/<name>/``, and the manager
+restores every journaled session on daemon start -- a crashed daemon
+resumes with the exact schemas it last checkpointed.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from typing import Any, Deque
 from repro.core.config import PGHiveConfig
 from repro.core.incremental import IncrementalDiscovery, preload_engine_imports
 from repro.core.postprocess import apply_partial_stats, clear_partial_stats
-from repro.core.result import BatchReport
+from repro.core.result import BatchReport, ShardResult
 from repro.core.type_extraction import resolve_edge_endpoints
-from repro.schema.merge import merge_schemas
 from repro.schema.model import SchemaGraph
-from repro.schema.persist import load_checkpoint
 from repro.schema.validate import ValidationReport, validate_batch
 from repro.server.models import (
     ApiError,
@@ -203,9 +201,9 @@ class DiscoverySession:
 
         The expensive pipeline (the engine's one batch method: columnize,
         embed, LSH, extract, fold the §4.4 stats) runs *outside* the
-        schema lock; only the monotone merge and the label-memory update
-        hold it, so readers block for the merge alone, never a
-        discovery.
+        schema lock; only the engine's fold, endpoint resolution and the
+        label-memory update hold it, so readers block for the merge
+        alone, never a discovery.
         """
         nodes, edges = request.nodes, request.edges
         with self._schema_lock:
@@ -217,14 +215,8 @@ class DiscoverySession:
             nodes, edges, endpoint_labels
         )
         with self._schema_lock:
-            merge_schemas(
-                self.engine.schema,
-                batch_schema,
-                self.config.jaccard_threshold,
-                self.config.endpoint_jaccard_threshold,
-            )
+            self.engine.fold(ShardResult(report.index, batch_schema, report))
             resolve_edge_endpoints(self.engine.schema)
-            self.engine.reports.append(report)
             for node in nodes:
                 self._node_labels[node.id] = node.labels
             self._nodes_seen += len(nodes)
@@ -321,10 +313,7 @@ class DiscoverySession:
         self.engine = IncrementalDiscovery.from_checkpoint(
             directory, self.config, expected_context={"session": self.name}
         )
-        _, manifest = load_checkpoint(
-            IncrementalDiscovery.checkpoint_path(directory)
-        )
-        context = manifest.get("context", {})
+        context = self.engine.context
         self._node_labels = {
             int(node_id): frozenset(labels)
             for node_id, labels in context.get("node_labels", [])

@@ -127,8 +127,8 @@ class TestCli:
     def test_discover_parallel_checkpoint_and_resume(
         self, tmp_path, capsys, test_jobs
     ):
-        """--jobs with --checkpoint-dir journals shards; --resume reports
-        how many it restored."""
+        """--jobs with --checkpoint-dir journals the folded prefix;
+        --resume reports how many shards it restored."""
         ckpt = tmp_path / "ckpt"
         args = [
             "discover", "ldbc", "--scale", "0.5",
@@ -138,7 +138,8 @@ class TestCli:
         assert main(args) == 0
         first = capsys.readouterr()
         assert "ignored" not in first.err
-        assert len(list((ckpt / "shards").glob("shard-*.json"))) == 4
+        assert (ckpt / "pghive-checkpoint.json").is_file()
+        assert not list((ckpt / "shards").glob("shard-*.json"))
         assert main(args + ["--resume"]) == 0
         second = capsys.readouterr()
         assert "resumed 4 shard(s) from the parallel journal" in second.err

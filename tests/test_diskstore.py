@@ -9,6 +9,7 @@ half: a kill during slab ingest or during discovery resumes to the same
 bytes an uninterrupted run produces.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -41,6 +42,7 @@ from repro.graph.io import (
 from repro.graph.scrub import repair_slab_directory, scrub_slab_directory
 from repro.graph.slab import SlabCorruptionError, SlabReader, SlabWriter
 from repro.graph.store import GraphStore
+from repro.schema.persist import SchemaPersistError
 from repro.schema.serialize_pgschema import serialize_pg_schema
 
 NUM_BATCHES = 4
@@ -179,8 +181,19 @@ class TestStoreContractEquivalence:
         assert store.journal_fingerprint() != before
         store.close()
 
-    def test_memory_store_has_no_fingerprint(self, memory_store):
-        assert memory_store.journal_fingerprint() is None
+    def test_memory_store_fingerprints_its_content(self, memory_store):
+        """The memory store's fingerprint is its content: an equal copy
+        agrees, and editing one property value changes it."""
+        fingerprint = memory_store.journal_fingerprint()
+        assert fingerprint is not None
+        assert fingerprint["nodes"] == str(memory_store.count_nodes())
+        graph = memory_store.graph.copy()
+        assert GraphStore(graph).journal_fingerprint() == fingerprint
+        node = next(graph.nodes())
+        graph.replace_node(
+            Node(node.id, node.labels, dict(node.properties, probe="x"))
+        )
+        assert GraphStore(graph).journal_fingerprint() != fingerprint
 
 
 class TestColumnizeShard:
@@ -659,6 +672,47 @@ class TestCorruption:
             whole.schema
         )
 
+    @needs_fork
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quarantine_survives_resume_without_rereads(
+        self, damaged_store, tmp_path, jobs
+    ):
+        """The prefix keeps the failures it folded past: a run that
+        crashes after quarantining a shard resumes with the same
+        degraded shards, strict mode still refuses it, and no folded
+        plan is materialized again (a re-read would hit the corruption,
+        or cost a batch, for nothing)."""
+        batches = 6  # the damaged record lands in shard 3 of 6
+        log = tmp_path / "materialized.log"
+        store = _CountingStore(damaged_store, log)
+        ckpt = str(tmp_path / "ck")
+        config = PGHiveConfig(
+            jobs=jobs, parallel_chunk="1", corrupt_slab_policy="skip",
+            checkpoint_dir=ckpt,
+        )
+        whole = PGHive(config).discover_incremental(
+            store, num_batches=batches
+        )
+        assert whole.degraded_shards == [3]
+        with pytest.raises(InjectedFault):
+            PGHive(dataclasses.replace(
+                config, faults=f"batch:{batches - 1}:raise"
+            )).discover_incremental(store, num_batches=batches)
+        log.write_text("", encoding="utf-8")
+        resumed = PGHive(config).discover_incremental(
+            store, num_batches=batches, resume=True
+        )
+        assert log.read_text(encoding="utf-8").split() == [str(batches - 1)]
+        assert resumed.resumed_from == batches - 1
+        assert resumed.degraded_shards == whole.degraded_shards
+        assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
+            whole.schema
+        )
+        with pytest.raises(ShardRecoveryError):
+            PGHive(dataclasses.replace(
+                config, strict_recovery=True
+            )).discover_incremental(store, num_batches=batches, resume=True)
+
     def test_skip_policy_with_strict_recovery_still_fails(
         self, damaged_store
     ):
@@ -698,13 +752,31 @@ class TestCorruption:
             )
 
 
+class _CountingStore:
+    """A store that appends each materialized plan index to ``log``
+    (a file, so forked pool workers are counted too)."""
+
+    def __init__(self, store, log):
+        self._store = store
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def materialize_shard(self, plan):
+        with open(self._log, "a", encoding="utf-8") as handle:
+            handle.write(f"{plan.index}\n")
+        return self._store.materialize_shard(plan)
+
+
 class TestJournalInvalidation:
     @needs_fork
     def test_slab_generation_change_invalidates_journal(
         self, ldbc_graph, tmp_path
     ):
-        """The shard journal records the slab fingerprint: appending to
-        the store between runs makes every journaled shard stale."""
+        """The journal records the slab fingerprint: appending to the
+        store between runs makes it stale, and a resume refuses it by
+        name instead of folding shards of the old generation."""
         ckpt = tmp_path / "ckpt"
         store = write_graph_to_slabs(ldbc_graph, tmp_path / "slabs")
         config = PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
@@ -719,8 +791,8 @@ class TestJournalInvalidation:
             )])
             writer.commit()
         store.refresh()
-        stale = PGHive(config).discover_incremental(
-            store, num_batches=NUM_BATCHES, resume=True
-        )
-        assert stale.resumed_shards == []
+        with pytest.raises(SchemaPersistError, match="'store'"):
+            PGHive(config).discover_incremental(
+                store, num_batches=NUM_BATCHES, resume=True
+            )
         store.close()

@@ -364,7 +364,9 @@ class TestCheckpointResume:
         self, tmp_path, ldbc_graph, sequential_schema
     ):
         """jobs > 1 with a checkpoint_dir used to silently fall back to
-        the sequential engine; it now journals shards and stays parallel."""
+        the sequential engine; it now journals and stays parallel.  A
+        completed run leaves only the folded prefix: every shard was
+        folded, so no out-of-order entry survives."""
         ckpt = tmp_path / "ckpt"
         config = PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
         result = PGHive(config).discover_incremental(
@@ -373,8 +375,8 @@ class TestCheckpointResume:
         assert result.parallel_fallback is None
         assert all(r.worker is not None for r in result.batches)
         assert serialize_pg_schema(result.schema) == sequential_schema
-        journaled = sorted((ckpt / "shards").glob("shard-*.json"))
-        assert len(journaled) == NUM_BATCHES
+        assert IncrementalDiscovery.has_checkpoint(ckpt)
+        assert not sorted((ckpt / "shards").glob("shard-*.json"))
 
     def test_forced_sequential_fallback_is_reported(self, ldbc_graph):
         """When parallelism genuinely cannot run, the result says why."""
@@ -485,6 +487,7 @@ class TestParallelJournalResume:
         store = GraphStore(ldbc_graph)
         config = PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
         PGHive(config).discover_incremental(store, num_batches=NUM_BATCHES)
+        (ckpt / "shards").mkdir(exist_ok=True)
         (ckpt / "shards" / "shard-99999.json").write_text(
             "{not json", encoding="utf-8"
         )
@@ -492,32 +495,37 @@ class TestParallelJournalResume:
             PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
         ).discover_incremental(store, num_batches=NUM_BATCHES)
         assert result.resumed_shards == []
-        journaled = sorted((ckpt / "shards").glob("shard-*.json"))
-        assert len(journaled) == NUM_BATCHES
+        assert IncrementalDiscovery.has_checkpoint(ckpt)
+        assert not sorted((ckpt / "shards").glob("shard-*.json"))
 
     def test_mismatched_context_is_recomputed_not_fatal(
         self, tmp_path, ldbc_graph, sequential_schema
     ):
-        """A journal written under a different seed is ignored shard by
-        shard; the resume recomputes everything and stays correct."""
+        """A journal written under a different seed is another run's
+        state: the resume refuses it by name, as at every jobs, and a
+        fresh run then recomputes everything and stays correct."""
         ckpt = tmp_path / "ckpt"
         store = GraphStore(ldbc_graph)
         PGHive(PGHiveConfig(
             jobs=2, checkpoint_dir=str(ckpt), seed=99
         )).discover_incremental(store, num_batches=NUM_BATCHES)
-        resumed = PGHive(PGHiveConfig(
+        with pytest.raises(SchemaPersistError, match="'seed'"):
+            PGHive(PGHiveConfig(
+                jobs=2, checkpoint_dir=str(ckpt)
+            )).discover_incremental(
+                store, num_batches=NUM_BATCHES, resume=True
+            )
+        fresh = PGHive(PGHiveConfig(
             jobs=2, checkpoint_dir=str(ckpt)
-        )).discover_incremental(
-            store, num_batches=NUM_BATCHES, resume=True
-        )
-        assert resumed.resumed_shards == []
-        assert "parallel/journal_skipped" in resumed.parameters
-        assert serialize_pg_schema(resumed.schema) == sequential_schema
+        )).discover_incremental(store, num_batches=NUM_BATCHES)
+        assert fresh.resumed_shards == []
+        assert serialize_pg_schema(fresh.schema) == sequential_schema
 
     def test_stat_less_entries_are_recomputed(self, tmp_path):
         """Shards journaled with post-processing off carry no stats.  A
-        resume with it on must recompute them: folding only the fresh
-        shards would print the datatype of those shards alone."""
+        resume with it on must not fold them -- folding only fresh
+        shards would print the datatype of those shards alone -- so it
+        refuses the entries by name; a fresh run recomputes them."""
         def build(text_ids):
             builder = GraphBuilder("mixed")
             ids = [
@@ -536,31 +544,47 @@ class TestParallelJournalResume:
         }
         store = GraphStore(build(text_ids))
         ckpt = tmp_path / "ckpt"
-        PGHive(PGHiveConfig(
-            jobs=2, seed=7, checkpoint_dir=str(ckpt), post_processing=False
-        )).discover_incremental(store, num_batches=4)
-        for index in (2, 3):
-            (ckpt / "shards" / f"shard-{index:05d}.json").unlink()
-        resumed = PGHive(PGHiveConfig(
-            jobs=2, seed=7, checkpoint_dir=str(ckpt)
-        )).discover_incremental(store, num_batches=4, resume=True)
+        with pytest.raises(ShardRecoveryError):
+            PGHive(PGHiveConfig(
+                jobs=2, seed=7, checkpoint_dir=str(ckpt),
+                post_processing=False, parallel_chunk="1",
+                faults="shard:0:raise:99", shard_retries=0,
+                shard_retry_backoff=0.0, strict_recovery=True,
+            )).discover_incremental(store, num_batches=4)
+        assert sorted((ckpt / "shards").glob("shard-*.json"))
+        config = PGHiveConfig(jobs=2, seed=7, checkpoint_dir=str(ckpt))
+        with pytest.raises(SchemaPersistError, match="post_processing"):
+            PGHive(config).discover_incremental(
+                store, num_batches=4, resume=True
+            )
+        fresh = PGHive(config).discover_incremental(store, num_batches=4)
         clean = PGHive(PGHiveConfig(seed=7)).discover_incremental(
             store, num_batches=4
         )
-        (node_type,) = resumed.schema.node_types.values()
+        (node_type,) = fresh.schema.node_types.values()
         assert node_type.properties["v"].datatype is DataType.STRING
-        assert resumed.resumed_shards == []
-        assert serialize_pg_schema(resumed.schema) == serialize_pg_schema(
+        assert fresh.resumed_shards == []
+        assert serialize_pg_schema(fresh.schema) == serialize_pg_schema(
             clean.schema
         )
 
     def test_corrupt_journal_entry_is_recomputed(
         self, tmp_path, ldbc_graph, sequential_schema
     ):
+        """Out-of-order entries are a cache: a torn one is recomputed
+        and reported.  (Shard 0 failing leaves 1..3 unfoldable, so the
+        crashed run journals them as entries.)"""
         ckpt = tmp_path / "ckpt"
         store = GraphStore(ldbc_graph)
-        config = PGHiveConfig(jobs=2, checkpoint_dir=str(ckpt))
-        PGHive(config).discover_incremental(store, num_batches=NUM_BATCHES)
+        config = PGHiveConfig(
+            jobs=2, parallel_chunk="1", checkpoint_dir=str(ckpt),
+            faults="shard:0:raise:99", shard_retries=0,
+            shard_retry_backoff=0.0, strict_recovery=True,
+        )
+        with pytest.raises(ShardRecoveryError):
+            PGHive(config).discover_incremental(
+                store, num_batches=NUM_BATCHES
+            )
         (ckpt / "shards" / "shard-00001.json").write_text(
             "{truncated", encoding="utf-8"
         )
