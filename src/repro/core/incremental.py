@@ -133,10 +133,13 @@ def run_context(
     The folded prefix and every out-of-order shard entry store this
     context, and a resume refuses state whose context differs (see
     :func:`check_context`): the same source, batch plan and seed, folded
-    the same way.  Stats are folded only with post-processing on and
+    the same way.  The discovery settings (LSH method and parameters,
+    the θ thresholds, adaptive sampling, memoization, the Word2Vec
+    hyperparameters) decide what each batch schema is, so batches found
+    one way never fold with batches found another.  Stats are folded only with post-processing on and
     value sketches only with profiles, so resuming state folded another
     way would print wrong datatypes or empty profiles.  The store's
-    ``fingerprint`` (its content digest, or a slab generation) keeps
+    ``fingerprint`` (its content digest, or a slab content digest) keeps
     state written against one input from resuming against another.
     The worker count is not part of the context: a run killed at any
     ``jobs`` resumes at any ``jobs``.
@@ -145,6 +148,18 @@ def run_context(
         "source": source,
         "num_batches": num_batches,
         "seed": seed,
+        "method": config.method.value,
+        "label_weight": config.label_weight,
+        "jaccard_threshold": config.jaccard_threshold,
+        "endpoint_jaccard_threshold": config.endpoint_jaccard_threshold,
+        "bucket_length": config.bucket_length,
+        "num_tables": config.num_tables,
+        "alpha": config.alpha,
+        "adaptive_sample_size": config.adaptive_sample_size,
+        "adaptive_sample_fraction": config.adaptive_sample_fraction,
+        "minhash_rows_per_band": config.minhash_rows_per_band,
+        "memoize_patterns": config.memoize_patterns,
+        "word2vec": asdict(config.word2vec),
         "post_processing": config.post_processing,
         "infer_value_profiles": config.infer_value_profiles,
     }

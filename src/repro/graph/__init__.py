@@ -39,6 +39,7 @@ from repro.graph.patterns import (
 )
 from repro.graph.stats import GraphStatistics, compute_statistics
 from repro.graph.io import (
+    GraphRowSink,
     GraphSink,
     IngestError,
     IngestReport,
@@ -63,6 +64,7 @@ __all__ = [
     "EdgePattern",
     "FileVerdict",
     "GraphBuilder",
+    "GraphRowSink",
     "GraphSink",
     "GraphStatistics",
     "GraphStore",

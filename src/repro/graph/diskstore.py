@@ -36,7 +36,7 @@ from repro.core.columns import (
     edge_columns_from_arrays,
     node_columns_from_arrays,
 )
-from repro.graph.io import IngestReport, stream_graph_jsonl
+from repro.graph.io import EdgeRow, IngestReport, NodeRow, stream_graph_jsonl
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.slab import (
     DEFAULT_SLAB_BYTES,
@@ -483,22 +483,25 @@ def write_graph_to_slabs(
     )
     if writer.counts() != (0, 0):
         writer.reset()
-    chunk: list[Node] = []
+    node_rows: list[NodeRow] = []
     for node in graph.nodes():
-        chunk.append(node)
-        if len(chunk) >= INGEST_CHUNK_ROWS:
-            writer.add_nodes(chunk)
-            chunk.clear()
-    if chunk:
-        writer.add_nodes(chunk)
-    edge_chunk: list[Edge] = []
+        node_rows.append((node.id, node.labels, dict(node.properties)))
+        if len(node_rows) >= INGEST_CHUNK_ROWS:
+            writer.add_nodes(node_rows)
+            node_rows.clear()
+    if node_rows:
+        writer.add_nodes(node_rows)
+    edge_rows: list[EdgeRow] = []
     for edge in graph.edges():
-        edge_chunk.append(edge)
-        if len(edge_chunk) >= INGEST_CHUNK_ROWS:
-            writer.add_edges(edge_chunk)
-            edge_chunk.clear()
-    if edge_chunk:
-        writer.add_edges(edge_chunk)
+        edge_rows.append((
+            edge.id, edge.source, edge.target, edge.labels,
+            dict(edge.properties),
+        ))
+        if len(edge_rows) >= INGEST_CHUNK_ROWS:
+            writer.add_edges(edge_rows)
+            edge_rows.clear()
+    if edge_rows:
+        writer.add_edges(edge_rows)
     writer.commit()
     writer.close()
     return DiskGraphStore(directory)
@@ -521,13 +524,13 @@ class SlabIngestSink:
         self._source_key = source_key
         self._slab_bytes = slab_bytes
 
-    def add_nodes(self, nodes: Sequence[Node]) -> list[tuple[int, str]]:
-        """Append a node chunk; returns ``(position, reason)`` rejects."""
-        return self._writer.add_nodes(nodes)
+    def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
+        """Append a node-row chunk; returns ``(position, reason)`` rejects."""
+        return self._writer.add_nodes(rows)
 
-    def add_edges(self, edges: Sequence[Edge]) -> list[tuple[int, str]]:
-        """Append an edge chunk; returns ``(position, reason)`` rejects."""
-        return self._writer.add_edges(edges)
+    def add_edges(self, rows: Sequence[EdgeRow]) -> list[tuple[int, str]]:
+        """Append an edge-row chunk; returns ``(position, reason)`` rejects."""
+        return self._writer.add_edges(rows)
 
     def chunk_done(self, line_number: int) -> None:
         """Commit durably once enough bytes accumulated since the last."""

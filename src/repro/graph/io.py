@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Protocol, Sequence
 
@@ -48,24 +49,52 @@ DEFAULT_CHUNK_ROWS = 2048
 DEFAULT_CHUNK_BYTES = 2 << 20
 
 
+#: One node row of the streaming loaders: ``(id, labels, properties)``.
+NodeRow = tuple[int, frozenset[str], dict[str, Any]]
+
+#: One edge row: ``(id, source, target, labels, properties)``.
+EdgeRow = tuple[int, int, int, frozenset[str], dict[str, Any]]
+
+
 class GraphSink(Protocol):
     """Chunk-oriented insertion target of the streaming loaders.
 
-    :class:`~repro.graph.model.PropertyGraph` satisfies this protocol
-    directly (bulk :meth:`add_nodes` / :meth:`add_edges`), as does the
-    disk backend's slab ingest sink -- the loaders never know whether
-    rows land in RAM or on disk.  Each call inserts the accepted rows
-    in order and returns ``(position, reason)`` pairs for rejected
-    ones.
+    The loaders hand the sink validated *rows* -- plain tuples, never
+    :class:`~repro.graph.model.Node`/:class:`~repro.graph.model.Edge`
+    objects -- so the disk backend's slab writer appends them straight
+    into its columns.  An in-memory load wraps the rows into objects in
+    :class:`GraphRowSink`; the loaders never know whether rows land in
+    RAM or on disk.  Each call inserts the accepted rows in order and
+    returns ``(position, reason)`` pairs for rejected ones.
     """
 
-    def add_nodes(self, nodes: Sequence[Node]) -> list[tuple[int, str]]:
-        """Insert a node chunk; return per-position rejects."""
+    def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
+        """Insert a node-row chunk; return per-position rejects."""
         ...
 
-    def add_edges(self, edges: Sequence[Edge]) -> list[tuple[int, str]]:
-        """Insert an edge chunk; return per-position rejects."""
+    def add_edges(self, rows: Sequence[EdgeRow]) -> list[tuple[int, str]]:
+        """Insert an edge-row chunk; return per-position rejects."""
         ...
+
+
+class GraphRowSink:
+    """:class:`GraphSink` over a :class:`PropertyGraph`.
+
+    Wraps each row into a :class:`Node`/:class:`Edge` and hands the
+    chunk to the graph's bulk :meth:`~PropertyGraph.add_nodes` /
+    :meth:`~PropertyGraph.add_edges`, which own the integrity checks.
+    """
+
+    def __init__(self, graph: PropertyGraph) -> None:
+        self.graph = graph
+
+    def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
+        """Insert a node-row chunk; return per-position rejects."""
+        return self.graph.add_nodes(starmap(Node, rows))
+
+    def add_edges(self, rows: Sequence[EdgeRow]) -> list[tuple[int, str]]:
+        """Insert an edge-row chunk; return per-position rejects."""
+        return self.graph.add_edges(starmap(Edge, rows))
 
 
 @dataclass
@@ -158,7 +187,7 @@ class _ErrorPolicy:
 
 
 class _ChunkedInserter:
-    """Buffers parsed elements and hands kind-homogeneous chunks to a sink.
+    """Buffers parsed rows and hands kind-homogeneous chunks to a sink.
 
     The per-record ``graph.add_node`` / ``try``/``except`` round-trip
     of the original loaders dominated ingest time; this batches rows
@@ -190,12 +219,14 @@ class _ChunkedInserter:
         self._chunk_bytes = chunk_bytes
         self._weight = 0
         self._lines: list[int] = []
-        self._nodes: list[Node] = []
-        self._edges: list[Edge] = []
+        self._nodes: list[NodeRow] = []
+        self._edges: list[EdgeRow] = []
         policy.flush_hook = self.flush
 
-    def push_node(self, line_number: int, node: Node, weight: int = 0) -> bool:
-        """Buffer one node; returns True when this filled a chunk.
+    def push_node(
+        self, line_number: int, row: NodeRow, weight: int = 0
+    ) -> bool:
+        """Buffer one node row; returns True when this filled a chunk.
 
         ``weight`` is the row's approximate payload size (the loaders
         pass the raw record length); a chunk flushes early once the
@@ -204,7 +235,7 @@ class _ChunkedInserter:
         if self._edges:
             self.flush()
         self._lines.append(line_number)
-        self._nodes.append(node)
+        self._nodes.append(row)
         self._weight += weight
         if (
             len(self._lines) >= self._chunk_rows
@@ -214,12 +245,14 @@ class _ChunkedInserter:
             return True
         return False
 
-    def push_edge(self, line_number: int, edge: Edge, weight: int = 0) -> bool:
-        """Buffer one edge; returns True when this filled a chunk."""
+    def push_edge(
+        self, line_number: int, row: EdgeRow, weight: int = 0
+    ) -> bool:
+        """Buffer one edge row; returns True when this filled a chunk."""
         if self._nodes:
             self.flush()
         self._lines.append(line_number)
-        self._edges.append(edge)
+        self._edges.append(row)
         self._weight += weight
         if (
             len(self._lines) >= self._chunk_rows
@@ -234,22 +267,20 @@ class _ChunkedInserter:
         lines = self._lines
         if not lines:
             return
-        if self._nodes:
-            chunk: Sequence[Node] | Sequence[Edge] = self._nodes
-            rejects = self._sink.add_nodes(self._nodes)
-            self._nodes = []
-        else:
-            chunk = self._edges
-            rejects = self._sink.add_edges(self._edges)
-            self._edges = []
         self._lines = []
         self._weight = 0
-        if self._report is not None:
-            loaded = len(chunk) - len(rejects)
-            if isinstance(chunk[0], Node):
-                self._report.nodes_loaded += loaded
-            else:
-                self._report.edges_loaded += loaded
+        if self._nodes:
+            node_rows = self._nodes
+            self._nodes = []
+            rejects = self._sink.add_nodes(node_rows)
+            if self._report is not None:
+                self._report.nodes_loaded += len(node_rows) - len(rejects)
+        else:
+            edge_rows = self._edges
+            self._edges = []
+            rejects = self._sink.add_edges(edge_rows)
+            if self._report is not None:
+                self._report.edges_loaded += len(edge_rows) - len(rejects)
         for position, reason in rejects:
             self._policy.reject(lines[position], reason)
 
@@ -301,7 +332,7 @@ def _record_int(
 
 def stream_graph_jsonl(
     path: str | Path,
-    sink: GraphSink,
+    sink: GraphSink | PropertyGraph,
     on_error: str = "raise",
     report: IngestReport | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -312,13 +343,15 @@ def stream_graph_jsonl(
 
     The workhorse behind :func:`load_graph_jsonl` and the disk
     backend's out-of-core ingest: rows are parsed one line at a time,
-    buffered into ``chunk_rows``-sized chunks, and handed to the sink
-    in file order -- peak memory is one chunk, never the file.
+    validated into :data:`NodeRow`/:data:`EdgeRow` tuples (no element
+    objects), buffered into ``chunk_rows``-sized chunks, and handed to
+    the sink in file order -- peak memory is one chunk, never the file.
 
     Args:
         path: JSONL file to read.
-        sink: Insertion target (a :class:`PropertyGraph` or a slab
-            ingest sink).
+        sink: Row insertion target (a :class:`GraphRowSink` or a slab
+            ingest sink); a :class:`PropertyGraph` is wrapped in a
+            :class:`GraphRowSink`.
         on_error: ``"raise"`` | ``"skip"`` | ``"collect"`` (see module
             docstring).
         report: Sink for :class:`IngestError` records and load counts.
@@ -340,8 +373,20 @@ def stream_graph_jsonl(
         FileNotFoundError: The file does not exist.
     """
     path = Path(path)
+    if isinstance(sink, PropertyGraph):
+        sink = GraphRowSink(sink)
     policy = _ErrorPolicy(path, on_error, report)
     inserter = _ChunkedInserter(sink, policy, report, chunk_rows)
+    push_node = inserter.push_node
+    push_edge = inserter.push_edge
+    # The stdlib decoder's C scanner (an instance attribute the type
+    # stubs leave out), without the decode()/raw_decode() wrappers
+    # json.loads adds per call.  A line is stripped, so a parse that
+    # consumes it whole is exactly a json.loads success; anything else
+    # goes back through json.loads for its exact reject message.
+    scan: Callable[[str, int], tuple[Any, int]] = getattr(
+        json.JSONDecoder(), "scan_once"
+    )
     last_line = start_line
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -352,51 +397,70 @@ def stream_graph_jsonl(
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                policy.reject(line_number, f"invalid JSON: {exc.msg}")
-                continue
+                record, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    policy.reject(line_number, f"invalid JSON: {exc.msg}")
+                    continue
             if not isinstance(record, dict):
                 policy.reject(line_number, "record is not a JSON object")
                 continue
             kind = record.get("kind")
             flushed = False
             if kind == "node":
-                node_id = _record_int(
-                    record, "id", "node", policy, line_number
-                )
-                if node_id is None:
-                    continue
-                try:
-                    node = Node(
-                        id=node_id,
-                        labels=frozenset(record.get("labels", ())),
-                        properties=dict(record.get("properties", {})),
+                node_id = record.get("id")
+                if type(node_id) is not int:
+                    node_id = _record_int(
+                        record, "id", "node", policy, line_number
                     )
+                    if node_id is None:
+                        continue
+                try:
+                    labels = frozenset(record.get("labels", ()))
+                    properties = record.get("properties", {})
+                    if type(properties) is not dict:
+                        properties = dict(properties)
                 except (TypeError, ValueError):
                     policy.reject(line_number, "malformed node record")
                     continue
-                flushed = inserter.push_node(line_number, node, len(line))
+                flushed = push_node(
+                    line_number, (node_id, labels, properties), len(line)
+                )
             elif kind == "edge":
-                fields = [
-                    _record_int(record, key, "edge", policy, line_number)
-                    for key in ("id", "source", "target")
-                ]
-                if any(value is None for value in fields):
-                    continue
-                edge_id, source, target = fields
+                edge_id = record.get("id")
+                source = record.get("source")
+                target = record.get("target")
+                if (
+                    type(edge_id) is not int
+                    or type(source) is not int
+                    or type(target) is not int
+                ):
+                    # Every id field is checked (and rejected) in turn,
+                    # so a lenient load reports each bad field.
+                    fields = [
+                        _record_int(record, key, "edge", policy, line_number)
+                        for key in ("id", "source", "target")
+                    ]
+                    if any(value is None for value in fields):
+                        continue
+                    edge_id, source, target = fields
                 try:
-                    edge = Edge(
-                        id=edge_id,
-                        source=source,
-                        target=target,
-                        labels=frozenset(record.get("labels", ())),
-                        properties=dict(record.get("properties", {})),
-                    )
+                    labels = frozenset(record.get("labels", ()))
+                    properties = record.get("properties", {})
+                    if type(properties) is not dict:
+                        properties = dict(properties)
                 except (TypeError, ValueError):
                     policy.reject(line_number, "malformed edge record")
                     continue
-                flushed = inserter.push_edge(line_number, edge, len(line))
+                flushed = push_edge(
+                    line_number,
+                    (edge_id, source, target, labels, properties),
+                    len(line),
+                )
             else:
                 policy.reject(
                     line_number, f"unknown record kind {kind!r}"
@@ -508,8 +572,9 @@ def load_graph_csv(
     number.
     """
     graph = PropertyGraph(name)
+    sink = GraphRowSink(graph)
     node_policy = _ErrorPolicy(nodes_path, on_error, report)
-    node_inserter = _ChunkedInserter(graph, node_policy, report, chunk_rows)
+    node_inserter = _ChunkedInserter(sink, node_policy, report, chunk_rows)
     with Path(nodes_path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -529,12 +594,10 @@ def load_graph_csv(
                     line_number, f"invalid JSON property cell: {exc.msg}"
                 )
                 continue
-            node_inserter.push_node(
-                line_number, Node(ids[0], labels, properties)
-            )
+            node_inserter.push_node(line_number, (ids[0], labels, properties))
     node_inserter.flush()
     edge_policy = _ErrorPolicy(edges_path, on_error, report)
-    edge_inserter = _ChunkedInserter(graph, edge_policy, report, chunk_rows)
+    edge_inserter = _ChunkedInserter(sink, edge_policy, report, chunk_rows)
     with Path(edges_path).open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -554,9 +617,9 @@ def load_graph_csv(
                     line_number, f"invalid JSON property cell: {exc.msg}"
                 )
                 continue
-            edge_inserter.push_edge(line_number, Edge(
-                ids[0], ids[1], ids[2], labels, properties,
-            ))
+            edge_inserter.push_edge(
+                line_number, (ids[0], ids[1], ids[2], labels, properties)
+            )
     edge_inserter.flush()
     return graph
 

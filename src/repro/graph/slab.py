@@ -65,6 +65,7 @@ corruption.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import mmap
 import os
@@ -84,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # parallel driver, which imports this module -- a cycle at import
     # time but not at construction time.
     from repro.core.faults import FaultInjector
+    from repro.graph.io import EdgeRow, NodeRow
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_BACKUP_NAME = "manifest.json.bak"
@@ -177,6 +179,34 @@ def manifest_checksum(manifest: Mapping[str, Any]) -> int:
         if key != "manifest_crc"
     }
     return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+
+
+def _content_fingerprint(manifest: Mapping[str, Any]) -> str:
+    """Digest of the graph a manifest commits to, not of how it got there.
+
+    Covers the running whole-file checksums and, per kind, the row
+    count, heap length, interned label sets and key orders, so a
+    same-size edit (a renamed label, a changed property value) changes
+    it.  ``generations`` and ``sources`` stay out: they depend on the
+    commit cadence (``slab_bytes``) and the input path, not on the
+    content, and re-ingesting the same file another way keeps the
+    fingerprint.
+    """
+    body = {
+        "checksums": manifest.get("checksums"),
+        "kinds": {
+            kind: {
+                field: manifest["kinds"][kind][field]
+                for field in (
+                    "rows", "props_bytes", "label_sets", "key_orders"
+                )
+            }
+            for kind in (NODE_KIND, EDGE_KIND)
+        },
+    }
+    return hashlib.blake2b(
+        json.dumps(body, sort_keys=True).encode("utf-8"), digest_size=16
+    ).hexdigest()
 
 
 def manifest_file_lengths(manifest: Mapping[str, Any]) -> dict[str, int]:
@@ -433,7 +463,7 @@ class _KindState:
 
 
 class SlabWriter:
-    """Appends nodes and edges to a slab directory.
+    """Appends node and edge rows to a slab directory.
 
     Opening an existing directory resumes from its manifest: column
     files are truncated back to the durable lengths (discarding any torn
@@ -558,8 +588,12 @@ class SlabWriter:
     # ------------------------------------------------------------------
     # Appends
     # ------------------------------------------------------------------
-    def add_nodes(self, nodes: Sequence[Node]) -> list[tuple[int, str]]:
-        """Append a chunk of nodes; returns ``(position, reason)`` rejects."""
+    def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
+        """Append a node-row chunk; returns ``(position, reason)`` rejects.
+
+        A row is ``(id, labels, properties)`` with a frozenset label set
+        and a plain ``dict`` of properties (pickled as given).
+        """
         state = self._kinds[NODE_KIND]
         rejects: list[tuple[int, str]] = []
         buffers = state.buffers
@@ -567,29 +601,32 @@ class SlabWriter:
         labels_buf = buffers["labels"]
         keys_buf = buffers["keys"]
         end_buf = buffers["propend"]
+        intern_labels = state.intern_labels
+        intern_keys = state.intern_keys
+        dumps = pickle.dumps
         heap = state.prop_buffer
         base = state.props_bytes
         before = len(heap)
         seen = state.ids_seen
-        for position, node in enumerate(nodes):
-            node_id = node.id
+        for position, (node_id, labels, properties) in enumerate(rows):
             if node_id in seen:
                 rejects.append((position, f"duplicate node id {node_id}"))
                 continue
             seen.add(node_id)
             ids_buf.append(node_id)
-            labels_buf.append(state.intern_labels(node.labels))
-            keys_buf.append(state.intern_keys(node.properties))
-            heap += pickle.dumps(dict(node.properties), protocol=5)
+            labels_buf.append(intern_labels(labels))
+            keys_buf.append(intern_keys(properties))
+            heap += dumps(properties, protocol=5)
             end_buf.append(base + len(heap))
         self._uncommitted += len(heap) - before
         self._maybe_flush()
         return rejects
 
-    def add_edges(self, edges: Sequence[Edge]) -> list[tuple[int, str]]:
-        """Append a chunk of edges; returns ``(position, reason)`` rejects.
+    def add_edges(self, rows: Sequence[EdgeRow]) -> list[tuple[int, str]]:
+        """Append an edge-row chunk; returns ``(position, reason)`` rejects.
 
-        Endpoint validation matches :class:`~repro.graph.model.PropertyGraph`
+        A row is ``(id, source, target, labels, properties)``.  Endpoint
+        validation matches :class:`~repro.graph.model.PropertyGraph`
         exactly (same reject messages), against every node committed or
         buffered so far -- nodes must precede the edges that use them,
         which both the JSONL layout and the CSV loader guarantee.
@@ -604,32 +641,35 @@ class SlabWriter:
         labels_buf = buffers["labels"]
         keys_buf = buffers["keys"]
         end_buf = buffers["propend"]
+        intern_labels = state.intern_labels
+        intern_keys = state.intern_keys
+        dumps = pickle.dumps
         heap = state.prop_buffer
         base = state.props_bytes
         before = len(heap)
         seen = state.ids_seen
-        for position, edge in enumerate(edges):
-            edge_id = edge.id
+        for position, row in enumerate(rows):
+            edge_id, source, target, labels, properties = row
             if edge_id in seen:
                 rejects.append((position, f"duplicate edge id {edge_id}"))
                 continue
-            if edge.source not in node_ids:
+            if source not in node_ids:
                 rejects.append(
-                    (position, f"edge {edge_id}: unknown source {edge.source}")
+                    (position, f"edge {edge_id}: unknown source {source}")
                 )
                 continue
-            if edge.target not in node_ids:
+            if target not in node_ids:
                 rejects.append(
-                    (position, f"edge {edge_id}: unknown target {edge.target}")
+                    (position, f"edge {edge_id}: unknown target {target}")
                 )
                 continue
             seen.add(edge_id)
             ids_buf.append(edge_id)
-            src_buf.append(edge.source)
-            tgt_buf.append(edge.target)
-            labels_buf.append(state.intern_labels(edge.labels))
-            keys_buf.append(state.intern_keys(edge.properties))
-            heap += pickle.dumps(dict(edge.properties), protocol=5)
+            src_buf.append(source)
+            tgt_buf.append(target)
+            labels_buf.append(intern_labels(labels))
+            keys_buf.append(intern_keys(properties))
+            heap += dumps(properties, protocol=5)
             end_buf.append(base + len(heap))
         self._uncommitted += len(heap) - before
         self._maybe_flush()
@@ -1005,11 +1045,7 @@ class SlabReader:
             kind: _KindView(self._directory, kind, manifest["kinds"][kind])
             for kind in (NODE_KIND, EDGE_KIND)
         }
-        self._fingerprint = ":".join(
-            f"{kind}={manifest['kinds'][kind]['rows']}"
-            f"/{manifest['kinds'][kind]['props_bytes']}"
-            for kind in (NODE_KIND, EDGE_KIND)
-        )
+        self._fingerprint = _content_fingerprint(manifest)
 
     @property
     def name(self) -> str:
@@ -1018,7 +1054,7 @@ class SlabReader:
 
     @property
     def fingerprint(self) -> str:
-        """Compact marker of the durable state this reader is pinned to."""
+        """Content digest of the durable state (see _content_fingerprint)."""
         return self._fingerprint
 
     @property

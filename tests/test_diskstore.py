@@ -173,9 +173,7 @@ class TestStoreContractEquivalence:
         store = write_graph_to_slabs(builder.build(), tmp_path / "tiny")
         before = store.journal_fingerprint()
         with SlabWriter(tmp_path / "tiny") as writer:
-            writer.add_nodes(
-                [Node(id=99, labels=frozenset({"B"}), properties={"y": 2})]
-            )
+            writer.add_nodes([(99, frozenset({"B"}), {"y": 2})])
             writer.commit()
         store.refresh()
         assert store.journal_fingerprint() != before
@@ -567,11 +565,10 @@ class TestCorruption:
         """The second commit's manifest rename lands half-written: the
         reader rejects it by checksum, repair falls back to the backup
         (the first commit), and a resumed writer restores equality."""
-        from repro.graph.model import Node
 
         def batch(start):
             return [
-                Node(id=i, labels=frozenset({"P"}), properties={"x": i})
+                (i, frozenset({"P"}), {"x": i})
                 for i in range(start, start + 8)
             ]
 
@@ -786,9 +783,7 @@ class TestJournalInvalidation:
         )
         assert same.resumed_shards == list(range(NUM_BATCHES))
         with SlabWriter(tmp_path / "slabs") as writer:
-            writer.add_nodes([Node(
-                id=10**6, labels=frozenset({"Zz"}), properties={"q": 1},
-            )])
+            writer.add_nodes([(10**6, frozenset({"Zz"}), {"q": 1})])
             writer.commit()
         store.refresh()
         with pytest.raises(SchemaPersistError, match="'store'"):

@@ -9,13 +9,14 @@ run killed at one ``jobs`` resumes at another to the same bytes.
 """
 
 import copy
+import shutil
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PGHive, PGHiveConfig
+from repro.core import LSHMethod, PGHive, PGHiveConfig
 from repro.core.faults import InjectedFault
 from repro.core.incremental import IncrementalDiscovery
 from repro.core.parallel import (
@@ -25,7 +26,9 @@ from repro.core.parallel import (
 )
 from repro.core.result import ShardFailure
 from repro.datasets import get_dataset, inject_noise
-from repro.graph.diskstore import write_graph_to_slabs
+from repro.embeddings.word2vec import Word2VecConfig
+from repro.graph.diskstore import ingest_jsonl_slabs, write_graph_to_slabs
+from repro.graph.io import save_graph_jsonl
 from repro.graph.store import GraphStore
 from repro.schema.persist import SchemaPersistError
 from repro.schema.serialize_pgschema import serialize_pg_schema
@@ -125,6 +128,117 @@ def test_edited_input_refuses_the_journal(tmp_path, graph):
     with pytest.raises(SchemaPersistError, match="'store'"):
         PGHive(PGHiveConfig(checkpoint_dir=ckpt)).discover_incremental(
             edited, num_batches=NUM_BATCHES, resume=True
+        )
+
+
+def _crash_at_batch_2(store, ckpt, **settings):
+    with pytest.raises(InjectedFault):
+        PGHive(PGHiveConfig(
+            checkpoint_dir=ckpt, faults="batch:2:raise", **settings
+        )).discover_incremental(store, num_batches=NUM_BATCHES)
+
+
+@pytest.fixture(scope="module")
+def ldbc_jsonl(tmp_path_factory, graph):
+    path = tmp_path_factory.mktemp("jsonl") / "g.jsonl"
+    save_graph_jsonl(graph, path)
+    return path
+
+
+def test_disk_journal_refuses_a_same_size_edit(tmp_path, ldbc_jsonl):
+    """The slab fingerprint digests the whole-file checksums and the
+    interned label sets, so renaming one node's label to another of the
+    same length (same rows, same heap bytes) refuses the journal."""
+    path = tmp_path / "g.jsonl"
+    shutil.copy(ldbc_jsonl, path)
+    ckpt = str(tmp_path / "ckpt")
+    store = ingest_jsonl_slabs(path, tmp_path / "slabs")
+    _crash_at_batch_2(store, ckpt)
+    store.close()
+    text = path.read_text(encoding="utf-8")
+    edited = text.replace('"labels": ["Person"]', '"labels": ["Persom"]', 1)
+    assert edited != text and len(edited) == len(text)
+    path.write_text(edited, encoding="utf-8")
+    store = ingest_jsonl_slabs(path, tmp_path / "slabs")
+    with pytest.raises(SchemaPersistError, match="'store'"):
+        PGHive(PGHiveConfig(checkpoint_dir=ckpt)).discover_incremental(
+            store, num_batches=NUM_BATCHES, resume=True
+        )
+    store.close()
+
+
+@pytest.mark.parametrize("resume_slab_bytes", [None, 1 << 16])
+def test_disk_journal_resumes_a_reingested_input(
+    tmp_path, ldbc_jsonl, resume_slab_bytes
+):
+    """An unedited input resumes to the clean bytes, also when it is
+    re-ingested with another ``slab_bytes``: the commit cadence changes
+    the manifest's generations, not the fingerprint."""
+    clean_store = ingest_jsonl_slabs(ldbc_jsonl, tmp_path / "clean")
+    clean = serialize_pg_schema(PGHive(PGHiveConfig()).discover_incremental(
+        clean_store, num_batches=NUM_BATCHES
+    ).schema)
+    clean_store.close()
+    ckpt = str(tmp_path / "ckpt")
+    store = ingest_jsonl_slabs(ldbc_jsonl, tmp_path / "slabs")
+    _crash_at_batch_2(store, ckpt)
+    store.close()
+    store = ingest_jsonl_slabs(
+        ldbc_jsonl, tmp_path / "slabs",
+        **({} if resume_slab_bytes is None
+           else {"slab_bytes": resume_slab_bytes}),
+    )
+    resumed = PGHive(PGHiveConfig(checkpoint_dir=ckpt)).discover_incremental(
+        store, num_batches=NUM_BATCHES, resume=True
+    )
+    store.close()
+    assert resumed.resumed_from == 2
+    assert serialize_pg_schema(resumed.schema) == clean
+
+
+@pytest.fixture(scope="module")
+def noisy_iyp():
+    dataset = get_dataset("iyp", scale=0.5, seed=7)
+    return GraphStore(inject_noise(
+        dataset, property_noise=0.2, label_availability=0.5, seed=8
+    ).graph)
+
+
+@pytest.fixture(scope="module")
+def elsh_crash(tmp_path_factory, noisy_iyp):
+    """A journal of an ELSH run killed at batch 2."""
+    ckpt = tmp_path_factory.mktemp("elsh") / "ckpt"
+    _crash_at_batch_2(noisy_iyp, str(ckpt))
+    return ckpt
+
+
+@pytest.mark.parametrize("key, value", [
+    ("method", LSHMethod.MINHASH),
+    ("label_weight", 2.0),
+    ("jaccard_threshold", 0.8),
+    ("endpoint_jaccard_threshold", 0.4),
+    ("bucket_length", 1.5),
+    ("num_tables", 9),
+    ("alpha", 0.5),
+    ("adaptive_sample_size", 200),
+    ("adaptive_sample_fraction", 0.05),
+    ("minhash_rows_per_band", 4),
+    ("memoize_patterns", True),
+    ("word2vec", Word2VecConfig(dimension=8)),
+])
+def test_resume_refuses_other_discovery_settings(
+    tmp_path, noisy_iyp, elsh_crash, key, value
+):
+    """Batches discovered one way never fold with batches discovered
+    another: each discovery setting is in the run context, and a
+    resume that changes it is refused by name."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(elsh_crash, ckpt)
+    with pytest.raises(SchemaPersistError, match=f"'{key}'"):
+        PGHive(PGHiveConfig(
+            checkpoint_dir=str(ckpt), **{key: value}
+        )).discover_incremental(
+            noisy_iyp, num_batches=NUM_BATCHES, resume=True
         )
 
 

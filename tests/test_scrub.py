@@ -10,7 +10,6 @@ resumed ingest reproduces byte-identical slabs.
 import pytest
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.model import Node
 from repro.graph.diskstore import write_graph_to_slabs
 from repro.graph.scrub import (
     repair_slab_directory,
@@ -27,7 +26,7 @@ from repro.graph.slab import (
 
 def _nodes(start, count):
     return [
-        Node(id=i, labels=frozenset({"P"}), properties={"x": i})
+        (i, frozenset({"P"}), {"x": i})
         for i in range(start, start + count)
     ]
 
