@@ -5,7 +5,7 @@ Every function gets a summary in a join-semilattice:
 * ``atoms`` -- the set of :class:`EffectAtom` sites transitively
   reachable from the function.  Kinds: ``clock`` (wall-clock reads),
   ``rng`` (unseeded randomness), ``env`` (environment reads), ``fs-read``
-  / ``fs-write`` (filesystem), ``shm`` (mmap/SharedMemory/memmap
+  / ``fs-write`` (filesystem), ``shm`` (mmap/memmap
   construction), ``process`` (process control), ``sleep``,
   ``global-write`` (module-global mutation), ``dynamic-call`` (a call
   the graph could not resolve) and ``external`` (a call into a library
@@ -140,8 +140,6 @@ _ENV_ORIGINS = frozenset({
 
 _SHM_ORIGINS = frozenset({
     "mmap.mmap",
-    "multiprocessing.shared_memory.SharedMemory",
-    "shared_memory.SharedMemory",
     "numpy.memmap",
 })
 

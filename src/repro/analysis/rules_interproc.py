@@ -68,7 +68,7 @@ CLI_ROOT = "cli.py:main"
 _ENV_SANCTIONED_SUFFIXES = ("core/config.py", "core/faults.py")
 _FAULT_SANCTIONED_SUFFIXES = ("core/faults.py",)
 
-#: Modules allowed to construct shared-memory segments / memory maps:
+#: Modules allowed to construct memory maps:
 #: the out-of-core column stores.
 _SHM_SANCTIONED_SUFFIXES = (
     "graph/slab.py",

@@ -2,12 +2,10 @@
 
 The disk backend (:mod:`repro.graph.slab`, :mod:`repro.graph.diskstore`)
 hands out OS-level handles -- ``mmap`` mappings and slab
-readers/writers -- and POSIX shared-memory segments are the same kind
-of resource.  A handle opened outside a managed lifecycle survives
-as long as the process does: the mapping pins the file pages, the
-segment name leaks past the run, and on hosts with small ``/dev/shm``
-an unclosed segment starves later runs.  One rule keeps every opening
-site accountable:
+readers/writers.  A handle opened outside a managed lifecycle survives
+as long as the process does: the mapping pins the file pages and its
+file descriptor stays open.  One rule keeps every opening site
+accountable:
 
 * ``slab-lifecycle`` -- every construction of a tracked handle type
   (:data:`TRACKED_HANDLES`) must be (a) the context expression of a
@@ -36,13 +34,11 @@ from repro.analysis.registry import FileRule, ModuleContext, register
 #: Fully qualified constructors whose return value is an OS resource.
 TRACKED_DOTTED = frozenset({
     "mmap.mmap",
-    "multiprocessing.shared_memory.SharedMemory",
 })
 
 #: Handle classes of this repo, matched by their final name segment so
 #: both ``SlabReader(...)`` and ``slab.SlabReader(...)`` are caught.
 TRACKED_HANDLES = frozenset({
-    "SharedMemory",
     "SlabReader",
     "SlabWriter",
 })
@@ -92,16 +88,15 @@ def _assigned_name(parent: ast.AST, call: ast.Call) -> str | None:
 class SlabLifecycleRule(FileRule):
     name = "slab-lifecycle"
     description = (
-        "mmap/shared-memory/slab handles must be opened as a context "
-        "manager, inside a close()-owning class, bound to a name that "
-        "is closed in the same function, or returned to the caller"
+        "mmap/slab handles must be opened as a context manager, "
+        "inside a close()-owning class, bound to a name that is closed "
+        "in the same function, or returned to the caller"
     )
     rationale = (
-        "an untracked mmap or SharedMemory segment lives until process "
-        "exit: mapped slab pages stay pinned, segment names leak into "
-        "/dev/shm and starve later runs, and crash-recovery sweeps "
-        "cannot reclaim what no registry tracked; every opening site "
-        "must name its owner"
+        "an untracked mmap lives until process exit: mapped slab pages "
+        "stay pinned and the file descriptor stays open, and no close() "
+        "can reclaim what no owner tracked; every opening site must "
+        "name its owner"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

@@ -129,6 +129,25 @@ def infer_value_type(value: Any) -> DataType:
     return DataType.STRING
 
 
+def join_value_type(current: DataType, value: Any) -> DataType:
+    """``join_types(current, infer_value_type(value))``, cheaper on strings.
+
+    A string is tested first against the current lattice element when
+    that is DATE or TIMESTAMP, skipping the cascade's integer, float and
+    boolean patterns.  The shortcut is exact: a valid date or timestamp
+    matches none of those patterns, nor the other temporal shape, so the
+    cascade would classify it the same way.
+    """
+    if type(value) is str:
+        if current is DataType.TIMESTAMP:
+            if _is_timestamp(value.strip()):
+                return current
+        elif current is DataType.DATE:
+            if _is_date(value.strip()):
+                return current
+    return join_types(current, infer_value_type(value))
+
+
 def join_types(a: DataType, b: DataType) -> DataType:
     """Least upper bound of two datatypes in the generalization lattice."""
     if a is DataType.UNKNOWN:

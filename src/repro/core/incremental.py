@@ -44,6 +44,8 @@ from repro.core.columns import (
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.result import BatchReport, ShardFailure, ShardResult
 from repro.core.postprocess import (
+    PropertyColumn,
+    attach_column_stats,
     attach_partial_stats,
     fold_edge,
     fold_properties,
@@ -65,6 +67,7 @@ from repro.core.vectorize import (
 )
 from repro.embeddings.embedder import LabelEmbedder
 from repro.graph.model import Edge, Node
+from repro.graph.store import BaseGraphStore, ShardPlan
 from repro.lsh.buckets import cluster_by_band_union, cluster_by_full_signature
 from repro.lsh.elsh import EuclideanLSH
 from repro.lsh.minhash import MinHashLSH
@@ -401,6 +404,45 @@ class IncrementalDiscovery:
             shard.report.stage_seconds["merge"] = elapsed
         return elapsed
 
+    def map_shard(
+        self, source: BaseGraphStore, plan: ShardPlan
+    ) -> ShardResult:
+        """Map one planned shard of a store: the executors' map step.
+
+        A store that columnizes its own shards (the disk store's
+        ``columnize_shard``) hands over columns and, for the §4.4 fold,
+        every decoded property record of the shard; no element object
+        is built.  Objects remain the batch source where they exist
+        already (the memory store) and where they are needed: pattern
+        memoization absorbs elements against the running schema, so it
+        goes through :meth:`map_batch`.
+        """
+        columnize = getattr(source, "columnize_shard", None)
+        if columnize is None or self.config.memoize_patterns:
+            batch = source.materialize_shard(plan)
+            return self.map_batch(
+                batch.nodes, batch.edges, batch.endpoint_labels, plan.index
+            )
+        started = time.perf_counter()
+        seen = len(self.parameters)
+        stages = StageTimer()
+        node_properties: PropertyColumn | None = None
+        edge_properties: PropertyColumn | None = None
+        with stages.stage("vectorize"):
+            ncols, ecols = columnize(plan)
+            if self.config.post_processing:
+                node_properties, edge_properties = source.shard_properties(
+                    plan
+                )
+        batch_schema, report = self.discover_batch_columns(
+            ncols, ecols, plan.index, node_properties, edge_properties
+        )
+        stages.add_seconds(report.stage_seconds)
+        report.stage_seconds = dict(stages.seconds)
+        report.seconds = time.perf_counter() - started
+        parameters = dict(list(self.parameters.items())[seen:])
+        return ShardResult(plan.index, batch_schema, report, parameters)
+
     def discover_batch(
         self,
         nodes: Sequence[Node],
@@ -410,15 +452,13 @@ class IncrementalDiscovery:
     ) -> tuple[SchemaGraph, BatchReport]:
         """Build one batch's schema, with its §4.4 stats, without merging.
 
-        The batch method every engine runs -- :meth:`map_batch`, the
-        pool workers of :mod:`repro.core.parallel` and the daemon's
-        sessions: columnize the elements, run
-        :meth:`discover_batch_columns`, then (with
-        ``config.post_processing``) fold the batch's post-processing
-        statistics onto its types with
-        :func:`~repro.core.postprocess.attach_partial_stats`, while the
-        elements are still in hand.  ``batch_index`` is as for
-        :meth:`discover_batch_columns`.
+        The batch method for element objects -- :meth:`map_batch`, the
+        pool workers on the memory store and the daemon's sessions:
+        columnize the elements, run :meth:`discover_batch_columns`, then
+        (with ``config.post_processing``) fold the stats with
+        :func:`~repro.core.postprocess.attach_partial_stats`, which
+        reads the elements' own property dicts and endpoint ids.
+        ``batch_index`` is as for :meth:`discover_batch_columns`.
         """
         started = time.perf_counter()
         stages = StageTimer()
@@ -520,7 +560,7 @@ class IncrementalDiscovery:
         property keys are a subset of that type's keys would end up merged
         into it anyway; absorb it directly (update counts, membership
         and the host's §4.4 stats, folded exactly as
-        :func:`~repro.core.postprocess.attach_partial_stats` folds batch
+        :func:`~repro.core.postprocess.attach_column_stats` folds batch
         members) and leave it out of the expensive pipeline.  Likewise
         for labeled edges whose label, keys and endpoint labels all match
         an existing edge type.  Returns the remaining elements and the
@@ -627,15 +667,19 @@ class IncrementalDiscovery:
         ncols: NodeColumns,
         ecols: EdgeColumns,
         batch_index: int | None = None,
+        node_properties: PropertyColumn | None = None,
+        edge_properties: PropertyColumn | None = None,
     ) -> tuple[SchemaGraph, BatchReport]:
         """Build one batch's schema from columnized arrays, without merging.
 
-        This is the unit of work the parallel driver ships to pool
-        workers: the caller (or the worker itself) columnizes a shard
-        once, and this method runs the vectorized pipeline on the compact
-        arrays, returning the *batch* schema and its report.  The running
-        schema is not touched -- the driver folds batch schemas in batch
-        order with :meth:`fold`.
+        Every batch runs through here: the caller columnizes a batch
+        once, and this method runs the vectorized pipeline on the
+        compact arrays, returning the *batch* schema and its report.
+        With ``config.post_processing`` and both property columns
+        given, it then folds the batch's §4.4 statistics onto its types
+        (:func:`~repro.core.postprocess.attach_column_stats`, stage
+        ``stats``).  The running schema is not touched -- the driver
+        folds batch schemas in batch order with :meth:`fold`.
 
         Args:
             ncols / ecols: Columnized shard (see :mod:`repro.core.columns`).
@@ -643,6 +687,9 @@ class IncrementalDiscovery:
                 parameter keys identical to a sequential run over the
                 same batch sequence.  Defaults to the engine's internal
                 counter.
+            node_properties / edge_properties: Batch position -> that
+                element's property mapping.  Without them the schema
+                carries no stats.
         """
         if batch_index is not None:
             self._batch_counter = batch_index
@@ -654,6 +701,17 @@ class IncrementalDiscovery:
                 ncols, ecols, batch_schema, stages
             )
         )
+        if (
+            self.config.post_processing
+            and node_properties is not None
+            and edge_properties is not None
+        ):
+            with stages.stage("stats"):
+                attach_column_stats(
+                    batch_schema, ncols, ecols,
+                    node_properties, edge_properties,
+                    track_values=self.config.infer_value_profiles,
+                )
         report = BatchReport(
             index=self._batch_counter,
             num_nodes=len(ncols),

@@ -13,13 +13,14 @@ Payload contract
 ----------------
 The driver calls
 :meth:`~repro.graph.store.BaseGraphStore.plan_shards` -- the same
-cached partition the in-process executor materializes -- and the pool
+cached partition the in-process executor maps -- and the pool
 forks.  Workers never receive pickled
 :class:`~repro.graph.model.Node` / :class:`~repro.graph.model.Edge`
 objects: each gets :class:`~repro.graph.store.ShardPlan` scalars and
-materializes + columnizes its shards against the fork-inherited store
-(the disk backend columnizes straight from its mapped slabs when no
-per-element pass needs the objects).  Shard results come back pickled
+maps its shards against the fork-inherited store with
+:meth:`~repro.core.incremental.IncrementalDiscovery.map_shard` (the
+disk backend columnizes straight from its mapped slabs and builds no
+element objects).  Shard results come back pickled
 through the pool's own pipe: a shard schema is small next to the graph
 it summarizes.
 
@@ -192,7 +193,7 @@ def _discover_plan_chunk(
     attempts: Sequence[int],
     in_worker: bool = True,
 ) -> list[ShardResult]:
-    """Worker: materialize, columnize and discover a chunk of shards.
+    """Worker: map a chunk of shards through their store's batch source.
 
     A chunk of *consecutive* shard indices shares one engine, so the
     cross-batch embedder reuse of the sequential engine still applies
@@ -204,34 +205,15 @@ def _discover_plan_chunk(
     source, config = state.source, state.config
     injector = FaultInjector.from_spec(config.faults)
     engine = IncrementalDiscovery(config, name="shard")
-    columnizer = getattr(source, "columnize_shard", None)
     results: list[ShardResult] = []
     for plan, attempt in zip(plans, attempts):
         if injector is not None:
             injector.fire("shard", plan.index, attempt, in_worker=in_worker)
-        seen = len(engine.parameters)
-        if columnizer is not None and not config.post_processing:
-            # Out-of-core fast path: the disk backend columnizes a shard
-            # straight from its mapped slab columns, byte-identical to
-            # materializing objects first but without ever holding them.
-            # The §4.4 fold still needs the object form, so
-            # post-processing runs take the materializing path below.
-            ncols, ecols = columnizer(plan)
-            _check_memory(config, in_worker, "columnization", plan.index)
-            schema, report = engine.discover_batch_columns(
-                ncols, ecols, batch_index=plan.index
-            )
-        else:
-            batch = source.materialize_shard(plan)
-            _check_memory(config, in_worker, "materialization", plan.index)
-            schema, report = engine.discover_batch(
-                batch.nodes, batch.edges, batch.endpoint_labels,
-                batch_index=plan.index,
-            )
+        shard = engine.map_shard(source, plan)
         _check_memory(config, in_worker, "discovery", plan.index)
-        report.worker = os.getpid()
-        params = dict(list(engine.parameters.items())[seen:])
-        results.append(ShardResult(plan.index, schema, report, params))
+        if shard.report is not None:
+            shard.report.worker = os.getpid()
+        results.append(shard)
     return results
 
 

@@ -92,16 +92,13 @@ def _map_in_process(
     skip = engine.config.corrupt_slab_policy == "skip"
     for index in todo:
         try:
-            batch = source.materialize_shard(plans[index])
+            shard = engine.map_shard(source, plans[index])
         except SlabCorruptionError as exc:
             if not skip:
                 raise
             failure = ShardFailure(index, 0, "corruption", str(exc))
-            yield ShardResult(index, None, None, failures=[failure])
-            continue
-        yield engine.map_batch(
-            batch.nodes, batch.edges, batch.endpoint_labels, index
-        )
+            shard = ShardResult(index, None, None, failures=[failure])
+        yield shard
 
 
 class _Journal:

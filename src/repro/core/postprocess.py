@@ -19,13 +19,14 @@ computes datatypes and cardinalities the same way: as *mergeable partial
 statistics* (:class:`TypeStats`) folded per batch, never by reading
 members back out of the store.
 
-* :func:`attach_partial_stats` folds a batch schema's member elements
-  while the batch is in hand: per-property
+* :func:`attach_column_stats` folds a batch schema's members over the
+  batch's columns while the batch is in hand: per-property
   :class:`~repro.core.value_profiles.PropertyPartial` folds (datatype
   lattice join, value-profile ingredients) and -- for edge types --
-  **per-node degree count maps**.  The memoization fast path folds each
-  absorbed element with the same helpers (:func:`fold_properties`,
-  :func:`fold_edge`);
+  **per-node degree count maps**.  :func:`attach_partial_stats` runs
+  the same per-type fold over element objects.  The memoization fast
+  path folds each absorbed element with the per-element helpers
+  (:func:`fold_properties`, :func:`fold_edge`);
 * the stats ride on the types through the ordinary schema merge
   (:func:`repro.schema.merge.merge_node_types` /
   :func:`~repro.schema.merge.merge_edge_types` fold them whenever types
@@ -56,6 +57,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.columns import EdgeColumns, NodeColumns
 from repro.core.config import PGHiveConfig
 from repro.core.datatypes import infer_datatype, infer_datatype_sampled
 from repro.core.value_profiles import PropertyPartial
@@ -247,18 +249,30 @@ class TypeStats:
         )
 
 
-def attach_partial_stats(
+PropertyColumn = Sequence[Mapping[str, Any]]
+"""Batch position -> that element's property mapping."""
+
+
+def attach_column_stats(
     schema: SchemaGraph,
-    nodes: Sequence[Node],
-    edges: Sequence[Edge],
+    ncols: NodeColumns,
+    ecols: EdgeColumns,
+    node_properties: PropertyColumn,
+    edge_properties: PropertyColumn,
     track_values: bool = True,
 ) -> None:
-    """Compute and attach :class:`TypeStats` for every type in place.
+    """Compute and attach :class:`TypeStats` for every type, from columns.
 
-    Runs on a batch schema against the batch elements its member ids
-    refer to: one fold per member, observing exactly the values and
-    endpoints the store passes :func:`infer_datatypes` /
-    :func:`compute_cardinalities` would read back for the same members.
+    Runs on a batch schema against the columnized batch its member ids
+    refer to: a member id finds its batch position through ``ids``, and
+    the property columns give that position's properties.  Each type
+    gathers its members' values key by key, in member order, and folds
+    each key's sequence at once; degree counts come from
+    ``ecols.source``/``ecols.target``, read once per batch.  The stats
+    equal a per-member fold (:func:`fold_properties` /
+    :func:`fold_edge`) of the same members, which observes exactly the
+    values and endpoints the store passes :func:`infer_datatypes` /
+    :func:`compute_cardinalities` would read back.
 
     ``track_values=False`` (engines pass ``config.infer_value_profiles``)
     folds only datatypes, counts and degree maps: without profiles
@@ -266,22 +280,83 @@ def attach_partial_stats(
     them would carry every distinct property value through the merge --
     unbounded memory on an out-of-core run.
     """
-    node_by_id = {node.id: node for node in nodes}
-    edge_by_id = {edge.id: edge for edge in edges}
+    node_row = {node_id: row for row, node_id in enumerate(ncols.ids.tolist())}
     for node_type in schema.node_types.values():
-        stats = TypeStats()
-        keys = node_type.property_keys
-        for member in node_type.members:
-            fold_properties(
-                stats, node_by_id[member].properties, keys, track_values
-            )
-        node_type.stats = stats
+        members = node_type.members
+        node_type.stats = _fold_type(
+            node_type,
+            (node_properties[node_row[member]] for member in members),
+            track_values,
+        )
+    edge_row = {edge_id: row for row, edge_id in enumerate(ecols.ids.tolist())}
+    sources, targets = ecols.source.tolist(), ecols.target.tolist()
     for edge_type in schema.edge_types.values():
-        stats = TypeStats()
-        keys = edge_type.property_keys
-        for member in edge_type.members:
-            fold_edge(stats, edge_by_id[member], keys, track_values)
-        edge_type.stats = stats
+        rows = [edge_row[member] for member in edge_type.members]
+        edge_type.stats = _fold_type(
+            edge_type, (edge_properties[row] for row in rows), track_values,
+            ((sources[row], targets[row]) for row in rows),
+        )
+
+
+def attach_partial_stats(
+    schema: SchemaGraph,
+    nodes: Sequence[Node],
+    edges: Sequence[Edge],
+    track_values: bool = True,
+) -> None:
+    """:func:`attach_column_stats` over a batch of element objects.
+
+    Members are looked up by id and read through their own attributes,
+    so no batch-wide column is built and the degree maps share the
+    edges' endpoint ``int`` objects instead of holding copies.
+    """
+    node_by_id = {node.id: node for node in nodes}
+    for node_type in schema.node_types.values():
+        node_type.stats = _fold_type(
+            node_type,
+            (node_by_id[member].properties for member in node_type.members),
+            track_values,
+        )
+    edge_by_id = {edge.id: edge for edge in edges}
+    for edge_type in schema.edge_types.values():
+        members = [edge_by_id[member] for member in edge_type.members]
+        edge_type.stats = _fold_type(
+            edge_type, (edge.properties for edge in members), track_values,
+            ((edge.source, edge.target) for edge in members),
+        )
+
+
+def _fold_type(
+    type_record: NodeType | EdgeType,
+    properties: Iterable[Mapping[str, Any]],
+    track_values: bool,
+    endpoints: Iterable[tuple[int, int]] = (),
+) -> TypeStats:
+    """One type's stats from its members' properties and endpoints.
+
+    Values are gathered per key in member order, then each key's
+    :class:`PropertyPartial` folds its whole sequence at once; each
+    ``(source, target)`` pair adds one to both degree maps.
+    """
+    keys = type_record.property_keys
+    values: dict[str, list[Any]] = {}
+    for member_properties in properties:
+        for key, value in member_properties.items():
+            if key in keys:
+                bucket = values.get(key)
+                if bucket is None:
+                    values[key] = bucket = []
+                bucket.append(value)
+    stats = TypeStats()
+    for key, bucket in values.items():
+        partial = PropertyPartial()
+        partial.observe_all(bucket, track_values)
+        stats.properties[key] = partial
+    out_degrees, in_degrees = stats.out_degrees, stats.in_degrees
+    for source, target in endpoints:
+        out_degrees[source] = out_degrees.get(source, 0) + 1
+        in_degrees[target] = in_degrees.get(target, 0) + 1
+    return stats
 
 
 def fold_edge(

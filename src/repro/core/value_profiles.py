@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.datatypes import infer_datatype, infer_value_type, join_types
+from repro.core.datatypes import infer_datatype, join_types, join_value_type
 from repro.schema.model import DataType
 
 _DEFAULT_ENUM_CAP = 12
@@ -172,32 +172,74 @@ class PropertyPartial:
         consume, and both stay exact.  STRING is the lattice top, so
         once reached no value can change it and none is classified, as
         :func:`~repro.core.datatypes.infer_datatype` stops there too.
+        A string is first tested against the current element
+        (:func:`~repro.core.datatypes.join_value_type`), so a run of
+        timestamps costs one pattern each, not the whole cascade.
         """
         if self.datatype is not DataType.STRING:
-            self.datatype = join_types(self.datatype, infer_value_type(value))
+            self.datatype = join_value_type(self.datatype, value)
         self.observations += 1
 
     def observe(self, value: Any) -> None:
         """Fold one observed value into the partial."""
         self.observe_datatype(value)
         self.distinct.add(_freeze(value))
-        number: int | float | None = None
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            number = value
-        elif isinstance(value, str):
-            number = _parse_number(value)
-        if number is not None:
-            if (
-                self.numeric_min is None
-                or _numeric_sort_key(number) < _numeric_sort_key(self.numeric_min)
+        if isinstance(value, str):
+            self._observe_number(_parse_number(value))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            self._observe_number(value)
+        self._observe_text(str(value))
+
+    def observe_all(
+        self, values: Sequence[Any], track_values: bool = True
+    ) -> None:
+        """Fold a sequence of observed values, in order.
+
+        The same state as :meth:`observe` (or, with ``track_values``
+        off, :meth:`observe_datatype`) per value.  Numeric bounds fold
+        value by value: a NaN (``float("nan")`` parses from ``"Nan"``)
+        compares false both ways, so a min-then-fold would not be exact.
+        """
+        datatype = self.datatype
+        for value in values:
+            if datatype is DataType.STRING:
+                break
+            datatype = join_value_type(datatype, value)
+        self.datatype = datatype
+        self.observations += len(values)
+        if not track_values:
+            return
+        self.distinct.update(map(_freeze, values))
+        for value in values:
+            if isinstance(value, str):
+                self._observe_number(_parse_number(value))
+            elif isinstance(value, (int, float)) and not isinstance(
+                value, bool
             ):
-                self.numeric_min = number
-            if (
-                self.numeric_max is None
-                or _numeric_sort_key(number) > _numeric_sort_key(self.numeric_max)
-            ):
-                self.numeric_max = number
-        text = str(value)
+                self._observe_number(value)
+        texts = [str(value) for value in values]
+        self._observe_text(min(texts, default=None))
+        self._observe_text(max(texts, default=None))
+
+    def _observe_number(self, number: int | float | None) -> None:
+        """Widen the numeric bounds to ``number`` (strict comparisons)."""
+        if number is None:
+            return
+        if (
+            self.numeric_min is None
+            or _numeric_sort_key(number) < _numeric_sort_key(self.numeric_min)
+        ):
+            self.numeric_min = number
+        if (
+            self.numeric_max is None
+            or _numeric_sort_key(number) > _numeric_sort_key(self.numeric_max)
+        ):
+            self.numeric_max = number
+
+    def _observe_text(self, text: str | None) -> None:
+        """Widen the text bounds to ``text``."""
+        if text is None:
+            return
         if self.text_min is None or text < self.text_min:
             self.text_min = text
         if self.text_max is None or text > self.text_max:
@@ -209,25 +251,9 @@ class PropertyPartial:
         self.observations += other.observations
         self.distinct |= other.distinct
         for number in (other.numeric_min, other.numeric_max):
-            if number is None:
-                continue
-            if (
-                self.numeric_min is None
-                or _numeric_sort_key(number) < _numeric_sort_key(self.numeric_min)
-            ):
-                self.numeric_min = number
-            if (
-                self.numeric_max is None
-                or _numeric_sort_key(number) > _numeric_sort_key(self.numeric_max)
-            ):
-                self.numeric_max = number
+            self._observe_number(number)
         for text in (other.text_min, other.text_max):
-            if text is None:
-                continue
-            if self.text_min is None or text < self.text_min:
-                self.text_min = text
-            if self.text_max is None or text > self.text_max:
-                self.text_max = text
+            self._observe_text(text)
         return self
 
     def to_profile(

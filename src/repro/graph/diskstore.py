@@ -26,7 +26,7 @@ import mmap
 import os
 import random
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy
 
@@ -420,10 +420,11 @@ class DiskGraphStore(BaseGraphStore):
 
         Byte-identical to columnizing the materialized batch: global
         interner ids are remapped to per-batch first-appearance dense
-        ids by the from-arrays constructors.  Used by pool workers when
-        a shard's schema is all that is needed (no per-value
-        statistics), skipping Node/Edge object construction and the
-        property heap entirely.
+        ids by the from-arrays constructors.  Every executor maps disk
+        shards this way (memoized runs excepted), so no Node/Edge object
+        is built; only one property record per distinct key set is
+        decoded, for its key order.  :meth:`shard_properties` decodes
+        the rest when the §4.4 fold needs them.
         """
         partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
         reader = self._reader
@@ -461,6 +462,25 @@ class DiskGraphStore(BaseGraphStore):
             ),
         )
         return node_cols, edge_cols
+
+    def shard_properties(
+        self, plan: ShardPlan
+    ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+        """Every node and edge property record of one shard, decoded.
+
+        In :meth:`columnize_shard`'s row order, so a batch position
+        indexes both.  Decoding every record keeps the heap-decode guard
+        of :meth:`~repro.graph.slab.SlabReader.node_properties_at` on
+        every row the shard covers.
+        """
+        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
+        reader = self._reader
+        node_rows = self._node_rows(partition.node_array(plan.index))
+        edge_rows = self._edge_rows(partition.edge_array(plan.index))
+        return (
+            reader.node_properties_rows(node_rows),
+            reader.edge_properties_rows(edge_rows),
+        )
 
 
 # ----------------------------------------------------------------------

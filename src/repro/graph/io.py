@@ -316,18 +316,25 @@ def _record_int(
     policy: _ErrorPolicy,
     line_number: int,
 ) -> int | None:
-    """Fetch an integer field, rejecting missing/non-integer values."""
+    """Fetch an integer field, rejecting missing/non-integer values.
+
+    Integers, integral floats and digit strings (the CSV loader's cells)
+    pass; ``true``/``false`` and ``12.5`` are rejected, not read as 1, 0
+    and 12.
+    """
     if key not in record:
         policy.reject(line_number, f"{kind} record missing {key!r}")
         return None
     value = record[key]
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        policy.reject(
-            line_number, f"non-integer {kind} {key} {value!r}"
-        )
-        return None
+    if not isinstance(value, bool) and not (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    policy.reject(line_number, f"non-integer {kind} {key} {value!r}")
+    return None
 
 
 def stream_graph_jsonl(

@@ -981,7 +981,24 @@ class _KindView:
         """
         ends = self._columns["propend"]
         start = int(ends[row - 1]) if row else 0
-        payload = bytes(self._heap[start : int(ends[row])])
+        return self._decode(row, self._heap[start : int(ends[row])])
+
+    def properties_rows(self, rows: numpy.ndarray) -> list[dict[str, Any]]:
+        """:meth:`properties_at` of each row, in order, with one column read."""
+        rows = numpy.asarray(rows, dtype=numpy.int64)
+        ends = self._columns["propend"]
+        stops = ends[rows]
+        starts = numpy.where(rows > 0, ends[rows - 1], 0)
+        heap = self._heap
+        return [
+            self._decode(row, heap[start:stop])
+            for row, start, stop in zip(
+                rows.tolist(), starts.tolist(), stops.tolist()
+            )
+        ]
+
+    def _decode(self, row: int, payload: bytes) -> dict[str, Any]:
+        """Unpickle one row's property record, or raise heap-decode."""
         try:
             result: dict[str, Any] = pickle.loads(payload)
         except Exception as exc:
@@ -1143,6 +1160,14 @@ class SlabReader:
     def edge_properties_at(self, row: int) -> dict[str, Any]:
         """One edge row's property dict, original key order preserved."""
         return self._kinds[EDGE_KIND].properties_at(row)
+
+    def node_properties_rows(self, rows: numpy.ndarray) -> list[dict[str, Any]]:
+        """The property dicts of many node rows, in order."""
+        return self._kinds[NODE_KIND].properties_rows(rows)
+
+    def edge_properties_rows(self, rows: numpy.ndarray) -> list[dict[str, Any]]:
+        """The property dicts of many edge rows, in order."""
+        return self._kinds[EDGE_KIND].properties_rows(rows)
 
     def node_at(self, row: int) -> Node:
         """Materialize the node stored at ``row``."""

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import mmap
-from multiprocessing import shared_memory
+
+from repro.graph.slab import SlabReader
 
 
 def leak_mapping(fileno: int) -> bytes:
@@ -11,16 +12,16 @@ def leak_mapping(fileno: int) -> bytes:
     return bytes(mapped[:16])
 
 
-def leak_segment(name: str) -> int:
-    segment = shared_memory.SharedMemory(name=name)  # leaked
-    return segment.size
+def leak_reader(directory: str) -> int:
+    reader = SlabReader(directory)  # leaked
+    return reader.node_count
 
 
-class SegmentHolder:
-    """Keeps a segment forever: the class defines no ``close()``."""
+class ReaderHolder:
+    """Keeps a reader forever: the class defines no ``close()``."""
 
-    def __init__(self, name: str) -> None:
-        self.segment = shared_memory.SharedMemory(name=name)
+    def __init__(self, directory: str) -> None:
+        self.reader = SlabReader(directory)
 
 
 def context_managed(fileno: int) -> bytes:
@@ -28,12 +29,12 @@ def context_managed(fileno: int) -> bytes:
         return bytes(mapped[:16])
 
 
-def closed_in_scope(name: str) -> int:
-    segment = shared_memory.SharedMemory(name=name)
-    size = int(segment.size)
-    segment.close()
-    return size
+def closed_in_scope(directory: str) -> int:
+    reader = SlabReader(directory)
+    count = int(reader.node_count)
+    reader.close()
+    return count
 
 
-def returned_to_caller(name: str) -> shared_memory.SharedMemory:
-    return shared_memory.SharedMemory(name=name)
+def returned_to_caller(fileno: int) -> mmap.mmap:
+    return mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)

@@ -1,9 +1,9 @@
 """Executable specifications the production engines are tested against.
 
 ``src/repro`` ships one implementation per layer: the distinct-pattern
-batch kernels, the columnar validator and the row ingest.  The
-element-at-a-time loops they replaced live here, outside the package,
-as oracles:
+batch kernels, the columnar validator, the row ingest and the column
+§4.4 fold.  The element-at-a-time loops they replaced live here,
+outside the package, as oracles:
 
 * :mod:`tests.oracles.kernels` -- per-kernel reference loops
   (vectorization, MinHash feature sets and signatures, banding, label
@@ -15,7 +15,10 @@ as oracles:
   per-element validator;
 * :mod:`tests.oracles.ingest` -- the object-at-a-time JSONL/CSV ingest
   (``json.loads`` and one ``Node``/``Edge`` per record) that the row
-  ingest of :mod:`repro.graph.io` and the slab writer replaced.
+  ingest of :mod:`repro.graph.io` and the slab writer replaced;
+* :mod:`tests.oracles.postprocess` -- the per-member object fold of a
+  batch's §4.4 stats that the column fold
+  (:func:`repro.core.postprocess.attach_column_stats`) replaced.
 
 ``benchmarks/bench_hotpath.py`` times the reference engine as the
 baseline of its speedup table.

@@ -122,6 +122,18 @@ def test_managed_handle_lifecycles_are_not_flagged(bad_findings):
     assert all(Path(f.path).as_posix().endswith("storage.py") for f in hits)
 
 
+def test_untracked_mmap_is_flagged(bad_findings):
+    # mmap.mmap stays a tracked handle: the leaked mapping in
+    # storage.py fires under its own name, the managed ones do not.
+    hits = [
+        f for f in bad_findings
+        if f.rule == "slab-lifecycle" and f.message.startswith("mmap.mmap")
+    ]
+    assert len(hits) == 1
+    source = Path(hits[0].path).read_text(encoding="utf-8").splitlines()
+    assert "# leaked" in source[hits[0].line - 1]
+
+
 def test_undocumented_subcommand_is_flagged(bad_findings):
     messages = [
         f.message for f in bad_findings if f.rule == "config-cli-surface"

@@ -600,19 +600,67 @@ class TestCorruption:
             assert (slab_dir / name).read_bytes() == \
                 (reference / name).read_bytes()
 
+    @staticmethod
+    def _damage_first_record(slab_dir, kind):
+        ends = numpy.fromfile(
+            slab_dir / f"{kind}-propend.i64", dtype=numpy.int64
+        )
+        with (slab_dir / f"{kind}-props.dat").open("r+b") as handle:
+            handle.write(b"\xff" * int(ends[0]))
+
     @pytest.fixture
     def damaged_store(self, ldbc_graph, tmp_path):
         """A verified-open store whose first node property record is
         then damaged on disk (the mmap sees the new bytes): open-time
         verification cannot catch it, the read-time guard must."""
         store = write_graph_to_slabs(ldbc_graph, tmp_path / "slabs")
-        ends = numpy.fromfile(
-            tmp_path / "slabs" / "nodes-propend.i64", dtype=numpy.int64
-        )
-        with (tmp_path / "slabs" / "nodes-props.dat").open("r+b") as handle:
-            handle.write(b"\xff" * int(ends[0]))
+        self._damage_first_record(tmp_path / "slabs", "nodes")
         yield store
         store.close()
+
+    @pytest.fixture
+    def damaged_edge_store(self, ldbc_graph, tmp_path):
+        """The same with the first *edge* property record damaged: edge
+        records are read for the §4.4 fold, so the guard must see it."""
+        store = write_graph_to_slabs(ldbc_graph, tmp_path / "slabs")
+        self._damage_first_record(tmp_path / "slabs", "edges")
+        yield store
+        store.close()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_damaged_edge_record_raises_heap_decode(
+        self, damaged_edge_store, jobs
+    ):
+        if jobs > 1 and not fork_available():
+            pytest.skip("the pool requires fork")
+        config = PGHiveConfig(
+            jobs=jobs, parallel_chunk="1", corrupt_slab_policy="raise",
+            shard_retry_backoff=0.0,
+        )
+        with pytest.raises(SlabCorruptionError) as info:
+            PGHive(config).discover_incremental(
+                damaged_edge_store, num_batches=NUM_BATCHES
+            )
+        assert info.value.kind == "heap-decode"
+        assert info.value.slab == "edges-props"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_damaged_edge_record_skips_one_shard(
+        self, damaged_edge_store, jobs
+    ):
+        if jobs > 1 and not fork_available():
+            pytest.skip("the pool requires fork")
+        config = PGHiveConfig(
+            jobs=jobs, parallel_chunk="1", corrupt_slab_policy="skip",
+            shard_retry_backoff=0.0,
+        )
+        result = PGHive(config).discover_incremental(
+            damaged_edge_store, num_batches=NUM_BATCHES
+        )
+        assert [f.kind for f in result.shard_failures] == ["corruption"]
+        assert "edges-props.dat" in result.shard_failures[0].error
+        assert len(result.degraded_shards) == 1
+        assert len(result.batches) == NUM_BATCHES - 1
 
     def test_raise_policy_fails_fast_sequential(self, damaged_store):
         config = PGHiveConfig(corrupt_slab_policy="raise")
@@ -750,8 +798,9 @@ class TestCorruption:
 
 
 class _CountingStore:
-    """A store that appends each materialized plan index to ``log``
-    (a file, so forked pool workers are counted too)."""
+    """A store that appends the plan index of each shard it hands out,
+    as objects or as columns, to ``log`` (a file, so forked pool workers
+    are counted too)."""
 
     def __init__(self, store, log):
         self._store = store
@@ -760,10 +809,17 @@ class _CountingStore:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def materialize_shard(self, plan):
+    def _count(self, plan):
         with open(self._log, "a", encoding="utf-8") as handle:
             handle.write(f"{plan.index}\n")
+
+    def materialize_shard(self, plan):
+        self._count(plan)
         return self._store.materialize_shard(plan)
+
+    def columnize_shard(self, plan):
+        self._count(plan)
+        return self._store.columnize_shard(plan)
 
 
 class TestJournalInvalidation:

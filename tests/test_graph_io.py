@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graph.diskstore import ingest_jsonl_slabs
 from repro.graph.io import (
     IngestReport,
     load_graph_apoc_jsonl,
@@ -155,6 +156,52 @@ class TestJsonlErrorPolicies:
         assert report.ok
         assert report.nodes_loaded == loaded.num_nodes
         assert report.edges_loaded == loaded.num_edges
+
+
+NON_INTEGER_IDS = "\n".join([
+    '{"kind": "node", "id": 12.5, "labels": ["A"]}',
+    '{"kind": "node", "id": true, "labels": ["B"]}',
+    '{"kind": "node", "id": false, "labels": ["C"]}',
+    '{"kind": "node", "id": "7", "labels": ["D"]}',       # digit string
+    '{"kind": "node", "id": 3.0, "labels": ["E"]}',       # integral float
+    '{"kind": "edge", "id": 9, "source": 7, "target": 2.5}',
+]) + "\n"
+
+
+class TestNonIntegerIds:
+    """``12.5``, ``true`` and ``false`` are not ids 12, 1 and 0."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(NON_INTEGER_IDS, encoding="utf-8")
+        return path
+
+    def test_raise(self, path):
+        with pytest.raises(
+            ValueError, match=r"ids\.jsonl:1: non-integer node id 12\.5"
+        ):
+            load_graph_jsonl(path)
+
+    def test_skip(self, path):
+        graph = load_graph_jsonl(path, on_error="skip")
+        assert sorted(node.id for node in graph.nodes()) == [3, 7]
+        assert graph.num_edges == 0
+
+    def test_collect(self, path, tmp_path):
+        report = IngestReport()
+        load_graph_jsonl(path, on_error="collect", report=report)
+        reasons = {e.line: e.reason for e in report.errors}
+        assert sorted(reasons) == [1, 2, 3, 6]
+        assert "non-integer node id 12.5" in reasons[1]
+        assert "non-integer node id True" in reasons[2]
+        assert "non-integer node id False" in reasons[3]
+        assert "non-integer edge target 2.5" in reasons[6]
+        slab_report = IngestReport()
+        ingest_jsonl_slabs(
+            path, tmp_path / "slabs", on_error="collect", report=slab_report
+        ).close()
+        assert slab_report == report
 
 
 class TestCsv:

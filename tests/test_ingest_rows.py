@@ -73,7 +73,7 @@ MALFORMED_LINES = [
     '{"kind": "node", "id": "512", "labels": ["Person"]}',  # "512" -> 512
     '{"kind": "node", "id": 512.0}',                      # duplicate of 512
     '{"kind": "node", "id": 513.0, "labels": ["Post"]}',  # 513.0 -> 513
-    '{"kind": "node", "id": true, "labels": []}',         # true -> 1 (dup)
+    '{"kind": "node", "id": true, "labels": []}',         # bool id
     '{"kind": "node", "id": null}',                       # null id
     '{"kind": "node", "labels": ["X"]}',                  # missing id
     '{"kind": "node", "id": "x1"}',                       # non-integer id
@@ -94,7 +94,7 @@ MALFORMED_LINES = [
     _edge(2, 998, 0),                                     # dangling source
     '{"kind": "edge", "id": "3", "source": "0", "target": "513"}',
     '{"kind": "edge", "id": null, "source": "x", "labels": []}',  # 3 rejects
-    '{"kind": "edge", "id": 4.0, "source": true, "target": 2.0}',
+    '{"kind": "edge", "id": 4.0, "source": true, "target": 2.0}',  # bool
     '{"kind": "edge", "id": 5, "source": 1, "target": 2, '
     '"properties": [["w", 1]], "labels": "KNOWS"}',
     '{"kind": "edge", "id": 6, "source": 1, "target": 2, "labels": 7}',
@@ -107,8 +107,8 @@ MALFORMED_LINES = [
 
 #: Lines of :data:`MALFORMED_LINES` a lenient load rejects, and the
 #: rejects it reports (one edge line has three bad fields).
-BAD_LINES = 25
-REJECTS = 27
+BAD_LINES = 26
+REJECTS = 28
 
 
 @pytest.fixture
