@@ -8,9 +8,10 @@ peak RSS is attributable:
 
 * ``memory`` -- ``load_graph_jsonl`` builds the whole ``PropertyGraph``
   in the driver, then discovery runs over a ``GraphStore``;
-* ``disk`` -- ``ingest_jsonl_slabs`` streams the file straight into
-  memory-mapped slab files in bounded chunks, then discovery runs over
-  a ``DiskGraphStore`` whose workers mmap the slabs read-only.
+* ``disk`` -- ``ingest_jsonl_slabs`` scans line-aligned byte ranges of
+  the file on ``JOBS`` workers and appends them to memory-mapped slab
+  files in file order, then discovery runs over a ``DiskGraphStore``
+  whose workers mmap the slabs read-only.
 
 Each child records its peak RSS *delta*: ``VmHWM`` at exit minus
 ``VmHWM`` right after imports, i.e. growth attributable to the data,
@@ -119,7 +120,7 @@ def child_main(backend: str, jsonl: str, workdir: str, schema_out: str) -> None:
     baseline = peak_rss_bytes()
     started = time.perf_counter()
     if backend == "disk":
-        store = ingest_jsonl_slabs(jsonl, Path(workdir) / "slabs")
+        store = ingest_jsonl_slabs(jsonl, Path(workdir) / "slabs", jobs=JOBS)
     else:
         store = GraphStore(load_graph_jsonl(jsonl))
     ingest_seconds = time.perf_counter() - started

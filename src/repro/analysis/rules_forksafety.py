@@ -49,11 +49,13 @@ POOL_PAYLOAD_TYPES = (
     "ShardFailure",
     "BatchReport",
     "SchemaGraph",
+    "JsonlChunk",
+    "RowSegment",
 )
 
 #: Annotation atoms always safe to pickle and fork-share.
 SAFE_ATOMS = frozenset({
-    "int", "float", "str", "bool", "bytes", "complex", "None",
+    "int", "float", "str", "bool", "bytes", "bytearray", "complex", "None",
     "NoneType",
 })
 

@@ -149,7 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="process incrementally in N batches")
     discover.add_argument("--jobs", type=int, default=1,
                           help="worker processes for incremental discovery "
-                               "(with --batches; 1 = sequential)")
+                               "(with --batches) and for the --store disk "
+                               "ingest of a JSONL file (1 = sequential)")
     discover.add_argument("--parallel-chunk", default="auto",
                           help="shards per pool task ('auto' or a "
                                "positive integer; with --jobs > 1)")
@@ -362,6 +363,7 @@ def _load_input(args: argparse.Namespace) -> BaseGraphStore:
                 slab_bytes=getattr(args, "slab_bytes", 4 << 20),
                 on_error=on_error,
                 report=report,
+                jobs=getattr(args, "jobs", 1),
             )
             if report is not None and report.errors:
                 print(report.describe(), file=sys.stderr)

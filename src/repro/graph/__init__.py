@@ -25,7 +25,6 @@ from repro.graph.scrub import (
 from repro.graph.diskstore import (
     DiskGraphStore,
     SlabIngestError,
-    SlabIngestSink,
     ingest_jsonl_slabs,
     is_slab_directory,
     write_graph_to_slabs,
@@ -77,7 +76,6 @@ __all__ = [
     "ScrubReport",
     "SlabCorruptionError",
     "SlabIngestError",
-    "SlabIngestSink",
     "SlabReader",
     "SlabWriter",
     "compute_statistics",

@@ -22,9 +22,14 @@ property-tests all of it across worker counts and chunkings).
 
 from __future__ import annotations
 
+import heapq
 import mmap
+import multiprocessing
 import os
 import random
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -36,7 +41,17 @@ from repro.core.columns import (
     edge_columns_from_arrays,
     node_columns_from_arrays,
 )
-from repro.graph.io import EdgeRow, IngestReport, NodeRow, stream_graph_jsonl
+from repro.graph.io import (
+    EdgeRow,
+    IngestReport,
+    JsonlChunk,
+    NodeRow,
+    _ErrorPolicy,
+    cut_jsonl_ranges,
+    jsonl_line_offset,
+    jsonl_range_bytes,
+    scan_jsonl_range,
+)
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.slab import (
     DEFAULT_SLAB_BYTES,
@@ -47,7 +62,7 @@ from repro.graph.slab import (
 )
 from repro.graph.store import BaseGraphStore, GraphBatch, ShardPlan
 
-#: Rows per ingest chunk handed to the slab writer in one call.
+#: Rows per chunk :func:`write_graph_to_slabs` hands the writer in one call.
 INGEST_CHUNK_ROWS = 2048
 
 _SCRATCH_DIR = "scratch"
@@ -117,7 +132,7 @@ class SlabIngestError(RuntimeError):
 
     Attributes:
         directory: The slab directory left at its last commit.
-        source: The ingest source key (the input file path).
+        source: The ingest source key (see :func:`ingest_source_key`).
         committed_line: Last fully committed line of that source.
     """
 
@@ -527,39 +542,52 @@ def write_graph_to_slabs(
     return DiskGraphStore(directory)
 
 
-class SlabIngestSink:
-    """Streaming ingest target: chunks land on disk, commits by bytes.
+#: Ranges in flight per pool worker: enough to keep every worker busy
+#: while the parent appends, few enough to bound the chunks held.
+RANGES_IN_FLIGHT_PER_JOB = 2
 
-    Implements the :class:`repro.graph.io.GraphSink` protocol over a
-    :class:`SlabWriter` and commits the manifest (with the source's
-    line-progress marker) whenever ``slab_bytes`` of payload has
-    accumulated since the last commit -- the unit of crash recovery for
-    a killed ingest.
+
+def ingest_source_key(path: str | Path) -> str:
+    """Progress-marker key of an ingest input: file name and byte size.
+
+    Not the path: the same input ingested from two directories must
+    give byte-identical slab directories, manifest included.
     """
+    path = Path(path)
+    return f"{path.name}:{path.stat().st_size}"
 
-    def __init__(
-        self, writer: SlabWriter, source_key: str, slab_bytes: int
-    ) -> None:
-        self._writer = writer
-        self._source_key = source_key
-        self._slab_bytes = slab_bytes
 
-    def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
-        """Append a node-row chunk; returns ``(position, reason)`` rejects."""
-        return self._writer.add_nodes(rows)
+def _scan_range(path: str, start: int, stop: int) -> JsonlChunk:
+    """Worker: scan one line-aligned range of the input.
 
-    def add_edges(self, rows: Sequence[EdgeRow]) -> list[tuple[int, str]]:
-        """Append an edge-row chunk; returns ``(position, reason)`` rejects."""
-        return self._writer.add_edges(rows)
+    Resolves :func:`scan_jsonl_range` through this module at call time,
+    so a pool forked after a test patches it runs the patched scanner.
+    """
+    return scan_jsonl_range(path, start, stop)
 
-    def chunk_done(self, line_number: int) -> None:
-        """Commit durably once enough bytes accumulated since the last."""
-        if self._writer.uncommitted_bytes >= self._slab_bytes:
-            self._writer.commit({self._source_key: line_number})
 
-    def finish(self, line_number: int) -> None:
-        """Final commit covering everything up to ``line_number``."""
-        self._writer.commit({self._source_key: line_number})
+def _scan_ranges(
+    path: Path,
+    ranges: Iterator[tuple[int, int]],
+    executor: ProcessPoolExecutor | None,
+    jobs: int,
+) -> Iterator[JsonlChunk]:
+    """Scanned chunks in file order, in-process or on the pool.
+
+    On the pool at most ``RANGES_IN_FLIGHT_PER_JOB * jobs`` ranges are
+    submitted and not yet consumed, whatever the file size.
+    """
+    if executor is None:
+        for start, stop in ranges:
+            yield _scan_range(str(path), start, stop)
+        return
+    in_flight: deque[Future[JsonlChunk]] = deque()
+    for start, stop in ranges:
+        in_flight.append(executor.submit(_scan_range, str(path), start, stop))
+        if len(in_flight) >= RANGES_IN_FLIGHT_PER_JOB * jobs:
+            yield in_flight.popleft().result()
+    while in_flight:
+        yield in_flight.popleft().result()
 
 
 def ingest_jsonl_slabs(
@@ -569,68 +597,109 @@ def ingest_jsonl_slabs(
     slab_bytes: int = DEFAULT_SLAB_BYTES,
     on_error: str = "raise",
     report: IngestReport | None = None,
-    chunk_rows: int = INGEST_CHUNK_ROWS,
     resume: bool = False,
     faults: str | None = None,
+    jobs: int = 1,
 ) -> DiskGraphStore:
-    """Stream a JSONL graph file straight into a slab directory.
+    """Ingest a JSONL graph file into a slab directory.
 
-    Rows land on disk in bounded chunks -- peak memory is one chunk
-    plus the writer's ``slab_bytes`` buffer, independent of file size.
-    With ``resume=True`` an interrupted ingest continues from the last
-    committed line of the same source (earlier lines are skipped
-    without parsing); otherwise any existing rows are discarded first.
+    The file is cut into line-aligned byte ranges
+    (:func:`~repro.graph.io.cut_jsonl_ranges`, sized by
+    :func:`~repro.graph.io.jsonl_range_bytes` from the file size and
+    ``slab_bytes`` alone).  Each range is scanned into a column chunk
+    (:func:`~repro.graph.io.scan_jsonl_range`) -- in-process at
+    ``jobs=1``, on a fork pool of ``jobs`` workers otherwise -- and the
+    chunks are appended in file order
+    (:meth:`~repro.graph.slab.SlabWriter.append_chunk`).  After a range,
+    once ``slab_bytes`` of payload is uncommitted, the manifest commits
+    with the range's last line as the source's progress marker.  Commit
+    points therefore do not depend on ``jobs``, and neither does any
+    byte of the directory.  Memory stays at a few ranges plus the
+    writer's buffer, independent of file size.
+
+    With ``resume=True`` an interrupted ingest continues after the last
+    committed line of the same source (keyed by
+    :func:`ingest_source_key`): the lines before it are counted, not
+    parsed, and the rest is cut from there.  A directory with no
+    progress for this source starts over; without ``resume`` any
+    existing rows are discarded first.
 
     Accepts the loader ``on_error`` / ``report`` policy of
-    :func:`repro.graph.io.load_graph_jsonl`; a resumed ingest reports
-    only the resumed portion.  ``faults`` is a
+    :func:`repro.graph.io.load_graph_jsonl`, with the same reject
+    messages in the same order; a resumed ingest reports only the
+    resumed portion.  ``faults`` is a
     :class:`repro.core.faults.FaultPlan` spec for the writer's storage
-    fault sites (tests/CI only).
+    fault sites (tests/CI only).  No worker process outlives the call.
 
     Raises:
         SlabIngestError: An ``OSError`` (ENOSPC, I/O error, ...) hit the
-            write path.  The directory is left at its last committed
-            manifest generation; rerun with ``resume=True`` to continue
-            from :attr:`SlabIngestError.committed_line`.
+            write path, or a scan worker died.  The directory is left at
+            its last committed manifest generation; rerun with
+            ``resume=True`` to continue from
+            :attr:`SlabIngestError.committed_line`.
     """
+    # Deferred import: repro.core.parallel imports the graph package,
+    # which imports this module.
+    from repro.core.parallel import fork_available
+
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     path = Path(path)
+    policy = _ErrorPolicy(path, on_error, report)
+    source_key = ingest_source_key(path)
+    range_bytes = jsonl_range_bytes(path.stat().st_size, slab_bytes)
     writer = SlabWriter(
         directory,
         name=name or path.stem,
         slab_bytes=slab_bytes,
         faults=faults,
     )
-    source_key = str(path)
-    if resume:
-        start_line = writer.source_progress(source_key)
-    else:
-        if writer.counts() != (0, 0) or writer.source_progress(source_key):
-            writer.reset()
-        start_line = 0
-    sink = SlabIngestSink(writer, source_key, slab_bytes)
-    try:
-        last_line = stream_graph_jsonl(
-            path,
-            sink,
-            on_error=on_error,
-            report=report,
-            chunk_rows=chunk_rows,
-            start_line=start_line,
-            on_progress=sink.chunk_done,
+    line = writer.source_progress(source_key) if resume else 0
+    if not line and (
+        writer.counts() != (0, 0) or writer.source_progress(source_key)
+    ):
+        writer.reset()
+    executor: ProcessPoolExecutor | None = None
+    if jobs > 1 and fork_available():
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("fork")
         )
-        sink.finish(max(last_line, start_line))
-    except OSError as exc:
-        writer.close()
+    try:
+        start = jsonl_line_offset(path, line, range_bytes) if line else 0
+        ranges = cut_jsonl_ranges(path, start, range_bytes)
+        for chunk in _scan_ranges(path, ranges, executor, jobs):
+            nodes, edges = writer.counts()
+            inserted = writer.append_chunk(chunk)
+            if report is not None:
+                now_nodes, now_edges = writer.counts()
+                report.nodes_loaded += now_nodes - nodes
+                report.edges_loaded += now_edges - edges
+            for local, reason in heapq.merge(
+                chunk.rejects, inserted, key=lambda item: item[0]
+            ):
+                policy.reject(line + local, reason)
+            line += chunk.lines
+            if writer.uncommitted_bytes >= slab_bytes:
+                writer.commit({source_key: line})
+        writer.commit({source_key: line})
+    except (OSError, BrokenProcessPool) as exc:
         committed = _committed_progress(Path(directory), source_key)
+        cause = (
+            "a scan worker died" if isinstance(exc, BrokenProcessPool)
+            else f"ingest failed mid-write ({exc})"
+        )
         raise SlabIngestError(
-            f"{path}: ingest failed mid-write ({exc}); {directory} is "
-            f"intact at its last commit (line {committed} of this "
-            f"source) -- rerun with resume=True to continue",
+            f"{path}: {cause}; {directory} is intact at its last commit "
+            f"(line {committed} of this source) -- rerun with resume=True "
+            f"to continue",
             directory=directory,
             source=source_key,
             committed_line=committed,
         ) from exc
-    writer.close()
+    finally:
+        writer.close()
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
     return DiskGraphStore(directory)
 
 
@@ -651,8 +720,8 @@ def is_slab_directory(path: str | Path) -> bool:
 __all__ = [
     "DiskGraphStore",
     "SlabIngestError",
-    "SlabIngestSink",
     "ingest_jsonl_slabs",
+    "ingest_source_key",
     "is_slab_directory",
     "write_graph_to_slabs",
 ]

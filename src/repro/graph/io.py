@@ -28,13 +28,18 @@ converted into :class:`IngestError` entries.
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import pickle
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import groupby, starmap
 from pathlib import Path
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence, cast
+
+import numpy
 
 from repro.graph.model import Edge, Node, PropertyGraph
+from repro.graph.slab import EDGE_KIND, NODE_KIND
 
 _ON_ERROR_POLICIES = ("raise", "skip", "collect")
 
@@ -61,11 +66,11 @@ class GraphSink(Protocol):
 
     The loaders hand the sink validated *rows* -- plain tuples, never
     :class:`~repro.graph.model.Node`/:class:`~repro.graph.model.Edge`
-    objects -- so the disk backend's slab writer appends them straight
-    into its columns.  An in-memory load wraps the rows into objects in
-    :class:`GraphRowSink`; the loaders never know whether rows land in
-    RAM or on disk.  Each call inserts the accepted rows in order and
-    returns ``(position, reason)`` pairs for rejected ones.
+    objects.  An in-memory load wraps the rows into objects in
+    :class:`GraphRowSink`; :class:`~repro.graph.slab.SlabWriter` takes
+    the same rows straight into its columns.  Each call inserts the
+    accepted rows in order and returns ``(position, reason)`` pairs for
+    rejected ones.
     """
 
     def add_nodes(self, rows: Sequence[NodeRow]) -> list[tuple[int, str]]:
@@ -225,8 +230,8 @@ class _ChunkedInserter:
 
     def push_node(
         self, line_number: int, row: NodeRow, weight: int = 0
-    ) -> bool:
-        """Buffer one node row; returns True when this filled a chunk.
+    ) -> None:
+        """Buffer one node row, flushing when the chunk is full.
 
         ``weight`` is the row's approximate payload size (the loaders
         pass the raw record length); a chunk flushes early once the
@@ -242,13 +247,11 @@ class _ChunkedInserter:
             or self._weight >= self._chunk_bytes
         ):
             self.flush()
-            return True
-        return False
 
     def push_edge(
         self, line_number: int, row: EdgeRow, weight: int = 0
-    ) -> bool:
-        """Buffer one edge row; returns True when this filled a chunk."""
+    ) -> None:
+        """Buffer one edge row, flushing when the chunk is full."""
         if self._nodes:
             self.flush()
         self._lines.append(line_number)
@@ -259,8 +262,6 @@ class _ChunkedInserter:
             or self._weight >= self._chunk_bytes
         ):
             self.flush()
-            return True
-        return False
 
     def flush(self) -> None:
         """Hand the buffered chunk to the sink and report its rejects."""
@@ -313,7 +314,7 @@ def _record_int(
     record: dict[str, Any],
     key: str,
     kind: str,
-    policy: _ErrorPolicy,
+    reject: Callable[[int, str], None],
     line_number: int,
 ) -> int | None:
     """Fetch an integer field, rejecting missing/non-integer values.
@@ -323,7 +324,7 @@ def _record_int(
     and 12.
     """
     if key not in record:
-        policy.reject(line_number, f"{kind} record missing {key!r}")
+        reject(line_number, f"{kind} record missing {key!r}")
         return None
     value = record[key]
     if not isinstance(value, bool) and not (
@@ -333,7 +334,98 @@ def _record_int(
             return int(value)
         except (TypeError, ValueError):
             pass
-    policy.reject(line_number, f"non-integer {kind} {key} {value!r}")
+    reject(line_number, f"non-integer {kind} {key} {value!r}")
+    return None
+
+
+def json_scanner() -> Callable[[str, int], tuple[Any, int]]:
+    """The stdlib decoder's C scanner, for :func:`parse_jsonl_record`.
+
+    ``scan_once`` is an instance attribute the type stubs leave out; it
+    skips the decode()/raw_decode() wrappers ``json.loads`` adds per
+    call.
+    """
+    scan: Callable[[str, int], tuple[Any, int]] = getattr(
+        json.JSONDecoder(), "scan_once"
+    )
+    return scan
+
+
+def parse_jsonl_record(
+    line: str,
+    line_number: int,
+    reject: Callable[[int, str], None],
+    scan: Callable[[str, int], tuple[Any, int]],
+) -> NodeRow | EdgeRow | None:
+    """Validate one stripped, non-blank JSONL line into a row.
+
+    The one per-line validation of the JSONL loaders: the memory loader
+    and the slab range scanner both call it, so their reject messages
+    cannot drift.  Returns a :data:`NodeRow` (three fields) or an
+    :data:`EdgeRow` (five fields), or ``None`` after reporting each
+    problem through ``reject(line_number, reason)`` (which may raise).
+    ``scan`` is :func:`json_scanner`'s C scanner: a parse that consumes
+    the stripped line whole is exactly a ``json.loads`` success, and
+    anything else goes back through ``json.loads`` for its exact reject
+    message.
+    """
+    try:
+        record, end = scan(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(line):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            reject(line_number, f"invalid JSON: {exc.msg}")
+            return None
+    if not isinstance(record, dict):
+        reject(line_number, "record is not a JSON object")
+        return None
+    kind = record.get("kind")
+    if kind == "node":
+        node_id = record.get("id")
+        if type(node_id) is not int:
+            node_id = _record_int(record, "id", "node", reject, line_number)
+            if node_id is None:
+                return None
+        try:
+            labels = frozenset(record.get("labels", ()))
+            properties = record.get("properties", {})
+            if type(properties) is not dict:
+                properties = dict(properties)
+        except (TypeError, ValueError):
+            reject(line_number, "malformed node record")
+            return None
+        return (node_id, labels, properties)
+    if kind == "edge":
+        edge_id = record.get("id")
+        source = record.get("source")
+        target = record.get("target")
+        if (
+            type(edge_id) is not int
+            or type(source) is not int
+            or type(target) is not int
+        ):
+            # Every id field is checked (and rejected) in turn, so a
+            # lenient load reports each bad field.
+            fields = [
+                _record_int(record, key, "edge", reject, line_number)
+                for key in ("id", "source", "target")
+            ]
+            if any(value is None for value in fields):
+                return None
+            edge_id, source, target = fields
+        try:
+            labels = frozenset(record.get("labels", ()))
+            properties = record.get("properties", {})
+            if type(properties) is not dict:
+                properties = dict(properties)
+        except (TypeError, ValueError):
+            reject(line_number, "malformed edge record")
+            return None
+        return (edge_id, source, target, labels, properties)
+    reject(line_number, f"unknown record kind {kind!r}")
     return None
 
 
@@ -343,36 +435,24 @@ def stream_graph_jsonl(
     on_error: str = "raise",
     report: IngestReport | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    start_line: int = 0,
-    on_progress: Callable[[int], None] | None = None,
-) -> int:
+) -> None:
     """Stream a JSONL graph file into a :class:`GraphSink` in chunks.
 
-    The workhorse behind :func:`load_graph_jsonl` and the disk
-    backend's out-of-core ingest: rows are parsed one line at a time,
-    validated into :data:`NodeRow`/:data:`EdgeRow` tuples (no element
-    objects), buffered into ``chunk_rows``-sized chunks, and handed to
-    the sink in file order -- peak memory is one chunk, never the file.
+    The workhorse behind :func:`load_graph_jsonl`: rows are parsed one
+    line at a time by :func:`parse_jsonl_record` into
+    :data:`NodeRow`/:data:`EdgeRow` tuples (no element objects),
+    buffered into ``chunk_rows``-sized chunks, and handed to the sink in
+    file order -- peak memory is one chunk, never the file.  The disk
+    backend ingests through :func:`scan_jsonl_range` instead.
 
     Args:
         path: JSONL file to read.
-        sink: Row insertion target (a :class:`GraphRowSink` or a slab
-            ingest sink); a :class:`PropertyGraph` is wrapped in a
-            :class:`GraphRowSink`.
+        sink: Row insertion target; a :class:`PropertyGraph` is wrapped
+            in a :class:`GraphRowSink`.
         on_error: ``"raise"`` | ``"skip"`` | ``"collect"`` (see module
             docstring).
         report: Sink for :class:`IngestError` records and load counts.
         chunk_rows: Rows buffered per sink call.
-        start_line: Skip (without parsing) all lines up to and
-            including this 1-based number -- how a resumed ingest fast
-            forwards to its last committed position.
-        on_progress: Called with the last fully processed line number
-            after each full-chunk flush; everything up to that line has
-            reached the sink, which is the disk backend's commit hook.
-
-    Returns:
-        The last 1-based line number processed (``start_line`` for an
-        empty or fully skipped file).
 
     Raises:
         ValueError: A malformed record under ``on_error="raise"`` (the
@@ -386,96 +466,21 @@ def stream_graph_jsonl(
     inserter = _ChunkedInserter(sink, policy, report, chunk_rows)
     push_node = inserter.push_node
     push_edge = inserter.push_edge
-    # The stdlib decoder's C scanner (an instance attribute the type
-    # stubs leave out), without the decode()/raw_decode() wrappers
-    # json.loads adds per call.  A line is stripped, so a parse that
-    # consumes it whole is exactly a json.loads success; anything else
-    # goes back through json.loads for its exact reject message.
-    scan: Callable[[str, int], tuple[Any, int]] = getattr(
-        json.JSONDecoder(), "scan_once"
-    )
-    last_line = start_line
+    reject = policy.reject
+    scan = json_scanner()
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if line_number <= start_line:
-                continue
-            last_line = line_number
             line = line.strip()
             if not line:
                 continue
-            try:
-                record, end = scan(line, 0)
-            except (StopIteration, json.JSONDecodeError):
-                end = -1
-            if end != len(line):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    policy.reject(line_number, f"invalid JSON: {exc.msg}")
-                    continue
-            if not isinstance(record, dict):
-                policy.reject(line_number, "record is not a JSON object")
+            row = parse_jsonl_record(line, line_number, reject, scan)
+            if row is None:
                 continue
-            kind = record.get("kind")
-            flushed = False
-            if kind == "node":
-                node_id = record.get("id")
-                if type(node_id) is not int:
-                    node_id = _record_int(
-                        record, "id", "node", policy, line_number
-                    )
-                    if node_id is None:
-                        continue
-                try:
-                    labels = frozenset(record.get("labels", ()))
-                    properties = record.get("properties", {})
-                    if type(properties) is not dict:
-                        properties = dict(properties)
-                except (TypeError, ValueError):
-                    policy.reject(line_number, "malformed node record")
-                    continue
-                flushed = push_node(
-                    line_number, (node_id, labels, properties), len(line)
-                )
-            elif kind == "edge":
-                edge_id = record.get("id")
-                source = record.get("source")
-                target = record.get("target")
-                if (
-                    type(edge_id) is not int
-                    or type(source) is not int
-                    or type(target) is not int
-                ):
-                    # Every id field is checked (and rejected) in turn,
-                    # so a lenient load reports each bad field.
-                    fields = [
-                        _record_int(record, key, "edge", policy, line_number)
-                        for key in ("id", "source", "target")
-                    ]
-                    if any(value is None for value in fields):
-                        continue
-                    edge_id, source, target = fields
-                try:
-                    labels = frozenset(record.get("labels", ()))
-                    properties = record.get("properties", {})
-                    if type(properties) is not dict:
-                        properties = dict(properties)
-                except (TypeError, ValueError):
-                    policy.reject(line_number, "malformed edge record")
-                    continue
-                flushed = push_edge(
-                    line_number,
-                    (edge_id, source, target, labels, properties),
-                    len(line),
-                )
+            if len(row) == 3:
+                push_node(line_number, cast(NodeRow, row), len(line))
             else:
-                policy.reject(
-                    line_number, f"unknown record kind {kind!r}"
-                )
-            if flushed and on_progress is not None:
-                on_progress(line_number)
+                push_edge(line_number, cast(EdgeRow, row), len(line))
     inserter.flush()
-    return last_line
 
 
 def load_graph_jsonl(
@@ -508,6 +513,231 @@ def load_graph_jsonl(
         chunk_rows=chunk_rows,
     )
     return graph
+
+
+# ----------------------------------------------------------------------
+# Line-aligned byte ranges: the slab ingest's unit of work
+# ----------------------------------------------------------------------
+#: Floor of the ingest range size, so small files are not cut into
+#: ranges whose per-range cost outweighs the scan.
+MIN_RANGE_BYTES = 64 << 10
+
+#: A file is cut into about this many ranges, unless ``slab_bytes`` caps
+#: the range size lower.
+RANGES_PER_FILE = 16
+
+
+def jsonl_range_bytes(file_size: int, slab_bytes: int) -> int:
+    """Target byte size of one ingest range.
+
+    Depends only on the file and ``slab_bytes`` -- never on the worker
+    count -- so the range cut, the commit points and therefore the
+    whole slab directory are the same at any ``jobs``.
+    """
+    return min(slab_bytes, max(MIN_RANGE_BYTES, file_size // RANGES_PER_FILE))
+
+
+def cut_jsonl_ranges(
+    path: str | Path, start: int, range_bytes: int
+) -> Iterator[tuple[int, int]]:
+    """Cut ``path`` from byte ``start`` into line-aligned ranges.
+
+    Yields ``(start, stop)`` byte offsets.  A range ends just after the
+    first ``\\n`` at or past ``range_bytes`` bytes into it (a line
+    longer than a range extends that range), or at end of file.  Each
+    range starts where the previous one stopped, so cutting from any
+    range boundary of an earlier cut reproduces that cut's tail -- which
+    is how a resumed ingest lands on the clean ingest's ranges.
+    """
+    with Path(path).open("rb") as handle:
+        size = handle.seek(0, 2)
+        offset = start
+        while offset < size:
+            handle.seek(offset + range_bytes - 1)
+            stop = handle.tell() + len(handle.readline())
+            yield offset, stop
+            offset = stop
+
+
+def _split_lines(data: bytes) -> list[str]:
+    """Decode a range and split it the way text-mode iteration does.
+
+    Universal newlines: ``\\r\\n``, ``\\r`` and ``\\n`` all end a line
+    (``str.splitlines`` would also split on characters JSON strings may
+    hold raw, such as ``\\u2028``).  Line terminators are dropped.
+    """
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def jsonl_line_offset(
+    path: str | Path, lines: int, range_bytes: int
+) -> int:
+    """Byte offset just past the first ``lines`` lines of ``path``.
+
+    Walks the file range by range, counting lines, so memory stays at
+    one range; how a resumed ingest turns its committed line marker back
+    into the byte offset it cuts the rest of the file from.
+    """
+    counted = 0
+    with Path(path).open("rb") as handle:
+        for start, stop in cut_jsonl_ranges(path, 0, range_bytes):
+            if counted == lines:
+                return start
+            handle.seek(start)
+            data = handle.read(stop - start)
+            here = data.splitlines(keepends=True)
+            if counted + len(here) <= lines:
+                counted += len(here)
+                continue
+            return start + sum(len(line) for line in here[: lines - counted])
+        return handle.seek(0, 2)
+
+
+@dataclass
+class RowSegment:
+    """A kind-homogeneous run of scanned rows, in file order.
+
+    Every column is int64 and one entry per row.  ``label_ids`` and
+    ``key_ids`` index the chunk's local interners of ``kind``; ``ends``
+    are the end offsets of each row's property pickle in the chunk heap,
+    whose first row starts at ``heap_start``.  Edge-only columns are
+    empty on node segments.
+    """
+
+    kind: str
+    lines: numpy.ndarray
+    ids: numpy.ndarray
+    sources: numpy.ndarray
+    targets: numpy.ndarray
+    label_ids: numpy.ndarray
+    key_ids: numpy.ndarray
+    ends: numpy.ndarray
+    heap_start: int
+
+
+@dataclass
+class JsonlChunk:
+    """One scanned byte range of a JSONL file, ready for the slab writer.
+
+    Line numbers are local: 1 is the range's first line.  Interners are
+    per kind, in first-seen order within the range (a key order is the
+    first row's own dict order).  ``rejects`` are the parse rejects as
+    ``(local line, reason)`` in line order; id and endpoint checks need
+    the rows of earlier ranges and happen when the chunk is appended
+    (:meth:`repro.graph.slab.SlabWriter.append_chunk`).
+    """
+
+    lines: int
+    segments: list[RowSegment]
+    heap: bytearray
+    label_sets: dict[str, list[frozenset[str]]]
+    key_orders: dict[str, list[tuple[str, ...]]]
+    rejects: list[tuple[int, str]]
+
+
+def _int64(values: list[int]) -> numpy.ndarray:
+    """One int64 column from a list of row values."""
+    return numpy.array(values, dtype=numpy.int64)
+
+
+def scan_jsonl_range(path: str, start: int, stop: int) -> JsonlChunk:
+    """Worker: scan bytes ``[start, stop)`` of a JSONL file into a chunk.
+
+    Parses and validates each line with :func:`parse_jsonl_record`,
+    then lays each kind-homogeneous run of rows out as slab columns:
+    id, endpoint, local interner and heap-offset columns plus the
+    pickled property heap.  Self-contained, so it runs in-process or on
+    a forked worker alike.
+    """
+    with Path(path).open("rb") as handle:
+        handle.seek(start)
+        lines = _split_lines(handle.read(stop - start))
+    rejects: list[tuple[int, str]] = []
+    add_reject = rejects.append
+
+    def reject(line_number: int, reason: str) -> None:
+        add_reject((line_number, reason))
+
+    scan = json_scanner()
+    rows: list[tuple[int, tuple[Any, ...]]] = []
+    # The parsed records hold no reference cycles, and a range's worth
+    # of them stays alive until its columns are built: cyclic GC passes
+    # over them would only re-traverse the whole heap, for nothing.
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        for line_number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if line:
+                row = parse_jsonl_record(line, line_number, reject, scan)
+                if row is not None:
+                    rows.append((line_number, row))
+    finally:
+        if paused:
+            gc.enable()
+    heap = bytearray()
+    dumps = pickle.dumps
+    label_sets: dict[str, list[frozenset[str]]] = {
+        NODE_KIND: [], EDGE_KIND: [],
+    }
+    key_orders: dict[str, list[tuple[str, ...]]] = {
+        NODE_KIND: [], EDGE_KIND: [],
+    }
+    label_index: dict[str, dict[frozenset[str], int]] = {
+        NODE_KIND: {}, EDGE_KIND: {},
+    }
+    key_index: dict[str, dict[frozenset[str], int]] = {
+        NODE_KIND: {}, EDGE_KIND: {},
+    }
+    segments: list[RowSegment] = []
+    for is_edge, group in groupby(rows, key=lambda item: len(item[1]) == 5):
+        run = list(group)
+        kind = EDGE_KIND if is_edge else NODE_KIND
+        heap_start = len(heap)
+        labels_seen = label_index[kind]
+        label_table = label_sets[kind]
+        keys_seen = key_index[kind]
+        key_table = key_orders[kind]
+        label_ids: list[int] = []
+        key_ids: list[int] = []
+        ends: list[int] = []
+        for _, row in run:
+            labels = row[-2]
+            label_id = labels_seen.get(labels)
+            if label_id is None:
+                label_id = labels_seen[labels] = len(label_table)
+                label_table.append(labels)
+            label_ids.append(label_id)
+            properties = row[-1]
+            key_set = frozenset(properties)
+            key_id = keys_seen.get(key_set)
+            if key_id is None:
+                key_id = keys_seen[key_set] = len(key_table)
+                key_table.append(tuple(properties))
+            key_ids.append(key_id)
+            heap += dumps(properties, protocol=5)
+            ends.append(len(heap))
+        empty: list[int] = []
+        segments.append(RowSegment(
+            kind,
+            _int64([number for number, _ in run]),
+            _int64([row[0] for _, row in run]),
+            _int64([row[1] for _, row in run] if is_edge else empty),
+            _int64([row[2] for _, row in run] if is_edge else empty),
+            _int64(label_ids),
+            _int64(key_ids),
+            _int64(ends),
+            heap_start,
+        ))
+    return JsonlChunk(
+        len(lines), segments, heap, label_sets, key_orders, rejects
+    )
 
 
 def save_graph_csv(graph: PropertyGraph, nodes_path: str | Path,

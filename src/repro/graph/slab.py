@@ -85,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # parallel driver, which imports this module -- a cycle at import
     # time but not at construction time.
     from repro.core.faults import FaultInjector
-    from repro.graph.io import EdgeRow, NodeRow
+    from repro.graph.io import EdgeRow, JsonlChunk, NodeRow, RowSegment
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_BACKUP_NAME = "manifest.json.bak"
@@ -401,11 +401,17 @@ def _empty_manifest(name: str) -> dict[str, Any]:
 
 
 class _KindState:
-    """Writer-side state for one element kind (nodes or edges)."""
+    """Writer-side state for one element kind (nodes or edges).
+
+    Appended rows wait in ``blocks`` (per column, a list of int64
+    arrays) and ``heap_blocks`` (their property pickles, in row order)
+    until a flush writes them out.
+    """
 
     __slots__ = (
         "kind", "rows", "props_bytes", "label_sets", "label_ids",
-        "key_orders", "key_ids", "ids_seen", "buffers", "prop_buffer",
+        "key_orders", "key_ids", "ids_seen", "blocks", "pending",
+        "heap_blocks", "heap_pending",
     )
 
     def __init__(self, kind: str, entry: Mapping[str, Any]) -> None:
@@ -426,10 +432,32 @@ class _KindState:
             for index, order in enumerate(self.key_orders)
         }
         self.ids_seen: set[int] = set()
-        self.buffers: dict[str, list[int]] = {
+        self.blocks: dict[str, list[numpy.ndarray]] = {
             column: [] for column in _INT_COLUMNS[kind]
         }
-        self.prop_buffer = bytearray()
+        self.pending = 0
+        self.heap_blocks: list[bytes | bytearray | memoryview] = []
+        self.heap_pending = 0
+
+    @property
+    def heap_end(self) -> int:
+        """Heap offset where the next appended row's pickle starts."""
+        return self.props_bytes + self.heap_pending
+
+    def push(
+        self,
+        columns: Mapping[str, Any],
+        heap: bytes | bytearray | memoryview,
+    ) -> None:
+        """Buffer one block of rows: an int64 array (or list) per column
+        and the rows' pickles, which are kept, not copied."""
+        for column in _INT_COLUMNS[self.kind]:
+            self.blocks[column].append(
+                numpy.asarray(columns[column], dtype=numpy.int64)
+            )
+        self.pending += len(columns["ids"])
+        self.heap_blocks.append(heap)
+        self.heap_pending += len(heap)
 
     def intern_labels(self, labels: frozenset[str]) -> int:
         """Dense id for a label set (first-seen assignment)."""
@@ -443,13 +471,20 @@ class _KindState:
 
     def intern_keys(self, properties: Mapping[str, Any]) -> int:
         """Dense id for a property-key set (first-seen order retained)."""
-        keys = frozenset(properties)
+        existing = self.key_ids.get(frozenset(properties))
+        if existing is not None:
+            return existing
+        return self.intern_key_order(tuple(properties))
+
+    def intern_key_order(self, order: tuple[str, ...]) -> int:
+        """:meth:`intern_keys` for a key order already taken from a row."""
+        keys = frozenset(order)
         existing = self.key_ids.get(keys)
         if existing is not None:
             return existing
         new_id = len(self.key_orders)
         self.key_ids[keys] = new_id
-        self.key_orders.append(tuple(properties))
+        self.key_orders.append(order)
         return new_id
 
     def manifest_entry(self) -> dict[str, Any]:
@@ -460,6 +495,45 @@ class _KindState:
             "label_sets": [sorted(labels) for labels in self.label_sets],
             "key_orders": [list(order) for order in self.key_orders],
         }
+
+
+def _first_unmapped(
+    local_ids: numpy.ndarray, mapping: numpy.ndarray
+) -> list[tuple[int, int]]:
+    """``(local id, first position)`` of each id ``mapping`` lacks.
+
+    In order of first appearance in ``local_ids`` -- the order in which
+    row-at-a-time interning would have met them.  ``mapping`` holds
+    ``-1`` for chunk-local interner ids not yet given a global id.
+    """
+    if not local_ids.size:
+        return []
+    unique, first = numpy.unique(local_ids, return_index=True)
+    order = numpy.argsort(first, kind="stable")
+    return [
+        (local, position)
+        for local, position in zip(
+            unique[order].tolist(), first[order].tolist()
+        )
+        if mapping[local] < 0
+    ]
+
+
+def _edge_reject(
+    edge_id: int,
+    source: int,
+    target: int,
+    seen: set[int],
+    node_ids: set[int],
+) -> str | None:
+    """Why an edge row cannot be appended (``PropertyGraph``'s messages)."""
+    if edge_id in seen:
+        return f"duplicate edge id {edge_id}"
+    if source not in node_ids:
+        return f"edge {edge_id}: unknown source {source}"
+    if target not in node_ids:
+        return f"edge {edge_id}: unknown target {target}"
+    return None
 
 
 class SlabWriter:
@@ -596,17 +670,15 @@ class SlabWriter:
         """
         state = self._kinds[NODE_KIND]
         rejects: list[tuple[int, str]] = []
-        buffers = state.buffers
-        ids_buf = buffers["ids"]
-        labels_buf = buffers["labels"]
-        keys_buf = buffers["keys"]
-        end_buf = buffers["propend"]
+        ids_buf: list[int] = []
+        labels_buf: list[int] = []
+        keys_buf: list[int] = []
+        end_buf: list[int] = []
         intern_labels = state.intern_labels
         intern_keys = state.intern_keys
         dumps = pickle.dumps
-        heap = state.prop_buffer
-        base = state.props_bytes
-        before = len(heap)
+        heap = bytearray()
+        base = state.heap_end
         seen = state.ids_seen
         for position, (node_id, labels, properties) in enumerate(rows):
             if node_id in seen:
@@ -618,7 +690,11 @@ class SlabWriter:
             keys_buf.append(intern_keys(properties))
             heap += dumps(properties, protocol=5)
             end_buf.append(base + len(heap))
-        self._uncommitted += len(heap) - before
+        state.push({
+            "ids": ids_buf, "labels": labels_buf, "keys": keys_buf,
+            "propend": end_buf,
+        }, heap)
+        self._uncommitted += len(heap)
         self._maybe_flush()
         return rejects
 
@@ -634,34 +710,23 @@ class SlabWriter:
         state = self._kinds[EDGE_KIND]
         node_ids = self._kinds[NODE_KIND].ids_seen
         rejects: list[tuple[int, str]] = []
-        buffers = state.buffers
-        ids_buf = buffers["ids"]
-        src_buf = buffers["src"]
-        tgt_buf = buffers["tgt"]
-        labels_buf = buffers["labels"]
-        keys_buf = buffers["keys"]
-        end_buf = buffers["propend"]
+        ids_buf: list[int] = []
+        src_buf: list[int] = []
+        tgt_buf: list[int] = []
+        labels_buf: list[int] = []
+        keys_buf: list[int] = []
+        end_buf: list[int] = []
         intern_labels = state.intern_labels
         intern_keys = state.intern_keys
         dumps = pickle.dumps
-        heap = state.prop_buffer
-        base = state.props_bytes
-        before = len(heap)
+        heap = bytearray()
+        base = state.heap_end
         seen = state.ids_seen
         for position, row in enumerate(rows):
             edge_id, source, target, labels, properties = row
-            if edge_id in seen:
-                rejects.append((position, f"duplicate edge id {edge_id}"))
-                continue
-            if source not in node_ids:
-                rejects.append(
-                    (position, f"edge {edge_id}: unknown source {source}")
-                )
-                continue
-            if target not in node_ids:
-                rejects.append(
-                    (position, f"edge {edge_id}: unknown target {target}")
-                )
+            reason = _edge_reject(edge_id, source, target, seen, node_ids)
+            if reason is not None:
+                rejects.append((position, reason))
                 continue
             seen.add(edge_id)
             ids_buf.append(edge_id)
@@ -671,9 +736,140 @@ class SlabWriter:
             keys_buf.append(intern_keys(properties))
             heap += dumps(properties, protocol=5)
             end_buf.append(base + len(heap))
-        self._uncommitted += len(heap) - before
+        state.push({
+            "ids": ids_buf, "src": src_buf, "tgt": tgt_buf,
+            "labels": labels_buf, "keys": keys_buf, "propend": end_buf,
+        }, heap)
+        self._uncommitted += len(heap)
         self._maybe_flush()
         return rejects
+
+    def append_chunk(self, chunk: JsonlChunk) -> list[tuple[int, str]]:
+        """Append one scanned JSONL range; returns its insert rejects.
+
+        The chunk's segments are appended in order, exactly as if their
+        rows had gone through :meth:`add_nodes`/:meth:`add_edges` one at
+        a time: duplicate ids and unknown endpoints are rejected with
+        the same messages (a vectorized set check passes clean segments
+        whole, and a row-by-row pass names the culprits otherwise),
+        chunk-local interner ids are remapped so the global interners
+        keep their first-seen order over *accepted* rows, and rejected
+        rows' pickles are cut out of the heap.  Rejects come back as
+        ``(local line, reason)``.
+
+        Nothing is written here: the chunk path flushes only at
+        :meth:`commit`, so a raise between commits leaves the files at
+        the last commit.
+        """
+        rejects: list[tuple[int, str]] = []
+        heap = memoryview(chunk.heap)
+        maps = {
+            kind: (
+                numpy.full(len(chunk.label_sets[kind]), -1, numpy.int64),
+                numpy.full(len(chunk.key_orders[kind]), -1, numpy.int64),
+            )
+            for kind in (NODE_KIND, EDGE_KIND)
+        }
+        tainted: set[str] = set()
+        for segment in chunk.segments:
+            state = self._kinds[segment.kind]
+            keep = self._admit(segment, rejects)
+            if keep is not None:
+                tainted.add(segment.kind)
+            starts = numpy.concatenate(
+                ([segment.heap_start], segment.ends[:-1])
+            )
+            ends = segment.ends
+            columns = {"ids": segment.ids}
+            if segment.kind == EDGE_KIND:
+                columns["src"] = segment.sources
+                columns["tgt"] = segment.targets
+            local_labels = segment.label_ids
+            local_keys = segment.key_ids
+            if keep is not None:
+                columns = {
+                    column: values[keep] for column, values in columns.items()
+                }
+                local_labels = local_labels[keep]
+                local_keys = local_keys[keep]
+                starts = starts[keep]
+                ends = ends[keep]
+            label_map, key_map = maps[segment.kind]
+            label_sets = chunk.label_sets[segment.kind]
+            for local, _ in _first_unmapped(local_labels, label_map):
+                label_map[local] = state.intern_labels(label_sets[local])
+            columns["labels"] = label_map[local_labels]
+            key_orders = chunk.key_orders[segment.kind]
+            for local, position in _first_unmapped(local_keys, key_map):
+                if segment.kind in tainted:
+                    # The chunk's key order came from the first row with
+                    # this key set, which may have been rejected: take
+                    # the first *accepted* row's order from its pickle.
+                    order = tuple(pickle.loads(
+                        heap[int(starts[position]) : int(ends[position])]
+                    ))
+                else:
+                    order = key_orders[local]
+                key_map[local] = state.intern_key_order(order)
+            columns["keys"] = key_map[local_keys]
+            columns["propend"] = state.heap_end + numpy.cumsum(ends - starts)
+            if keep is None:
+                kept = heap[segment.heap_start : int(segment.ends[-1])]
+            else:
+                kept = memoryview(b"".join(
+                    heap[start:stop]
+                    for start, stop in zip(starts.tolist(), ends.tolist())
+                ))
+            state.push(columns, kept)
+            self._uncommitted += len(kept)
+        return rejects
+
+    def _admit(
+        self, segment: RowSegment, rejects: list[tuple[int, str]]
+    ) -> numpy.ndarray | None:
+        """Run the id checks on one segment, recording its ids as seen.
+
+        Returns ``None`` when every row passes -- a set-size and
+        disjointness check over the whole segment (and a superset check
+        of the node ids for edge endpoints) -- else the boolean keep
+        mask from a row-by-row pass that appends each
+        ``(local line, reason)`` to ``rejects``.
+        """
+        state = self._kinds[segment.kind]
+        seen = state.ids_seen
+        ids = segment.ids.tolist()
+        fresh = set(ids)
+        clean = len(fresh) == len(ids) and seen.isdisjoint(fresh)
+        node_ids = self._kinds[NODE_KIND].ids_seen
+        sources = segment.sources.tolist()
+        targets = segment.targets.tolist()
+        if segment.kind == EDGE_KIND:
+            clean = (
+                clean
+                and node_ids.issuperset(sources)
+                and node_ids.issuperset(targets)
+            )
+        if clean:
+            seen |= fresh
+            return None
+        keep = numpy.ones(len(ids), dtype=bool)
+        lines = segment.lines.tolist()
+        for position, element_id in enumerate(ids):
+            if segment.kind == EDGE_KIND:
+                reason = _edge_reject(
+                    element_id, sources[position], targets[position], seen,
+                    node_ids,
+                )
+            elif element_id in seen:
+                reason = f"duplicate node id {element_id}"
+            else:
+                reason = None
+            if reason is None:
+                seen.add(element_id)
+            else:
+                keep[position] = False
+                rejects.append((lines[position], reason))
+        return keep
 
     # ------------------------------------------------------------------
     # Flush / commit
@@ -698,8 +894,8 @@ class SlabWriter:
         node_state = self._kinds[NODE_KIND]
         edge_state = self._kinds[EDGE_KIND]
         return (
-            node_state.rows + len(node_state.buffers["ids"]),
-            edge_state.rows + len(edge_state.buffers["ids"]),
+            node_state.rows + node_state.pending,
+            edge_state.rows + edge_state.pending,
         )
 
     def source_progress(self, key: str) -> int:
@@ -709,7 +905,7 @@ class SlabWriter:
     def _maybe_flush(self) -> None:
         """Flush buffered rows once enough property payload accumulates."""
         for state in self._kinds.values():
-            if len(state.prop_buffer) >= self._slab_bytes:
+            if state.heap_pending >= self._slab_bytes:
                 self._flush_kind(state)
 
     def _flush_kind(self, state: _KindState) -> None:
@@ -722,15 +918,13 @@ class SlabWriter:
         cover the *intended* bytes, so torn writes are caught at the
         next open.
         """
-        added = len(state.buffers["ids"])
+        added = state.pending
         if not added:
             return
         seq = self._flush_seq
         self._flush_seq += 1
         chunks = {
-            column: numpy.asarray(
-                state.buffers[column], dtype=numpy.int64
-            ).tobytes()
+            column: numpy.concatenate(state.blocks[column]).tobytes()
             for column in _INT_COLUMNS[state.kind]
         }
         for column in _INT_COLUMNS[state.kind]:
@@ -744,12 +938,11 @@ class SlabWriter:
             # so an injected ENOSPC leaves exactly the torn tail that
             # reopen-recovery must truncate away.
             self._injector.fire("slab-enospc", seq)
-        pending = len(state.prop_buffer)
+        pending = state.heap_pending
         heap_path = _heap_path(self._directory, state.kind)
         with heap_path.open("ab") as handle:
-            # memoryview avoids duplicating the whole pending heap just
-            # to write it -- the buffer can be many megabytes.
-            handle.write(memoryview(state.prop_buffer))
+            for block in state.heap_blocks:
+                handle.write(block)
             handle.flush()
             os.fsync(handle.fileno())
         if self._injector is not None and self._injector.corrupts(
@@ -764,14 +957,16 @@ class SlabWriter:
             self._crcs[file_name] = zlib.crc32(
                 chunks[column], self._crcs.get(file_name, 0)
             )
-            state.buffers[column].clear()
-        self._crcs[heap_path.name] = zlib.crc32(
-            memoryview(state.prop_buffer),
-            self._crcs.get(heap_path.name, 0),
-        )
+            state.blocks[column].clear()
+        crc = self._crcs.get(heap_path.name, 0)
+        for block in state.heap_blocks:
+            crc = zlib.crc32(block, crc)
+        self._crcs[heap_path.name] = crc
         state.props_bytes += pending
-        state.prop_buffer.clear()
+        state.heap_blocks.clear()
+        state.heap_pending = 0
         state.rows += added
+        state.pending = 0
 
     def _snapshot(self) -> dict[str, Any]:
         """Generation record of the current durable state.

@@ -1,13 +1,15 @@
-"""Object-at-a-time ingest oracle for the row ingest of ``graph.io``.
+"""Object-at-a-time ingest oracle for the row and range ingests.
 
 :func:`repro.graph.io.stream_graph_jsonl` parses each line with the
 JSON scanner and hands ``(id, labels, properties)`` rows to its sink;
-the slab writer appends them to its columns without building an
-element object.  The path it replaced lives here: ``json.loads`` per
-line, a frozen :class:`Node`/:class:`Edge` per record, a property
-``dict`` copy, and a slab writer that takes the objects apart again.
-The row path must produce byte-identical slab directories, equal
-:class:`IngestReport`\\ s and equal graphs (``tests/test_ingest_rows.py``).
+the slab ingest scans line-aligned byte ranges into column chunks and
+appends them without building an element object.  The path they
+replaced lives here: ``json.loads`` per line, a frozen
+:class:`Node`/:class:`Edge` per record, a property ``dict`` copy, and a
+slab writer that takes the objects apart again, one line at a time.
+Both must produce byte-identical slab directories, equal
+:class:`IngestReport`\\ s and equal graphs (``tests/test_ingest_rows.py``,
+``tests/test_ingest_ranges.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from repro.graph.diskstore import SlabIngestSink
+from repro.graph.diskstore import ingest_source_key
 from repro.graph.io import (
     DEFAULT_CHUNK_BYTES,
     DEFAULT_CHUNK_ROWS,
@@ -27,6 +29,8 @@ from repro.graph.io import (
     _ErrorPolicy,
     _record_int,
     _row_ints,
+    cut_jsonl_ranges,
+    jsonl_range_bytes,
 )
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.slab import (
@@ -38,35 +42,42 @@ from repro.graph.slab import (
 
 
 class ObjectSlabWriter(SlabWriter):
-    """A :class:`SlabWriter` whose appends take element objects."""
+    """A :class:`SlabWriter` whose appends take element objects.
+
+    Rows are buffered until :meth:`commit`, never flushed early, so a
+    raise between commits leaves the files at the last commit.
+    """
 
     def add_nodes(self, nodes: Sequence[Node]) -> list[tuple[int, str]]:
         state = self._kinds[NODE_KIND]
         rejects: list[tuple[int, str]] = []
-        buffers = state.buffers
-        heap = state.prop_buffer
-        before = len(heap)
+        columns: dict[str, list[int]] = {
+            "ids": [], "labels": [], "keys": [], "propend": [],
+        }
+        heap = bytearray()
         for position, node in enumerate(nodes):
             if node.id in state.ids_seen:
                 rejects.append((position, f"duplicate node id {node.id}"))
                 continue
             state.ids_seen.add(node.id)
-            buffers["ids"].append(node.id)
-            buffers["labels"].append(state.intern_labels(node.labels))
-            buffers["keys"].append(state.intern_keys(node.properties))
+            columns["ids"].append(node.id)
+            columns["labels"].append(state.intern_labels(node.labels))
+            columns["keys"].append(state.intern_keys(node.properties))
             heap += pickle.dumps(dict(node.properties), protocol=5)
-            buffers["propend"].append(state.props_bytes + len(heap))
-        self._uncommitted += len(heap) - before
-        self._maybe_flush()
+            columns["propend"].append(state.heap_end + len(heap))
+        state.push(columns, heap)
+        self._uncommitted += len(heap)
         return rejects
 
     def add_edges(self, edges: Sequence[Edge]) -> list[tuple[int, str]]:
         state = self._kinds[EDGE_KIND]
         node_ids = self._kinds[NODE_KIND].ids_seen
         rejects: list[tuple[int, str]] = []
-        buffers = state.buffers
-        heap = state.prop_buffer
-        before = len(heap)
+        columns: dict[str, list[int]] = {
+            "ids": [], "src": [], "tgt": [], "labels": [], "keys": [],
+            "propend": [],
+        }
+        heap = bytearray()
         for position, edge in enumerate(edges):
             if edge.id in state.ids_seen:
                 rejects.append((position, f"duplicate edge id {edge.id}"))
@@ -82,15 +93,15 @@ class ObjectSlabWriter(SlabWriter):
                 )
                 continue
             state.ids_seen.add(edge.id)
-            buffers["ids"].append(edge.id)
-            buffers["src"].append(edge.source)
-            buffers["tgt"].append(edge.target)
-            buffers["labels"].append(state.intern_labels(edge.labels))
-            buffers["keys"].append(state.intern_keys(edge.properties))
+            columns["ids"].append(edge.id)
+            columns["src"].append(edge.source)
+            columns["tgt"].append(edge.target)
+            columns["labels"].append(state.intern_labels(edge.labels))
+            columns["keys"].append(state.intern_keys(edge.properties))
             heap += pickle.dumps(dict(edge.properties), protocol=5)
-            buffers["propend"].append(state.props_bytes + len(heap))
-        self._uncommitted += len(heap) - before
-        self._maybe_flush()
+            columns["propend"].append(state.heap_end + len(heap))
+        state.push(columns, heap)
+        self._uncommitted += len(heap)
         return rejects
 
 
@@ -118,7 +129,7 @@ class ObjectChunkedInserter:
         self._edges: list[Edge] = []
         policy.flush_hook = self.flush
 
-    def _push(self, line_number: int, weight: int) -> bool:
+    def _push(self, line_number: int, weight: int) -> None:
         self._lines.append(line_number)
         self._weight += weight
         if (
@@ -126,20 +137,18 @@ class ObjectChunkedInserter:
             or self._weight >= self._chunk_bytes
         ):
             self.flush()
-            return True
-        return False
 
-    def push_node(self, line_number: int, node: Node, weight: int = 0) -> bool:
+    def push_node(self, line_number: int, node: Node, weight: int = 0) -> None:
         if self._edges:
             self.flush()
         self._nodes.append(node)
-        return self._push(line_number, weight)
+        self._push(line_number, weight)
 
-    def push_edge(self, line_number: int, edge: Edge, weight: int = 0) -> bool:
+    def push_edge(self, line_number: int, edge: Edge, weight: int = 0) -> None:
         if self._nodes:
             self.flush()
         self._edges.append(edge)
-        return self._push(line_number, weight)
+        self._push(line_number, weight)
 
     def flush(self) -> None:
         lines = self._lines
@@ -171,76 +180,78 @@ def stream_graph_jsonl_reference(
     on_error: str = "raise",
     report: IngestReport | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    start_line: int = 0,
-    on_progress: Callable[[int], None] | None = None,
-) -> int:
-    """``json.loads`` + one element object per line, into an object sink."""
+    on_line: Callable[[ObjectChunkedInserter, int], None] | None = None,
+) -> None:
+    """``json.loads`` + one element object per line, into an object sink.
+
+    ``on_line(inserter, line_number)`` runs after every physical line,
+    blank and rejected ones included.
+    """
     path = Path(path)
     policy = _ErrorPolicy(path, on_error, report)
     inserter = ObjectChunkedInserter(sink, policy, report, chunk_rows)
-    last_line = start_line
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if line_number <= start_line:
-                continue
-            last_line = line_number
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                policy.reject(line_number, f"invalid JSON: {exc.msg}")
-                continue
-            if not isinstance(record, dict):
-                policy.reject(line_number, "record is not a JSON object")
-                continue
-            kind = record.get("kind")
-            flushed = False
-            if kind == "node":
-                node_id = _record_int(
-                    record, "id", "node", policy, line_number
-                )
-                if node_id is None:
-                    continue
-                try:
-                    node = Node(
-                        id=node_id,
-                        labels=frozenset(record.get("labels", ())),
-                        properties=dict(record.get("properties", {})),
-                    )
-                except (TypeError, ValueError):
-                    policy.reject(line_number, "malformed node record")
-                    continue
-                flushed = inserter.push_node(line_number, node, len(line))
-            elif kind == "edge":
-                fields = [
-                    _record_int(record, key, "edge", policy, line_number)
-                    for key in ("id", "source", "target")
-                ]
-                if any(value is None for value in fields):
-                    continue
-                edge_id, source, target = fields
-                try:
-                    edge = Edge(
-                        id=edge_id,
-                        source=source,
-                        target=target,
-                        labels=frozenset(record.get("labels", ())),
-                        properties=dict(record.get("properties", {})),
-                    )
-                except (TypeError, ValueError):
-                    policy.reject(line_number, "malformed edge record")
-                    continue
-                flushed = inserter.push_edge(line_number, edge, len(line))
-            else:
-                policy.reject(
-                    line_number, f"unknown record kind {kind!r}"
-                )
-            if flushed and on_progress is not None:
-                on_progress(line_number)
+            _insert_line(line.strip(), line_number, policy, inserter)
+            if on_line is not None:
+                on_line(inserter, line_number)
     inserter.flush()
-    return last_line
+
+
+def _insert_line(
+    line: str,
+    line_number: int,
+    policy: _ErrorPolicy,
+    inserter: ObjectChunkedInserter,
+) -> None:
+    """Parse one stripped line into an element object and buffer it."""
+    if not line:
+        return
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        policy.reject(line_number, f"invalid JSON: {exc.msg}")
+        return
+    if not isinstance(record, dict):
+        policy.reject(line_number, "record is not a JSON object")
+        return
+    kind = record.get("kind")
+    if kind == "node":
+        node_id = _record_int(record, "id", "node", policy.reject, line_number)
+        if node_id is None:
+            return
+        try:
+            node = Node(
+                id=node_id,
+                labels=frozenset(record.get("labels", ())),
+                properties=dict(record.get("properties", {})),
+            )
+        except (TypeError, ValueError):
+            policy.reject(line_number, "malformed node record")
+            return
+        inserter.push_node(line_number, node, len(line))
+    elif kind == "edge":
+        fields = [
+            _record_int(record, key, "edge", policy.reject, line_number)
+            for key in ("id", "source", "target")
+        ]
+        if any(value is None for value in fields):
+            return
+        edge_id, source, target = fields
+        try:
+            edge = Edge(
+                id=edge_id,
+                source=source,
+                target=target,
+                labels=frozenset(record.get("labels", ())),
+                properties=dict(record.get("properties", {})),
+            )
+        except (TypeError, ValueError):
+            policy.reject(line_number, "malformed edge record")
+            return
+        inserter.push_edge(line_number, edge, len(line))
+    else:
+        policy.reject(line_number, f"unknown record kind {kind!r}")
 
 
 def load_graph_jsonl_reference(
@@ -258,6 +269,19 @@ def load_graph_jsonl_reference(
     return graph
 
 
+def range_end_lines(path: str | Path, slab_bytes: int) -> list[int]:
+    """Last line of every ingest range of ``path``, counted by bytes."""
+    path = Path(path)
+    range_bytes = jsonl_range_bytes(path.stat().st_size, slab_bytes)
+    data = path.read_bytes()
+    ends: list[int] = []
+    line = 0
+    for start, stop in cut_jsonl_ranges(path, 0, range_bytes):
+        line += len(data[start:stop].splitlines())
+        ends.append(line)
+    return ends
+
+
 def ingest_jsonl_slabs_reference(
     path: str | Path,
     directory: str | Path,
@@ -266,19 +290,34 @@ def ingest_jsonl_slabs_reference(
     report: IngestReport | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> None:
-    """A fresh slab ingest through the object path (same commit cadence)."""
+    """A fresh slab ingest through the object path, line at a time.
+
+    Commits where the range ingest does: after the last line of a
+    range, once ``slab_bytes`` of payload is uncommitted.
+    """
     path = Path(path)
     writer = ObjectSlabWriter(directory, name=path.stem, slab_bytes=slab_bytes)
-    sink = SlabIngestSink(writer, str(path), slab_bytes)
-    last_line = stream_graph_jsonl_reference(
+    key = ingest_source_key(path)
+    range_ends = set(range_end_lines(path, slab_bytes))
+    last_line = 0
+
+    def on_line(inserter: ObjectChunkedInserter, line_number: int) -> None:
+        nonlocal last_line
+        last_line = line_number
+        if line_number in range_ends:
+            inserter.flush()
+            if writer.uncommitted_bytes >= slab_bytes:
+                writer.commit({key: line_number})
+
+    stream_graph_jsonl_reference(
         path,
-        sink,
+        writer,
         on_error=on_error,
         report=report,
         chunk_rows=chunk_rows,
-        on_progress=sink.chunk_done,
+        on_line=on_line,
     )
-    sink.finish(last_line)
+    writer.commit({key: last_line})
     writer.close()
 
 

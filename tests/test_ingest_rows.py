@@ -1,14 +1,14 @@
-"""Row ingest against the object-at-a-time oracle.
+"""Row and range ingest against the object-at-a-time oracle.
 
 :func:`repro.graph.io.stream_graph_jsonl` hands ``(id, labels,
-properties)`` rows to its sink, and the slab writer appends them to its
-columns without building element objects.  On a malformed corpus, under
-every error policy and chunk size, it must behave exactly like the
-object path kept in :mod:`tests.oracles.ingest`: byte-identical slab
-directories (``manifest.json`` included), equal :class:`IngestReport`\\ s,
-the same first error under ``raise``, and equal in-memory graphs from
-the JSONL and CSV loaders.  A killed row ingest resumes to the bytes of
-a clean one.
+properties)`` rows to its sink, and the slab ingest scans line-aligned
+byte ranges into column chunks; neither builds element objects.  On a
+malformed corpus, under every error policy and -- for the slab ingest
+-- at every ``jobs``, both must behave exactly like the object path
+kept in :mod:`tests.oracles.ingest`, whatever that path's chunk size: byte-identical slab directories (``manifest.json``
+included), equal :class:`IngestReport`\\ s, the same first error under
+``raise``, and equal in-memory graphs from the JSONL and CSV loaders.
+A killed ingest resumes to the bytes of a clean one.
 """
 
 import json
@@ -17,11 +17,7 @@ import os
 import pytest
 
 from repro.core.parallel import fork_available
-from repro.graph.diskstore import (
-    INGEST_CHUNK_ROWS,
-    SlabIngestSink,
-    ingest_jsonl_slabs,
-)
+from repro.graph.diskstore import INGEST_CHUNK_ROWS, ingest_jsonl_slabs
 from repro.graph.io import (
     IngestReport,
     load_graph_csv,
@@ -39,6 +35,7 @@ from tests.oracles.ingest import (
 SLAB_BYTES = 4096
 POLICIES = ("raise", "skip", "collect")
 CHUNKS = (1, INGEST_CHUNK_ROWS)
+JOBS = (1, 2, 3) if fork_available() else (1,)
 
 
 def _node(node_id, labels=("Person",), **properties):
@@ -146,39 +143,41 @@ def _report(policy):
 def test_slab_ingest_matches_object_oracle(
     corpus, tmp_path, policy, chunk_rows
 ):
-    """Every line of the corpus, under every policy: the same slab bytes,
-    report and first error.  Under ``raise`` the offending line is
-    dropped and the ingest rerun until the corpus loads, so each bad line
-    raises once."""
+    """Every line of the corpus, under every policy and oracle chunk
+    size, at every ``jobs``: the same slab bytes, report and first
+    error.  Under ``raise`` the offending line is dropped and the ingest
+    rerun until the corpus loads, so each bad line raises once."""
     lines = list(MALFORMED_LINES)
     errors = []
     for attempt in range(len(lines)):
         corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        rows_dir = tmp_path / f"rows-{attempt}"
         oracle_dir = tmp_path / f"oracle-{attempt}"
-        rows_report, oracle_report = _report(policy), _report(policy)
-        _, rows_error = _run(lambda: ingest_jsonl_slabs(
-            corpus, rows_dir, slab_bytes=SLAB_BYTES, on_error=policy,
-            report=rows_report, chunk_rows=chunk_rows,
-        ).close())
+        oracle_report = _report(policy)
         _, oracle_error = _run(lambda: ingest_jsonl_slabs_reference(
             corpus, oracle_dir, slab_bytes=SLAB_BYTES, on_error=policy,
             report=oracle_report, chunk_rows=chunk_rows,
         ))
-        assert rows_error == oracle_error
-        assert rows_report == oracle_report
-        assert _tree(rows_dir) == _tree(oracle_dir)
-        if rows_error is None:
+        for jobs in JOBS:
+            rows_dir = tmp_path / f"rows-{attempt}-{jobs}"
+            rows_report = _report(policy)
+            _, rows_error = _run(lambda: ingest_jsonl_slabs(
+                corpus, rows_dir, slab_bytes=SLAB_BYTES, on_error=policy,
+                report=rows_report, jobs=jobs,
+            ).close())
+            assert rows_error == oracle_error
+            assert rows_report == oracle_report
+            assert _tree(rows_dir) == _tree(oracle_dir)
+        if oracle_error is None:
             break
-        errors.append(rows_error)
-        line = int(rows_error.split(":")[1])
+        errors.append(oracle_error)
+        line = int(oracle_error.split(":")[1])
         del lines[line - 1]
     if policy == "raise":
         assert len(errors) == BAD_LINES  # each bad line raised in turn
     else:
         assert errors == []
     if policy == "collect":
-        assert len(rows_report.errors) == REJECTS
+        assert len(oracle_report.errors) == REJECTS
 
 
 @pytest.mark.parametrize("chunk_rows", CHUNKS)
@@ -263,37 +262,33 @@ def test_csv_load_matches_object_oracle(tmp_path, policy, chunk_rows):
 
 
 @pytest.mark.skipif(not fork_available(), reason="kill tests require fork")
-@pytest.mark.parametrize("chunk_rows", (1, 7))
-def test_killed_row_ingest_resumes_to_clean_bytes(
-    corpus, tmp_path, chunk_rows
-):
+@pytest.mark.parametrize("resume_jobs", (1, 2))
+def test_killed_ingest_resumes_to_clean_bytes(corpus, tmp_path, resume_jobs):
     """The child dies right after its first durable commit; a resumed
-    ingest of the rest ends byte-identical to a clean ingest."""
+    ingest of the rest, at any ``jobs``, ends byte-identical to a clean
+    ingest."""
     slab_dir = tmp_path / "slabs"
     pid = os.fork()
     if pid == 0:  # pragma: no cover - child dies deliberately
-        writer = SlabWriter(slab_dir, name=corpus.stem, slab_bytes=SLAB_BYTES)
-        sink = SlabIngestSink(writer, str(corpus), SLAB_BYTES)
+        commit = SlabWriter.commit
 
-        def die_after_commit(line_number: int) -> None:
-            sink.chunk_done(line_number)
-            if writer.source_progress(str(corpus)):
-                os._exit(137)
+        def die_after_commit(writer, sources=None):
+            commit(writer, sources)
+            os._exit(137)
 
-        stream_graph_jsonl(
-            corpus, sink, on_error="skip", chunk_rows=chunk_rows,
-            on_progress=die_after_commit,
+        SlabWriter.commit = die_after_commit
+        ingest_jsonl_slabs(
+            corpus, slab_dir, slab_bytes=SLAB_BYTES, on_error="skip"
         )
-        os._exit(1)  # should have died mid-stream
+        os._exit(1)  # should have died at the first commit
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 137
     ingest_jsonl_slabs(
         corpus, slab_dir, slab_bytes=SLAB_BYTES, on_error="skip",
-        chunk_rows=chunk_rows, resume=True,
+        resume=True, jobs=resume_jobs,
     ).close()
     clean_dir = tmp_path / "clean"
     ingest_jsonl_slabs(
         corpus, clean_dir, slab_bytes=SLAB_BYTES, on_error="skip",
-        chunk_rows=chunk_rows,
     ).close()
     assert _tree(slab_dir) == _tree(clean_dir)
