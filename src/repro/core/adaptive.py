@@ -20,6 +20,7 @@ Users can always override any of the three values through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,10 @@ def estimate_distance_scale(
     """Average pairwise Euclidean distance over a random sample.
 
     Samples ``max(sample_size, fraction * n)`` rows (all rows when fewer)
-    and averages the full pairwise distance matrix over the sample.
+    and averages the distances of every pair of sampled rows.  Only the
+    strict upper triangle is computed, with the element operations and
+    summation order of the full-matrix form
+    (``tests/oracles/kernels.py``), so ``mu`` is bit-identical to it.
 
     When ``pattern_ids`` is given, ``vectors`` is a compact per-pattern
     matrix and logical row ``i`` is ``vectors[pattern_ids[i]]``.  The same
@@ -101,10 +105,29 @@ def estimate_distance_scale(
         return 1.0, sample.shape[0]
     sq_norms = np.square(sample).sum(axis=1)
     gram = sample @ sample.T
-    d2 = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
-    upper = np.triu_indices(sample.shape[0], k=1)
-    mu = float(np.sqrt(d2[upper]).mean())
+    upper = _upper_triangle(sample.shape[0])
+    d2 = np.maximum(
+        np.broadcast_to(sq_norms[:, None], gram.shape)[upper]
+        + np.broadcast_to(sq_norms[None, :], gram.shape)[upper]
+        - 2.0 * gram[upper],
+        0.0,
+    )
+    mu = float(np.sqrt(d2).mean())
     return max(mu, _MIN_BUCKET), sample.shape[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(size: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle of a ``size`` square.
+
+    Masking gathers in row-major order, as ``np.triu_indices`` does.
+    Cached per sample size (read-only): every batch of a run samples
+    the same ``sample_size`` rows once it has that many, and a bool
+    mask holds an eighth of the bytes of the two index arrays.
+    """
+    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def choose_num_tables(

@@ -7,7 +7,8 @@ element per stage.  The batch kernels instead extract everything the
 pipeline needs in a *single* pass:
 
 * every distinct label set and property-key set is interned once
-  (:class:`LabelSpace` / :class:`KeySpace`),
+  (:class:`NodeRows` / :class:`EdgeRows` against batch-local tables,
+  then :class:`LabelSpace` / :class:`KeySpace`),
 * each element is reduced to a row of integer ids
   (:class:`NodeColumns` / :class:`EdgeColumns`),
 * downstream stages operate on numpy id arrays, and the expensive work
@@ -25,7 +26,9 @@ element-at-a-time loops they replaced, which live on as test oracles in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, count, repeat
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -178,50 +181,192 @@ class EdgeColumns:
         )
 
 
+def intern_label_rows(
+    rows: Iterable[Iterable[str]],
+) -> tuple[list[int], list[frozenset[str]]]:
+    """Label-set id per row, against a first-appearance table of sets.
+
+    A row is any hashable collection of labels -- a decoded JSON list
+    as a tuple, or a frozenset -- and rows naming the same *set* (in any
+    order or multiplicity) share one id.  ``rows`` is read once; each
+    row costs one hash, and each distinct row one set construction.
+    """
+    first_rows: dict[Iterable[str], int] = {}
+    row_firsts = _first_rows(first_rows, rows)
+    table: dict[frozenset[str], int] = {}
+    ids = {
+        row: table.setdefault(frozenset(raw), len(table))
+        for raw, row in first_rows.items()
+    }
+    return list(map(ids.__getitem__, row_firsts)), list(table)
+
+
+def intern_key_rows(
+    properties: Iterable[Mapping[str, Any]],
+) -> tuple[list[int], list[tuple[str, ...]]]:
+    """Key-set id per row, with each set's first-seen key order.
+
+    The table is :class:`KeySpace`'s: sets numbered by first appearance,
+    each remembered in the key order of the first row carrying it.
+    """
+    first_rows: dict[tuple[str, ...], int] = {}
+    row_firsts = _first_rows(first_rows, map(tuple, properties))
+    table: dict[frozenset[str], int] = {}
+    first_orders: list[tuple[str, ...]] = []
+    ids: dict[int, int] = {}
+    for order, row in first_rows.items():
+        key_set = frozenset(order)
+        key_id = table.get(key_set)
+        if key_id is None:
+            key_id = table[key_set] = len(first_orders)
+            first_orders.append(order)
+        ids[row] = key_id
+    return list(map(ids.__getitem__, row_firsts)), first_orders
+
+
+def _first_rows(first_rows: dict[Any, int], rows: Iterable[Any]) -> list[int]:
+    """Each row's first row with an equal value, filling ``first_rows``.
+
+    ``first_rows`` ends up mapping every distinct value to the row it
+    first appears in, in appearance order.
+    """
+    first_row_of: Callable[..., int] = first_rows.setdefault
+    return list(map(first_row_of, rows, count()))
+
+
+@dataclass(frozen=True)
+class NodeRows:
+    """A node batch as rows of ids against batch-local tables.
+
+    The one row form of a node batch: :func:`node_columns` builds it
+    from element objects, and the daemon decodes request bodies straight
+    into it.  ``properties`` holds each row's own mapping, uncopied.
+    """
+
+    ids: list[int]
+    label_ids: list[int]  # into label_sets
+    label_sets: list[frozenset[str]]
+    keyset_ids: list[int]  # into key_orders
+    key_orders: list[tuple[str, ...]]
+    properties: Sequence[Mapping[str, Any]]
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence[Node]) -> "NodeRows":
+        """The rows of element objects (see the two interners)."""
+        properties = list(map(attrgetter("properties"), nodes))
+        label_ids, label_sets = intern_label_rows(
+            map(attrgetter("labels"), nodes)
+        )
+        keyset_ids, key_orders = intern_key_rows(properties)
+        return cls(
+            list(map(attrgetter("id"), nodes)), label_ids, label_sets,
+            keyset_ids, key_orders, properties,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def row_labels(self) -> list[frozenset[str]]:
+        """Each row's label set."""
+        return [self.label_sets[label_id] for label_id in self.label_ids]
+
+    def columns(self) -> NodeColumns:
+        """The batch's :class:`NodeColumns`."""
+        return node_columns_from_arrays(
+            np.array(self.ids, dtype=np.int64),
+            np.array(self.label_ids, dtype=np.int64),
+            np.array(self.keyset_ids, dtype=np.int64),
+            self.label_sets,
+            self._key_order_at,
+        )
+
+    def _key_order_at(self, row: int) -> tuple[str, ...]:
+        return self.key_orders[self.keyset_ids[row]]
+
+
+@dataclass(frozen=True)
+class EdgeRows:
+    """An edge batch as rows of ids against batch-local tables.
+
+    As :class:`NodeRows`, plus the endpoint id columns.  Endpoint label
+    sets are not part of the rows: they depend on where the caller
+    looks endpoints up, and come in through :meth:`columns`.
+    """
+
+    ids: list[int]
+    source: list[int]
+    target: list[int]
+    label_ids: list[int]  # into label_sets
+    label_sets: list[frozenset[str]]
+    keyset_ids: list[int]  # into key_orders
+    key_orders: list[tuple[str, ...]]
+    properties: Sequence[Mapping[str, Any]]
+
+    @classmethod
+    def from_edges(cls, edges: Sequence[Edge]) -> "EdgeRows":
+        """The rows of element objects (see the two interners)."""
+        properties = list(map(attrgetter("properties"), edges))
+        label_ids, label_sets = intern_label_rows(
+            map(attrgetter("labels"), edges)
+        )
+        keyset_ids, key_orders = intern_key_rows(properties)
+        return cls(
+            list(map(attrgetter("id"), edges)),
+            list(map(attrgetter("source"), edges)),
+            list(map(attrgetter("target"), edges)),
+            label_ids, label_sets, keyset_ids, key_orders, properties,
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def columns(
+        self, endpoint_labels: Mapping[int, frozenset[str]]
+    ) -> EdgeColumns:
+        """The batch's :class:`EdgeColumns`, with endpoint label sets.
+
+        An endpoint missing from ``endpoint_labels`` has the empty label
+        set.  The sets are interned like the rows' own, one set-table
+        entry per distinct set.
+        """
+        empty: frozenset[str] = frozenset()
+        labels_of: Callable[..., Any] = endpoint_labels.get
+        endpoint_ids, endpoint_sets = intern_label_rows(
+            map(labels_of, chain(self.source, self.target), repeat(empty))
+        )
+        ends = np.array(endpoint_ids, dtype=np.int64)
+        rows = len(self.ids)
+        return edge_columns_from_arrays(
+            np.array(self.ids, dtype=np.int64),
+            np.array(self.source, dtype=np.int64),
+            np.array(self.target, dtype=np.int64),
+            np.array(self.label_ids, dtype=np.int64),
+            ends[:rows],
+            ends[rows:],
+            np.array(self.keyset_ids, dtype=np.int64),
+            self.label_sets,
+            endpoint_sets,
+            self._key_order_at,
+        )
+
+    def _key_order_at(self, row: int) -> tuple[str, ...]:
+        return self.key_orders[self.keyset_ids[row]]
+
+
 def node_columns(nodes: Sequence[Node]) -> NodeColumns:
-    """Columnize a node batch in one pass."""
-    n = len(nodes)
-    ids = np.empty(n, dtype=np.int64)
-    label_ids = np.empty(n, dtype=np.int64)
-    keyset_ids = np.empty(n, dtype=np.int64)
-    labels = LabelSpace()
-    keys = KeySpace()
-    for i, node in enumerate(nodes):
-        ids[i] = node.id
-        label_ids[i] = labels.intern(node.labels)
-        keyset_ids[i] = keys.intern(node.properties)
-    return NodeColumns(ids, label_ids, keyset_ids, labels, keys)
+    """Columnize a node batch of element objects."""
+    return NodeRows.from_nodes(nodes).columns()
 
 
 def edge_columns(
     edges: Sequence[Edge],
     endpoint_labels: Mapping[int, frozenset[str]],
 ) -> EdgeColumns:
-    """Columnize an edge batch (with endpoint labels) in one pass."""
-    m = len(edges)
-    ids = np.empty(m, dtype=np.int64)
-    source = np.empty(m, dtype=np.int64)
-    target = np.empty(m, dtype=np.int64)
-    label_ids = np.empty(m, dtype=np.int64)
-    src_label_ids = np.empty(m, dtype=np.int64)
-    tgt_label_ids = np.empty(m, dtype=np.int64)
-    keyset_ids = np.empty(m, dtype=np.int64)
-    labels = LabelSpace()
-    keys = KeySpace()
-    empty: frozenset[str] = frozenset()
-    get_labels = endpoint_labels.get
-    for i, edge in enumerate(edges):
-        ids[i] = edge.id
-        source[i] = edge.source
-        target[i] = edge.target
-        label_ids[i] = labels.intern(edge.labels)
-        src_label_ids[i] = labels.intern(get_labels(edge.source, empty))
-        tgt_label_ids[i] = labels.intern(get_labels(edge.target, empty))
-        keyset_ids[i] = keys.intern(edge.properties)
-    return EdgeColumns(
-        ids, source, target, label_ids, src_label_ids, tgt_label_ids,
-        keyset_ids, labels, keys,
-    )
+    """Columnize an edge batch of element objects, with endpoint labels.
+
+    An endpoint missing from ``endpoint_labels`` has the empty label set.
+    """
+    return EdgeRows.from_edges(edges).columns(endpoint_labels)
 
 
 def node_columns_from_arrays(
@@ -259,7 +404,7 @@ def node_columns_from_arrays(
     keyset_ids, key_reps = dense_first_appearance(keyset_gids)
     keys = KeySpace()
     for row in key_reps.tolist():
-        keys.intern({key: None for key in key_order_at(int(row))})
+        keys.intern(dict.fromkeys(key_order_at(int(row))))
     return NodeColumns(ids, label_ids, keyset_ids, labels, keys)
 
 
@@ -321,7 +466,7 @@ def edge_columns_from_arrays(
     keyset_ids, key_reps = dense_first_appearance(keyset_gids)
     keys = KeySpace()
     for row in key_reps.tolist():
-        keys.intern({key: None for key in key_order_at(int(row))})
+        keys.intern(dict.fromkeys(key_order_at(int(row))))
     return EdgeColumns(
         ids, source, target,
         np.ascontiguousarray(label_ids, dtype=np.int64),

@@ -39,6 +39,24 @@ _TIMESTAMP_RE = re.compile(
 
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
+# Strict ASCII shapes for bulk classification: every full match is a
+# literal the cascade classifies as TIMESTAMP (resp. DATE).  Days stop
+# at 28, valid in every month of every year, and every other component
+# is range-checked by the pattern itself; anything else (whitespace,
+# non-ASCII digits, days 29-31, hour 24, a trailing newline) falls back
+# to the per-value cascade.
+_STRICT_DAY = r"(?:0[1-9]|1[0-9]|2[0-8])"
+_STRICT_MONTH = r"(?:0[1-9]|1[0-2])"
+_STRICT_ISO_DATE = rf"[0-9]{{4}}-{_STRICT_MONTH}-{_STRICT_DAY}"
+_STRICT_TIMESTAMP_RE = re.compile(
+    rf"{_STRICT_ISO_DATE}[T ](?:[01][0-9]|2[0-3]):[0-5][0-9]"
+    r"(?::[0-5][0-9](?:\.[0-9]+)?)?"
+    r"(?:Z|[+-](?:[01][0-9]|2[0-3]):?[0-5][0-9])?"
+)
+_STRICT_DATE_RE = re.compile(
+    rf"{_STRICT_ISO_DATE}|{_STRICT_DAY}/{_STRICT_MONTH}/[0-9]{{4}}"
+)
+
 
 def _is_leap_year(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
@@ -146,6 +164,37 @@ def join_value_type(current: DataType, value: Any) -> DataType:
             if _is_date(value.strip()):
                 return current
     return join_types(current, infer_value_type(value))
+
+
+def join_value_types(current: DataType, values: Sequence[Any]) -> DataType:
+    """:func:`join_value_type` folded over ``values``, in bulk when it can.
+
+    A value's lattice element depends on the value alone, so a run of
+    one exact type joins at once: all ``int`` is INTEGER; all ``float``
+    is FLOAT when any value is non-integral, else INTEGER; all ``str``
+    matching the strict timestamp (or date) shape is TIMESTAMP (DATE).
+    Any other run folds value by value, stopping at STRING, the top.
+    """
+    if current is DataType.STRING or not values:
+        return current
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return join_types(current, DataType.INTEGER)
+    if kinds == {float}:
+        integral = all(map(float.is_integer, values))
+        return join_types(
+            current, DataType.INTEGER if integral else DataType.FLOAT
+        )
+    if kinds == {str}:
+        if all(map(_STRICT_TIMESTAMP_RE.fullmatch, values)):
+            return join_types(current, DataType.TIMESTAMP)
+        if all(map(_STRICT_DATE_RE.fullmatch, values)):
+            return join_types(current, DataType.DATE)
+    for value in values:
+        if current is DataType.STRING:
+            break
+        current = join_value_type(current, value)
+    return current
 
 
 def join_types(a: DataType, b: DataType) -> DataType:

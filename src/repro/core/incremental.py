@@ -437,9 +437,7 @@ class IncrementalDiscovery:
         batch_schema, report = self.discover_batch_columns(
             ncols, ecols, plan.index, node_properties, edge_properties
         )
-        stages.add_seconds(report.stage_seconds)
-        report.stage_seconds = dict(stages.seconds)
-        report.seconds = time.perf_counter() - started
+        report.add_caller_stages(stages.seconds, started)
         parameters = dict(list(self.parameters.items())[seen:])
         return ShardResult(plan.index, batch_schema, report, parameters)
 
@@ -452,9 +450,10 @@ class IncrementalDiscovery:
     ) -> tuple[SchemaGraph, BatchReport]:
         """Build one batch's schema, with its §4.4 stats, without merging.
 
-        The batch method for element objects -- :meth:`map_batch`, the
-        pool workers on the memory store and the daemon's sessions:
-        columnize the elements, run :meth:`discover_batch_columns`, then
+        The batch method for element objects -- :meth:`map_batch`, so
+        the memory store in process and on the pool's workers (the
+        daemon's sessions decode requests into rows and call
+        :meth:`discover_batch_columns` instead): columnize the elements, run :meth:`discover_batch_columns`, then
         (with ``config.post_processing``) fold the stats with
         :func:`~repro.core.postprocess.attach_partial_stats`, which
         reads the elements' own property dicts and endpoint ids.
@@ -474,9 +473,7 @@ class IncrementalDiscovery:
                     batch_schema, nodes, edges,
                     track_values=self.config.infer_value_profiles,
                 )
-        stages.add_seconds(report.stage_seconds)
-        report.stage_seconds = dict(stages.seconds)
-        report.seconds = time.perf_counter() - started
+        report.add_caller_stages(stages.seconds, started)
         return batch_schema, report
 
     # ------------------------------------------------------------------

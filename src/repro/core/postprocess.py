@@ -23,8 +23,9 @@ members back out of the store.
   batch's columns while the batch is in hand: per-property
   :class:`~repro.core.value_profiles.PropertyPartial` folds (datatype
   lattice join, value-profile ingredients) and -- for edge types --
-  **per-node degree count maps**.  :func:`attach_partial_stats` runs
-  the same per-type fold over element objects.  The memoization fast
+  **per-node degree count maps**; disk shards and daemon batches get
+  it.  :func:`attach_partial_stats` runs the same per-type fold over
+  the element objects of the memory store.  The memoization fast
   path folds each absorbed element with the per-element helpers
   (:func:`fold_properties`, :func:`fold_edge`);
 * the stats ride on the types through the ordinary schema merge

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.schema.model import SchemaGraph
 
@@ -121,6 +122,22 @@ class BatchReport:
     embedder_reused: bool = False
     worker: int | None = None
     attempts: int = 1
+
+    def add_caller_stages(
+        self, stages: Mapping[str, float], started: float
+    ) -> None:
+        """Count a caller's own stages, and its time, into the report.
+
+        A caller that prepares a batch (columnizes it, folds its stats)
+        around the batch method times its steps in ``stages``; they go
+        first in ``stage_seconds``, equal names add up, and ``seconds``
+        becomes the time since ``started``, the caller's start.
+        """
+        merged = dict(stages)
+        for name, elapsed in self.stage_seconds.items():
+            merged[name] = merged.get(name, 0.0) + elapsed
+        self.stage_seconds = merged
+        self.seconds = time.perf_counter() - started
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form (used by run checkpoints)."""

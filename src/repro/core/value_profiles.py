@@ -30,7 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.datatypes import infer_datatype, join_types, join_value_type
+from repro.core.datatypes import (
+    infer_datatype,
+    join_types,
+    join_value_type,
+    join_value_types,
+)
 from repro.schema.model import DataType
 
 _DEFAULT_ENUM_CAP = 12
@@ -196,16 +201,14 @@ class PropertyPartial:
         """Fold a sequence of observed values, in order.
 
         The same state as :meth:`observe` (or, with ``track_values``
-        off, :meth:`observe_datatype`) per value.  Numeric bounds fold
-        value by value: a NaN (``float("nan")`` parses from ``"Nan"``)
-        compares false both ways, so a min-then-fold would not be exact.
+        off, :meth:`observe_datatype`) per value; the datatype joins a
+        homogeneous run in bulk
+        (:func:`~repro.core.datatypes.join_value_types`).  Numeric
+        bounds fold value by value: a NaN (``float("nan")`` parses from
+        ``"Nan"``) compares false both ways, so a min-then-fold would
+        not be exact.
         """
-        datatype = self.datatype
-        for value in values:
-            if datatype is DataType.STRING:
-                break
-            datatype = join_value_type(datatype, value)
-        self.datatype = datatype
+        self.datatype = join_value_types(self.datatype, values)
         self.observations += len(values)
         if not track_values:
             return

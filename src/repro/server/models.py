@@ -14,8 +14,15 @@ Graph payloads use the JSONL element shape the rest of the repo reads
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, Mapping
 
+from repro.core.columns import (
+    EdgeRows,
+    NodeRows,
+    intern_key_rows,
+    intern_label_rows,
+)
 from repro.graph.model import Edge, Node
 from repro.schema.validate import ValidationMode
 
@@ -164,6 +171,144 @@ def parse_endpoint_labels(
     return parsed
 
 
+def decode_endpoint_labels(
+    value: Any, where: str = "endpoint_labels"
+) -> dict[int, frozenset[str]] | None:
+    """:func:`parse_endpoint_labels` in bulk passes.
+
+    The same result and the same errors (a bad entry re-runs the
+    per-entry parser); entries with equal label lists share one
+    frozenset.
+    """
+    if type(value) is dict:
+        decoded = _decode_endpoint_map(value)
+        if decoded is not None:
+            return decoded
+    return parse_endpoint_labels(value, where)
+
+
+def _decode_endpoint_map(
+    value: dict[Any, Any]
+) -> dict[int, frozenset[str]] | None:
+    """The endpoint map in bulk passes; ``None`` when an entry is bad."""
+    try:
+        node_ids = list(map(int, value))
+    except (TypeError, ValueError):
+        return None
+    rows = list(value.values())
+    if not _all_of(list, rows):
+        return None
+    interned = _intern_labels(rows)
+    if interned is None:
+        return None
+    label_ids, label_sets = interned
+    return dict(zip(node_ids, [label_sets[i] for i in label_ids]))
+
+
+def _all_of(kind: type, values: Iterable[Any]) -> bool:
+    """Whether every value's type is exactly ``kind`` (bool is not int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _intern_labels(
+    rows: list[list[Any]],
+) -> tuple[list[int], list[frozenset[str]]] | None:
+    """Intern label lists; ``None`` unless every label is a ``str``.
+
+    Only the distinct sets are checked: a non-string label survives
+    into them, since no other type compares equal to a ``str``.
+    """
+    try:
+        label_ids, label_sets = intern_label_rows(map(tuple, rows))
+    except TypeError:  # an unhashable label
+        return None
+    if not _all_of(str, chain.from_iterable(label_sets)):
+        return None
+    return label_ids, label_sets
+
+
+#: ``dict.get`` as a plain callable, mapped over whole record arrays.
+_field: Callable[..., Any] = dict.get
+
+#: The interned label and key-set tables of a decoded record array:
+#: ``(label_ids, label_sets, keyset_ids, key_orders)``.
+_Tables = tuple[
+    list[int], list[frozenset[str]], list[int], list[tuple[str, ...]]
+]
+
+
+def _decode_rows(
+    records: Any, id_fields: tuple[str, ...]
+) -> tuple[list[list[int]], _Tables, list[dict[str, Any]]] | None:
+    """A record array in bulk passes, or ``None`` on any doubt.
+
+    Exact type checks only (``type(x) is int``, never a subclass or a
+    bool), each over a whole field column; labels and property keys are
+    checked once per distinct set.  Returns the id columns in
+    ``id_fields`` order, the interned tables and the property dicts
+    themselves; ``None`` sends the caller to the per-record parser,
+    which raises the error at the first bad record.
+    """
+    if type(records) is not list or not _all_of(dict, records):
+        return None
+    id_columns: list[list[int]] = []
+    for name in id_fields:
+        column = list(map(_field, records, repeat(name)))
+        if not _all_of(int, column):
+            return None
+        id_columns.append(column)
+    no_labels: list[str] = []
+    labels = list(map(_field, records, repeat("labels"), repeat(no_labels)))
+    no_properties: dict[str, Any] = {}
+    properties = list(
+        map(_field, records, repeat("properties"), repeat(no_properties))
+    )
+    if not _all_of(list, labels) or not _all_of(dict, properties):
+        return None
+    interned = _intern_labels(labels)
+    if interned is None:
+        return None
+    label_ids, label_sets = interned
+    keyset_ids, key_orders = intern_key_rows(properties)
+    if not _all_of(str, chain.from_iterable(key_orders)):
+        return None
+    tables = (label_ids, label_sets, keyset_ids, key_orders)
+    return id_columns, tables, properties
+
+
+def decode_nodes(records: Any, where: str = "nodes") -> NodeRows:
+    """Check and decode a JSON array of node records into rows.
+
+    Accepts and rejects exactly what :func:`parse_nodes` does, with the
+    same error, and gives the rows of its nodes.
+    """
+    decoded = _decode_rows(records, ("id",))
+    if decoded is None:
+        return NodeRows.from_nodes(parse_nodes(records, where))
+    (ids,), tables, properties = decoded
+    label_ids, label_sets, keyset_ids, key_orders = tables
+    return NodeRows(
+        ids, label_ids, label_sets, keyset_ids, key_orders, properties
+    )
+
+
+def decode_edges(records: Any, where: str = "edges") -> EdgeRows:
+    """Check and decode a JSON array of edge records into rows.
+
+    Accepts and rejects exactly what :func:`parse_edges` does, with the
+    same error, and gives the rows of its edges.
+    """
+    decoded = _decode_rows(records, ("id", "source", "target"))
+    if decoded is None:
+        return EdgeRows.from_edges(parse_edges(records, where))
+    (ids, source, target), tables, properties = decoded
+    label_ids, label_sets, keyset_ids, key_orders = tables
+    return EdgeRows(
+        ids, source, target, label_ids, label_sets, keyset_ids, key_orders,
+        properties,
+    )
+
+
 def parse_mode(value: Any) -> ValidationMode:
     """Parse the optional ``mode`` field (default STRICT)."""
     if value is None:
@@ -180,19 +325,24 @@ def parse_mode(value: Any) -> ValidationMode:
 
 @dataclass(frozen=True, slots=True)
 class BatchRequest:
-    """``POST /sessions/{name}/batches`` body."""
+    """``POST /sessions/{name}/batches`` body, decoded to rows.
 
-    nodes: list[Node]
-    edges: list[Edge]
+    No element object is built: the records go straight into
+    :class:`~repro.core.columns.NodeRows`/``EdgeRows``, the form the
+    session columnizes.
+    """
+
+    nodes: NodeRows
+    edges: EdgeRows
     endpoint_labels: dict[int, frozenset[str]] | None = None
 
     @classmethod
     def from_dict(cls, body: Mapping[str, Any]) -> "BatchRequest":
         """Parse and validate a batch ingestion request."""
         return cls(
-            nodes=parse_nodes(body.get("nodes", [])),
-            edges=parse_edges(body.get("edges", [])),
-            endpoint_labels=parse_endpoint_labels(
+            nodes=decode_nodes(body.get("nodes", [])),
+            edges=decode_edges(body.get("edges", [])),
+            endpoint_labels=decode_endpoint_labels(
                 body.get("endpoint_labels")
             ),
         )

@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import enum
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,7 @@ from repro.server.models import (
     validate_session_name,
 )
 from repro.server.pool import SessionWorkerPool
+from repro.util.timing import StageTimer
 
 
 class TicketStatus(enum.Enum):
@@ -199,26 +201,27 @@ class DiscoverySession:
     def _process(self, request: BatchRequest) -> BatchReport:
         """Run one batch through discovery and merge it into the schema.
 
-        The expensive pipeline (the engine's one batch method: columnize,
-        embed, LSH, extract, fold the §4.4 stats) runs *outside* the
-        schema lock; only the engine's fold, endpoint resolution and the
-        label-memory update hold it, so readers block for the merge
-        alone, never a discovery.
+        The request's rows are columnized and discovered outside the
+        schema lock, as the disk store's shards are (the engine's
+        ``discover_batch_columns``, which folds the §4.4 stats over the
+        property columns); only the engine's fold, endpoint resolution
+        and the label-memory update hold it, so readers block for the
+        merge alone, never a discovery.
         """
         nodes, edges = request.nodes, request.edges
-        with self._schema_lock:
-            endpoint_labels = dict(self._node_labels)
-        endpoint_labels.update({node.id: node.labels for node in nodes})
-        if request.endpoint_labels:
-            endpoint_labels.update(request.endpoint_labels)
-        batch_schema, report = self.engine.discover_batch(
-            nodes, edges, endpoint_labels
+        started = time.perf_counter()
+        stages = StageTimer()
+        with stages.stage("vectorize"):
+            ncols = nodes.columns()
+            ecols = edges.columns(self._endpoint_labels(request))
+        batch_schema, report = self.engine.discover_batch_columns(
+            ncols, ecols, None, nodes.properties, edges.properties
         )
+        report.add_caller_stages(stages.seconds, started)
         with self._schema_lock:
             self.engine.fold(ShardResult(report.index, batch_schema, report))
             resolve_edge_endpoints(self.engine.schema)
-            for node in nodes:
-                self._node_labels[node.id] = node.labels
+            self._node_labels.update(zip(nodes.ids, nodes.row_labels()))
             self._nodes_seen += len(nodes)
             self._edges_seen += len(edges)
             if (
@@ -228,6 +231,30 @@ class DiscoverySession:
             ):
                 self._save_checkpoint()
         return report
+
+    def _endpoint_labels(
+        self, request: BatchRequest
+    ) -> dict[int, frozenset[str]]:
+        """Label sets of the batch's edge endpoints.
+
+        The request's ``endpoint_labels`` win, then the batch's own
+        nodes (the last row of a repeated id), then the session's label
+        memory, which is read only for the endpoints.  It is read
+        without the schema lock: only the drain task of this session
+        writes it, and the session runs one batch at a time, so no
+        write can overlap this read.
+        """
+        nodes, edges = request.nodes, request.edges
+        memory = self._node_labels
+        empty: frozenset[str] = frozenset()
+        labels = {
+            node_id: memory.get(node_id, empty)
+            for node_id in dict.fromkeys(edges.source + edges.target)
+        }
+        labels.update(zip(nodes.ids, nodes.row_labels()))
+        if request.endpoint_labels:
+            labels.update(request.endpoint_labels)
+        return labels
 
     # ------------------------------------------------------------------
     # Reads (snapshot semantics -- no torn reads)

@@ -26,14 +26,24 @@ Oracle -> production kernel:
   :func:`best_jaccard_edge_host_reference` -> ``best_jaccard_host`` /
   ``best_jaccard_edge_host`` and
   :func:`extract_node_types_reference` -> ``extract_node_types`` (every
-  candidate scored, without the key-set size bound).
+  candidate scored, without the key-set size bound);
+* :func:`node_columns_reference` / :func:`edge_columns_reference` ->
+  ``node_columns`` / ``edge_columns`` (one ``LabelSpace``/``KeySpace``
+  intern per row instead of the shared row interning);
+* :func:`estimate_distance_scale_reference` ->
+  ``core.adaptive.estimate_distance_scale`` (the full pairwise matrix
+  instead of its strict upper triangle).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from repro.core.adaptive import _MIN_BUCKET
+from repro.core.columns import EdgeColumns, KeySpace, LabelSpace, NodeColumns
 
 from repro.core.type_extraction import (
     PSEUDO_PREFIX,
@@ -403,3 +413,87 @@ def extract_node_types_reference(
         node_type.name = schema.next_abstract_name("NODE")
         node_type.abstract = True
         schema.add_node_type(node_type)
+
+
+def node_columns_reference(nodes: Sequence[Node]) -> NodeColumns:
+    """Columnize a node batch row by row."""
+    n = len(nodes)
+    ids = np.empty(n, dtype=np.int64)
+    label_ids = np.empty(n, dtype=np.int64)
+    keyset_ids = np.empty(n, dtype=np.int64)
+    labels = LabelSpace()
+    keys = KeySpace()
+    for i, node in enumerate(nodes):
+        ids[i] = node.id
+        label_ids[i] = labels.intern(node.labels)
+        keyset_ids[i] = keys.intern(node.properties)
+    return NodeColumns(ids, label_ids, keyset_ids, labels, keys)
+
+
+def edge_columns_reference(
+    edges: Sequence[Edge],
+    endpoint_labels: Mapping[int, frozenset[str]],
+) -> EdgeColumns:
+    """Columnize an edge batch (with endpoint labels) row by row."""
+    m = len(edges)
+    ids = np.empty(m, dtype=np.int64)
+    source = np.empty(m, dtype=np.int64)
+    target = np.empty(m, dtype=np.int64)
+    label_ids = np.empty(m, dtype=np.int64)
+    src_label_ids = np.empty(m, dtype=np.int64)
+    tgt_label_ids = np.empty(m, dtype=np.int64)
+    keyset_ids = np.empty(m, dtype=np.int64)
+    labels = LabelSpace()
+    keys = KeySpace()
+    empty: frozenset[str] = frozenset()
+    for i, edge in enumerate(edges):
+        ids[i] = edge.id
+        source[i] = edge.source
+        target[i] = edge.target
+        label_ids[i] = labels.intern(edge.labels)
+        src_label_ids[i] = labels.intern(
+            endpoint_labels.get(edge.source, empty)
+        )
+        tgt_label_ids[i] = labels.intern(
+            endpoint_labels.get(edge.target, empty)
+        )
+        keyset_ids[i] = keys.intern(edge.properties)
+    return EdgeColumns(
+        ids, source, target, label_ids, src_label_ids, tgt_label_ids,
+        keyset_ids, labels, keys,
+    )
+
+
+def estimate_distance_scale_reference(
+    vectors: np.ndarray,
+    sample_size: int,
+    fraction: float,
+    seed: int = 0,
+    pattern_ids: np.ndarray | None = None,
+) -> tuple[float, int]:
+    """Mean pairwise distance over the full ``d2`` matrix of the sample."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if pattern_ids is None:
+        n = vectors.shape[0]
+    else:
+        pattern_ids = np.asarray(pattern_ids, dtype=np.int64)
+        n = int(pattern_ids.size)
+    if n == 0:
+        return 1.0, 0
+    target = min(n, max(int(sample_size), int(math.ceil(fraction * n))))
+    rng = np.random.default_rng(seed)
+    if target < n:
+        rows = rng.choice(n, size=target, replace=False)
+        sample = (
+            vectors[rows] if pattern_ids is None else vectors[pattern_ids[rows]]
+        )
+    else:
+        sample = vectors if pattern_ids is None else vectors[pattern_ids]
+    if sample.shape[0] < 2:
+        return 1.0, sample.shape[0]
+    sq_norms = np.square(sample).sum(axis=1)
+    gram = sample @ sample.T
+    d2 = np.maximum(sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram, 0.0)
+    upper = np.triu_indices(sample.shape[0], k=1)
+    mu = float(np.sqrt(d2[upper]).mean())
+    return max(mu, _MIN_BUCKET), sample.shape[0]

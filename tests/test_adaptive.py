@@ -10,6 +10,7 @@ from repro.core.adaptive import (
     estimate_distance_scale,
     label_alpha,
 )
+from tests.oracles.kernels import estimate_distance_scale_reference
 
 
 class TestLabelAlpha:
@@ -59,6 +60,28 @@ class TestDistanceScale:
         assert estimate_distance_scale(np.zeros((0, 2)), 5, 0.1)[1] == 0
         mu, size = estimate_distance_scale(np.zeros((1, 2)), 5, 0.1)
         assert size == 1 and mu > 0
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_triangle_is_bit_identical_to_full_matrix(self, trial):
+        """The upper-triangle kernel returns the full-matrix ``mu`` bit
+        for bit, on dense, binary and pattern-compact inputs."""
+        rng = np.random.default_rng(trial)
+        rows = int(rng.integers(2, 700))
+        width = int(rng.integers(1, 40))
+        dense = rng.normal(scale=rng.uniform(0.1, 50), size=(rows, width))
+        binary = (rng.random((rows, width)) < 0.3).astype(np.float64)
+        patterns = rng.normal(size=(int(rng.integers(1, 30)), width))
+        pattern_ids = rng.integers(0, patterns.shape[0], size=rows)
+        sample_size = int(rng.integers(2, 600))
+        fraction = float(rng.uniform(0.0, 0.5))
+        for vectors, ids in (
+            (dense, None), (binary, None), (patterns, pattern_ids),
+        ):
+            args = (vectors, sample_size, fraction, trial)
+            got = estimate_distance_scale(*args, pattern_ids=ids)
+            want = estimate_distance_scale_reference(*args, pattern_ids=ids)
+            assert got[1] == want[1]
+            assert got[0].hex() == want[0].hex()
 
 
 class TestChooseNumTables:

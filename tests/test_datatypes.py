@@ -10,6 +10,8 @@ from repro.core.datatypes import (
     infer_value_type,
     is_value_compatible,
     join_types,
+    join_value_type,
+    join_value_types,
 )
 from repro.schema.model import DataType
 
@@ -226,3 +228,110 @@ class TestListValues:
         result = PGHive().discover(GraphStore(b.build()))
         officer = result.schema.node_types["Officer"]
         assert officer.properties["country_codes"].datatype is DataType.LIST
+
+
+def _two(low, high):
+    return st.integers(low, high).map(lambda n: f"{n:02d}")
+
+
+#: Calendar-shaped strings around every edge of the strict patterns:
+#: months 00-13, days 00-31 (so Feb 29-31 in leap and other years),
+#: hour 24, minute/second 60, tz offsets, Unicode digits, whitespace
+#: and a trailing newline.
+_YEARS = st.sampled_from(["2019", "2020", "1900", "2000", "0000", "9999",
+                          "\u0662\u0660\u0662\u0660"])
+_DATE_PARTS = st.tuples(_YEARS, _two(0, 13), _two(0, 31))
+_TZ = st.sampled_from(["", "Z", "+05:30", "-0800", "+24:00", "+23:60",
+                       "+0000", "-12", "z"])
+_CLOCK = st.tuples(_two(0, 24), _two(0, 60),
+                   st.sampled_from(["", ":00", ":59", ":60", ":07.5",
+                                    ":07.", ".5"]), _TZ)
+_PADDING = st.sampled_from(["", " ", "\n", "\t", "\u00a0"])
+
+
+@st.composite
+def _calendar_strings(draw):
+    year, month, day = draw(_DATE_PARTS)
+    shape = draw(st.sampled_from(["iso", "dmy", "timestamp"]))
+    if shape == "iso":
+        text = f"{year}-{month}-{day}"
+    elif shape == "dmy":
+        text = f"{day}/{month}/{year}"
+    else:
+        hour, minute, rest, tz = draw(_CLOCK)
+        separator = draw(st.sampled_from(["T", " ", "t"]))
+        text = f"{year}-{month}-{day}{separator}{hour}:{minute}{rest}{tz}"
+    return draw(_PADDING) + text + draw(_PADDING)
+
+
+_VALUES = st.one_of(
+    _calendar_strings(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=8),
+    st.sampled_from(["12", "1.5", "true", "nan", "2020-02-29"]),
+)
+_CURRENT = st.sampled_from(list(DataType))
+
+
+def _fold(current, values):
+    for value in values:
+        current = join_value_type(current, value)
+    return current
+
+
+class TestBulkJoin:
+    """``join_value_types`` equals the per-value ``join_value_type`` fold."""
+
+    @given(_calendar_strings())
+    @settings(max_examples=400, deadline=None)
+    def test_strict_shapes_classify_as_the_cascade(self, text):
+        from repro.core.datatypes import _STRICT_DATE_RE, _STRICT_TIMESTAMP_RE
+
+        if _STRICT_TIMESTAMP_RE.fullmatch(text):
+            assert infer_value_type(text) is DataType.TIMESTAMP
+        if _STRICT_DATE_RE.fullmatch(text):
+            assert infer_value_type(text) is DataType.DATE
+
+    @given(_CURRENT, st.lists(_calendar_strings(), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_calendar_runs(self, current, values):
+        assert join_value_types(current, values) is _fold(current, values)
+
+    @given(_CURRENT, st.lists(_VALUES, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_runs(self, current, values):
+        assert join_value_types(current, values) is _fold(current, values)
+
+    @given(_CURRENT, st.one_of(
+        st.lists(st.integers(), max_size=12),
+        st.lists(st.floats(), max_size=12),
+        st.lists(st.booleans(), max_size=12),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_homogeneous_native_runs(self, current, values):
+        assert join_value_types(current, values) is _fold(current, values)
+
+    @pytest.mark.parametrize("values", [
+        ["2020-01-01T10:00:00", " 2020-01-01T10:00:00"],
+        ["2020-01-01T10:00:00", "2020-01-01T10:00:00\n"],
+        ["\u0662\u0660\u0662\u0660-01-01", "2020-01-01"],
+        ["2020-02-29", "2020-01-01"],
+        ["2019-02-29", "2020-01-01"],
+        ["2020-01-31", "2020-04-31"],
+        ["2020-01-01T24:00:00"],
+        ["2020-01-01T23:59:59+05:30", "2020-01-01T00:00-0800"],
+        ["2020-01-01T10:00+24:00"],
+        ["2020-01-01", "2020-01-01T10:00:00Z"],
+        [True, 1.0, 2],
+        [1.0, 2.5, False],
+        [[1], 2.0],
+        [1, 2.0],
+        [float("nan"), 1.0],
+        [float("inf")],
+    ])
+    @pytest.mark.parametrize("current", list(DataType))
+    def test_edges(self, current, values):
+        assert join_value_types(current, values) is _fold(current, values)

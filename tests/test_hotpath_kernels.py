@@ -35,7 +35,9 @@ from tests.oracles.kernels import (
     build_edge_clusters,
     build_node_clusters,
     cluster_by_band_union_reference,
+    edge_columns_reference,
     edge_feature_sets_reference,
+    node_columns_reference,
     node_feature_sets_reference,
     refine_by_labels,
     vectorize_edges_reference,
@@ -114,6 +116,37 @@ def small_graphs(draw):
             {k: 1 for k in keys},
         )
     return builder.build()
+
+
+def _assert_same_columns(got, want):
+    names = ["ids", "label_ids", "keyset_ids"]
+    if hasattr(want, "source"):
+        names += ["source", "target", "src_label_ids", "tgt_label_ids"]
+    for name in names:
+        assert getattr(got, name).dtype == np.int64, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.labels.sets == want.labels.sets
+    assert got.labels.tokens == want.labels.tokens
+    assert got.keys.sets == want.keys.sets
+    assert got.keys.orders == want.keys.orders
+
+
+class TestColumnizers:
+    """The shared row interning columnizes as one intern per row did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_batches())
+    def test_node_columns_match_reference(self, nodes):
+        _assert_same_columns(node_columns(nodes), node_columns_reference(nodes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_batches())
+    def test_edge_columns_match_reference(self, batch):
+        edges, endpoint_labels = batch
+        _assert_same_columns(
+            edge_columns(edges, endpoint_labels),
+            edge_columns_reference(edges, endpoint_labels),
+        )
 
 
 class TestVectorizeKernels:

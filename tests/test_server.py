@@ -17,8 +17,9 @@ import pytest
 
 from repro.core.config import PGHiveConfig
 from repro.core.pipeline import PGHive
+from repro.datasets import get_dataset, inject_noise
 from repro.graph.store import GraphStore
-from repro.schema.persist import schema_from_dict
+from repro.schema.persist import schema_from_dict, schema_to_dict
 from repro.server import ApiError, SchemaServer, SchemaService
 from repro.server.models import (
     BatchRequest,
@@ -42,6 +43,28 @@ def _edge(edge_id, source, target, labels=("KNOWS",), **properties):
         "labels": list(labels),
         "properties": properties,
     }
+
+
+def _record(element):
+    """The JSON record of a model node or edge."""
+    record = {"id": element.id}
+    if hasattr(element, "source"):
+        record["source"] = element.source
+        record["target"] = element.target
+    record["labels"] = sorted(element.labels)
+    record["properties"] = dict(element.properties)
+    return record
+
+
+def _settle(service, ticket_id, timeout=60.0):
+    """Poll a socket-free service until the ticket leaves the queue."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        _, info = service.handle("GET", f"/tickets/{ticket_id}", {}, {})
+        if info["status"] in ("done", "failed"):
+            return info
+        time.sleep(0.005)
+    raise AssertionError(f"ticket {ticket_id} did not settle")
 
 
 def _batch(start=0, count=12, label="Person"):
@@ -354,6 +377,51 @@ class TestEquivalenceAndRestart:
             for t in expected.node_types.values()
         }
 
+    @pytest.mark.parametrize("dataset,noisy", [
+        ("POLE", False), ("LDBC", False), ("IYP", True),
+    ])
+    def test_batches_match_oneshot_incremental(self, dataset, noisy):
+        """Four posted batches serve the one-shot ``--batches 4`` schema,
+        byte for byte apart from the session name."""
+        generated = get_dataset(dataset, scale=1, seed=1)
+        if noisy:
+            generated = inject_noise(
+                generated, property_noise=0.2, label_availability=0.5,
+                seed=2,
+            )
+        config = PGHiveConfig(server_workers=1)
+        store = GraphStore(generated.graph)
+        expected = schema_to_dict(
+            PGHive(config).discover_incremental(store, 4).schema,
+            include_members=False,
+        )
+        service = SchemaService(config)
+        try:
+            service.handle("POST", "/sessions", {}, {"name": "s"})
+            for batch in store.batches(4, seed=config.seed):
+                body = json.loads(json.dumps({
+                    "nodes": [_record(node) for node in batch.nodes],
+                    "edges": [_record(edge) for edge in batch.edges],
+                    "endpoint_labels": {
+                        str(node_id): sorted(labels)
+                        for node_id, labels in batch.endpoint_labels.items()
+                    },
+                }))
+                status, ticket = service.handle(
+                    "POST", "/sessions/s/batches", {}, body
+                )
+                assert status == 202
+                assert _settle(service, ticket["id"])["status"] == "done"
+            _, served = service.handle(
+                "GET", "/sessions/s/schema", {"format": ["json"]}, {}
+            )
+        finally:
+            service.sessions.shutdown()
+        assert served["schema"]["name"] == "s"
+        assert json.dumps(
+            {**served["schema"], "name": None}, sort_keys=True
+        ) == json.dumps({**expected, "name": None}, sort_keys=True)
+
     def test_checkpoint_restart_restores_sessions(self, tmp_path):
         config = PGHiveConfig(
             server_port=0, checkpoint_dir=str(tmp_path / "ckpt")
@@ -405,7 +473,39 @@ class TestSessionLayerDirect:
         request = BatchRequest.from_dict(
             {"nodes": [_node(1, name="a")], "edges": []}
         )
-        assert request.nodes[0].labels == frozenset({"Person"})
+        rows = request.nodes
+        assert rows.label_sets[rows.label_ids[0]] == frozenset({"Person"})
+
+    def test_batch_endpoint_precedence(self):
+        """A batch's edge endpoints take the request's endpoint_labels,
+        then the batch's nodes (last row wins), then the label memory
+        of earlier batches, and unknown endpoints the empty set."""
+        manager = SessionManager(PGHiveConfig(server_workers=1))
+        try:
+            session = manager.create("s")
+            session._node_labels.update({
+                1: frozenset({"Old"}), 2: frozenset({"Old"}),
+                3: frozenset({"Old"}),
+            })
+            request = BatchRequest.from_dict({
+                "nodes": [_node(2, labels=("First",)),
+                          _node(3, labels=("Batch",)),
+                          _node(2, labels=("Last",))],
+                "edges": [_edge(10, 1, 2), _edge(11, 3, 4),
+                          _edge(12, 5, 2)],
+                "endpoint_labels": {"3": ["Explicit"], "7": ["Unused"]},
+            })
+            labels = session._endpoint_labels(request)
+            assert {node_id: labels.get(node_id) for node_id in
+                    (1, 2, 3, 4, 5)} == {
+                1: frozenset({"Old"}),
+                2: frozenset({"Last"}),
+                3: frozenset({"Explicit"}),
+                4: frozenset(),
+                5: frozenset(),
+            }
+        finally:
+            manager.shutdown()
 
     def test_exception_after_discovery_fails_the_ticket(self, monkeypatch):
         """An exception raised after the batch left the queue -- here by
