@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,6 +127,9 @@ class EdgeColumns:
     keyset_ids: np.ndarray  # (m,) int64 into keys.sets
     labels: LabelSpace  # shared across edge/source/target roles
     keys: KeySpace
+    #: ``source``/``target`` as the edge objects' own ints, which outlive
+    #: the batch: the §4.4 degree maps key on them instead of on copies.
+    endpoints: tuple[Sequence[int], Sequence[int]] | None = None
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -178,6 +181,7 @@ class EdgeColumns:
             keyset_ids=self.keyset_ids,
             labels=self.labels,
             keys=self.keys,
+            endpoints=self.endpoints,
         )
 
 
@@ -367,6 +371,45 @@ def edge_columns(
     An endpoint missing from ``endpoint_labels`` has the empty label set.
     """
     return EdgeRows.from_edges(edges).columns(endpoint_labels)
+
+
+PropertyColumn = Sequence[Mapping[str, Any]]
+"""Batch position -> that element's property mapping."""
+
+
+class ShardColumns(NamedTuple):
+    """One batch as the map step reads it: columns plus property columns.
+
+    The property columns are ``None`` where the producer was asked to
+    leave them out.
+    """
+
+    nodes: NodeColumns
+    edges: EdgeColumns
+    node_properties: PropertyColumn | None
+    edge_properties: PropertyColumn | None
+
+
+def columnize_batch(
+    nodes: Sequence[Node],
+    edges: Sequence[Edge],
+    endpoint_labels: Mapping[int, frozenset[str]],
+) -> ShardColumns:
+    """Columnize a batch of element objects, with its property columns.
+
+    The property columns are the elements' own dicts, uncopied, and the
+    edge columns carry the edges' own endpoint ints.  (A daemon request's
+    decoded ints are not shared so: the request dies with its batch, and
+    degree maps keyed on its scattered ints made snapshots slower.)
+    """
+    node_rows = NodeRows.from_nodes(nodes)
+    edge_rows = EdgeRows.from_edges(edges)
+    edge_cols = edge_rows.columns(endpoint_labels)
+    edge_cols.endpoints = (edge_rows.source, edge_rows.target)
+    return ShardColumns(
+        node_rows.columns(), edge_cols,
+        node_rows.properties, edge_rows.properties,
+    )
 
 
 def node_columns_from_arrays(

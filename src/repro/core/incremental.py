@@ -36,17 +36,16 @@ from repro.core.adaptive import choose_parameters
 from repro.core.columns import (
     EdgeColumns,
     NodeColumns,
+    PropertyColumn,
+    ShardColumns,
+    columnize_batch,
     dense_first_appearance,
-    edge_columns,
-    node_columns,
     union_of,
 )
 from repro.core.config import LSHMethod, PGHiveConfig
 from repro.core.result import BatchReport, ShardFailure, ShardResult
 from repro.core.postprocess import (
-    PropertyColumn,
     attach_column_stats,
-    attach_partial_stats,
     fold_edge,
     fold_properties,
     schema_stats_from_dict,
@@ -349,11 +348,12 @@ class IncrementalDiscovery:
         endpoint_labels: dict[int, frozenset[str]] | None = None,
         batch_index: int | None = None,
     ) -> ShardResult:
-        """The in-process map step: absorb known patterns, then discover.
+        """The in-process map step over element objects.
 
         Memoization absorbs the elements that match types of the running
         schema first, so batch ``i`` must be mapped after batch ``i-1``
-        was folded; the rest go through :meth:`discover_batch`.
+        was folded.  The rest are columnized, with their own property
+        dicts as the property columns, and mapped as a store's shard.
         Arguments are as for :meth:`process_batch`.
         """
         started = time.perf_counter()
@@ -364,17 +364,13 @@ class IncrementalDiscovery:
             nodes, edges, memo_node_hits, memo_edge_hits = (
                 self._absorb_known_patterns(nodes, edges, endpoint_labels)
             )
-        seen = len(self.parameters)
-        batch_schema, report = self.discover_batch(
-            nodes, edges, endpoint_labels, batch_index
+        stages = StageTimer()
+        with stages.stage("vectorize"):
+            shard = columnize_batch(nodes, edges, endpoint_labels)
+        return self._map_columns(
+            shard, batch_index, stages, started,
+            (memo_node_hits, memo_edge_hits),
         )
-        report.seconds = time.perf_counter() - started
-        report.num_nodes += memo_node_hits
-        report.num_edges += memo_edge_hits
-        report.memo_node_hits = memo_node_hits
-        report.memo_edge_hits = memo_edge_hits
-        parameters = dict(list(self.parameters.items())[seen:])
-        return ShardResult(report.index, batch_schema, report, parameters)
 
     def fold(self, shard: ShardResult) -> float:
         """Fold one mapped batch into the running schema; return seconds.
@@ -409,72 +405,44 @@ class IncrementalDiscovery:
     ) -> ShardResult:
         """Map one planned shard of a store: the executors' map step.
 
-        A store that columnizes its own shards (the disk store's
-        ``columnize_shard``) hands over columns and, for the §4.4 fold,
-        every decoded property record of the shard; no element object
-        is built.  Objects remain the batch source where they exist
-        already (the memory store) and where they are needed: pattern
-        memoization absorbs elements against the running schema, so it
-        goes through :meth:`map_batch`.
+        Every store hands over the shard's columns and, for the §4.4
+        fold, its property columns
+        (:meth:`~repro.graph.store.BaseGraphStore.columnize_shard`).
+        Pattern memoization absorbs elements against the running schema,
+        so it materializes the shard and goes through :meth:`map_batch`.
         """
-        columnize = getattr(source, "columnize_shard", None)
-        if columnize is None or self.config.memoize_patterns:
+        if self.config.memoize_patterns:
             batch = source.materialize_shard(plan)
             return self.map_batch(
                 batch.nodes, batch.edges, batch.endpoint_labels, plan.index
             )
         started = time.perf_counter()
-        seen = len(self.parameters)
         stages = StageTimer()
-        node_properties: PropertyColumn | None = None
-        edge_properties: PropertyColumn | None = None
         with stages.stage("vectorize"):
-            ncols, ecols = columnize(plan)
-            if self.config.post_processing:
-                node_properties, edge_properties = source.shard_properties(
-                    plan
-                )
-        batch_schema, report = self.discover_batch_columns(
-            ncols, ecols, plan.index, node_properties, edge_properties
-        )
-        report.add_caller_stages(stages.seconds, started)
-        parameters = dict(list(self.parameters.items())[seen:])
-        return ShardResult(plan.index, batch_schema, report, parameters)
+            shard = source.columnize_shard(plan, self.config.post_processing)
+        return self._map_columns(shard, plan.index, stages, started)
 
-    def discover_batch(
+    def _map_columns(
         self,
-        nodes: Sequence[Node],
-        edges: Sequence[Edge],
-        endpoint_labels: dict[int, frozenset[str]],
-        batch_index: int | None = None,
-    ) -> tuple[SchemaGraph, BatchReport]:
-        """Build one batch's schema, with its §4.4 stats, without merging.
-
-        The batch method for element objects -- :meth:`map_batch`, so
-        the memory store in process and on the pool's workers (the
-        daemon's sessions decode requests into rows and call
-        :meth:`discover_batch_columns` instead): columnize the elements, run :meth:`discover_batch_columns`, then
-        (with ``config.post_processing``) fold the stats with
-        :func:`~repro.core.postprocess.attach_partial_stats`, which
-        reads the elements' own property dicts and endpoint ids.
-        ``batch_index`` is as for :meth:`discover_batch_columns`.
-        """
-        started = time.perf_counter()
-        stages = StageTimer()
-        with stages.stage("vectorize"):
-            ncols = node_columns(nodes)
-            ecols = edge_columns(edges, endpoint_labels)
+        shard: ShardColumns,
+        batch_index: int | None,
+        stages: StageTimer,
+        started: float,
+        memo_hits: tuple[int, int] = (0, 0),
+    ) -> ShardResult:
+        """Discover one columnized batch, counting the caller's stages
+        and the elements memoization absorbed before it."""
+        seen = len(self.parameters)
         batch_schema, report = self.discover_batch_columns(
-            ncols, ecols, batch_index
+            shard.nodes, shard.edges, batch_index,
+            shard.node_properties, shard.edge_properties,
         )
-        if self.config.post_processing:
-            with stages.stage("stats"):
-                attach_partial_stats(
-                    batch_schema, nodes, edges,
-                    track_values=self.config.infer_value_profiles,
-                )
         report.add_caller_stages(stages.seconds, started)
-        return batch_schema, report
+        report.memo_node_hits, report.memo_edge_hits = memo_hits
+        report.num_nodes += report.memo_node_hits
+        report.num_edges += report.memo_edge_hits
+        parameters = dict(list(self.parameters.items())[seen:])
+        return ShardResult(report.index, batch_schema, report, parameters)
 
     # ------------------------------------------------------------------
     # Batch body

@@ -58,7 +58,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.columns import EdgeColumns, NodeColumns
+import numpy as np
+
+from repro.core.columns import EdgeColumns, NodeColumns, PropertyColumn
 from repro.core.config import PGHiveConfig
 from repro.core.datatypes import infer_datatype, infer_datatype_sampled
 from repro.core.value_profiles import PropertyPartial
@@ -250,10 +252,6 @@ class TypeStats:
         )
 
 
-PropertyColumn = Sequence[Mapping[str, Any]]
-"""Batch position -> that element's property mapping."""
-
-
 def attach_column_stats(
     schema: SchemaGraph,
     ncols: NodeColumns,
@@ -265,12 +263,13 @@ def attach_column_stats(
     """Compute and attach :class:`TypeStats` for every type, from columns.
 
     Runs on a batch schema against the columnized batch its member ids
-    refer to: a member id finds its batch position through ``ids``, and
-    the property columns give that position's properties.  Each type
-    gathers its members' values key by key, in member order, and folds
-    each key's sequence at once; degree counts come from
-    ``ecols.source``/``ecols.target``, read once per batch.  The stats
-    equal a per-member fold (:func:`fold_properties` /
+    refer to: a member id finds its batch position through ``ids`` (the
+    last position of a repeated id), and the property columns give that
+    position's properties.  Each type gathers its members' values key by
+    key, in member order, and folds each key's sequence at once; degree
+    counts come from ``ecols.endpoints`` (or ``ecols.source``/
+    ``ecols.target``), read once per batch.  The stats equal a
+    per-member fold (:func:`fold_properties` /
     :func:`fold_edge`) of the same members, which observes exactly the
     values and endpoints the store passes :func:`infer_datatypes` /
     :func:`compute_cardinalities` would read back.
@@ -281,22 +280,47 @@ def attach_column_stats(
     them would carry every distinct property value through the merge --
     unbounded memory on an out-of-core run.
     """
-    node_row = {node_id: row for row, node_id in enumerate(ncols.ids.tolist())}
+    node_index = _sorted_ids(ncols.ids)
     for node_type in schema.node_types.values():
-        members = node_type.members
+        rows = _member_rows(node_index, node_type.members)
         node_type.stats = _fold_type(
-            node_type,
-            (node_properties[node_row[member]] for member in members),
-            track_values,
+            node_type, map(node_properties.__getitem__, rows), track_values,
         )
-    edge_row = {edge_id: row for row, edge_id in enumerate(ecols.ids.tolist())}
-    sources, targets = ecols.source.tolist(), ecols.target.tolist()
+    sources, targets = ecols.endpoints or (
+        ecols.source.tolist(), ecols.target.tolist()
+    )
+    edge_index = _sorted_ids(ecols.ids)
     for edge_type in schema.edge_types.values():
-        rows = [edge_row[member] for member in edge_type.members]
+        rows = _member_rows(edge_index, edge_type.members)
         edge_type.stats = _fold_type(
             edge_type, (edge_properties[row] for row in rows), track_values,
             ((sources[row], targets[row]) for row in rows),
         )
+
+
+def _member_rows(
+    index: tuple[np.ndarray, np.ndarray], members: Sequence[int]
+) -> list[int]:
+    """The batch rows of member ids: the last row of each id.
+
+    ``index`` is the batch's ``(order, sorted ids)``, from a stable
+    argsort of its ``ids``.  A binary search, not an id -> row dict: a
+    batch-wide dict of fresh ints, built and freed between the fold's
+    long-lived allocations, raised the memory store's peak RSS.
+    """
+    order, sorted_ids = index
+    wanted = np.asarray(members, dtype=np.int64)
+    found = np.searchsorted(sorted_ids, wanted, side="right") - 1
+    if (found < 0).any() or (sorted_ids[found] != wanted).any():
+        raise KeyError("a member id is not in the batch")
+    rows: list[int] = order[found].tolist()
+    return rows
+
+
+def _sorted_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, ids[order])`` for :func:`_member_rows`."""
+    order = np.argsort(ids, kind="stable")
+    return order, ids[order]
 
 
 def attach_partial_stats(

@@ -8,16 +8,18 @@ in RAM.  The driver's resident set stays O(id arrays + merged schema):
 node/edge *objects* are materialized only inside whichever process
 consumes a shard, property payloads are unpickled row-by-row straight
 out of the mapped heap, and the partition that backs ``plan_shards`` is
-spilled to a scratch file whose byte ranges workers re-map read-only.
+spilled to a scratch file the driver maps read-only and forked workers
+inherit.
 
-Byte-identity with the in-memory backend is the design invariant, not
-an aspiration: partitioning replays the exact
-``random.Random(seed).shuffle`` over the same insertion-ordered id
-list, edges keep their source node's shard and insertion order (a
-stable argsort over the mapped source column), and the columnize fast
-path remaps the store's global interner ids to the per-batch dense ids
-``node_columns`` / ``edge_columns`` would have assigned (``tests/test_diskstore.py``
-property-tests all of it across worker counts and chunkings).
+Sharding is not this module's: the partition, the endpoint-label walk
+and ``materialize_shard`` are :class:`~repro.graph.store.BaseGraphStore`'s,
+over row positions, so both backends shard identically by
+construction.  This backend supplies row access over the mapped
+columns and overrides ``columnize_shard`` with a fast path that remaps
+the store's global interner ids to the per-batch dense ids
+``node_columns`` / ``edge_columns`` would have assigned
+(``tests/test_diskstore.py`` property-tests it across worker counts
+and chunkings).
 """
 
 from __future__ import annotations
@@ -26,18 +28,16 @@ import heapq
 import mmap
 import multiprocessing
 import os
-import random
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy
 
 from repro.core.columns import (
-    EdgeColumns,
-    NodeColumns,
+    ShardColumns,
     edge_columns_from_arrays,
     node_columns_from_arrays,
 )
@@ -60,66 +60,12 @@ from repro.graph.slab import (
     SlabWriter,
     read_manifest,
 )
-from repro.graph.store import BaseGraphStore, GraphBatch, ShardPlan
+from repro.graph.store import BaseGraphStore, ShardPlan, ShardRows
 
 #: Rows per chunk :func:`write_graph_to_slabs` hands the writer in one call.
 INGEST_CHUNK_ROWS = 2048
 
 _SCRATCH_DIR = "scratch"
-
-
-class _SpilledPartition:
-    """A partition spilled to one scratch file, mapped lazily per process.
-
-    Holds only the file path plus per-shard ``(offset, count)`` ranges of
-    int64 ids; the read-only mapping happens on first use in whichever
-    process reads a shard, so fork-inherited copies in pool workers map
-    the file themselves instead of inheriting a parent attachment.
-    """
-
-    __slots__ = ("path", "node_ranges", "edge_ranges", "_mmap")
-
-    def __init__(
-        self,
-        path: Path,
-        node_ranges: list[tuple[int, int]],
-        edge_ranges: list[tuple[int, int]],
-    ) -> None:
-        self.path = path
-        self.node_ranges = node_ranges
-        self.edge_ranges = edge_ranges
-        self._mmap: mmap.mmap | None = None
-
-    def _view(self, offset: int, count: int) -> numpy.ndarray:
-        if count == 0:
-            return numpy.empty(0, dtype=numpy.int64)
-        if self._mmap is None:
-            with self.path.open("rb") as handle:
-                self._mmap = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-        return numpy.frombuffer(
-            self._mmap, dtype=numpy.int64, count=count, offset=offset
-        )
-
-    def node_array(self, shard: int) -> numpy.ndarray:
-        """Shard's node ids (read-only view into the mapped spill file)."""
-        return self._view(*self.node_ranges[shard])
-
-    def edge_array(self, shard: int) -> numpy.ndarray:
-        """Shard's edge ids (read-only view into the mapped spill file)."""
-        return self._view(*self.edge_ranges[shard])
-
-    def close(self) -> None:
-        """Unmap this process's view (the file belongs to the store)."""
-        if self._mmap is not None:
-            try:
-                self._mmap.close()
-            except BufferError:
-                # A live id view still exports the buffer; the mapping
-                # is reclaimed when that view is garbage collected.
-                pass
-            self._mmap = None
 
 
 class SlabIngestError(RuntimeError):
@@ -162,9 +108,6 @@ class DiskGraphStore(BaseGraphStore):
         self._directory = Path(directory)
         self._verify = verify
         self._reader = SlabReader(self._directory, verify=verify)
-        self._partition_cache: tuple[
-            tuple[int, int, bool], _SpilledPartition
-        ] | None = None
         self._node_sorted: tuple[numpy.ndarray, numpy.ndarray] | None = None
         self._edge_sorted: tuple[numpy.ndarray, numpy.ndarray] | None = None
 
@@ -197,9 +140,7 @@ class DiskGraphStore(BaseGraphStore):
 
     def close(self) -> None:
         """Release every mapping held by this process."""
-        if self._partition_cache is not None:
-            self._partition_cache[1].close()
-            self._partition_cache = None
+        self._partition_cache = None
         self._node_sorted = None
         self._edge_sorted = None
         self._reader.close()
@@ -283,173 +224,80 @@ class DiskGraphStore(BaseGraphStore):
         return self._reader.edge_at(int(row[0]))
 
     # ------------------------------------------------------------------
-    # Sharded scans
+    # Row access (rows are the slab columns' positions)
     # ------------------------------------------------------------------
-    def plan_shards(
-        self,
-        num_shards: int,
-        seed: int = 0,
-        shuffle: bool = True,
-    ) -> list[ShardPlan]:
-        """Plans for materializing each batch of a sharded scan on demand.
+    def _source_rows(self) -> numpy.ndarray:
+        return self._node_rows(self._reader.edge_sources)
 
-        Warms the spilled partition, so forked workers inherit only the
-        spill file path + byte ranges and map the scratch file
-        themselves.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self._partition(num_shards, seed, shuffle)
+    def _nodes_at(self, rows: numpy.ndarray) -> list[Node]:
+        return list(map(self._reader.node_at, rows.tolist()))
+
+    def _edges_at(self, rows: numpy.ndarray) -> list[Edge]:
+        return list(map(self._reader.edge_at, rows.tolist()))
+
+    def _node_labels_of(self, node_ids: Sequence[int]) -> list[frozenset[str]]:
+        rows = self._node_rows(numpy.asarray(node_ids, dtype=numpy.int64))
+        label_sets = self._reader.node_label_sets
         return [
-            ShardPlan(index, num_shards, seed, shuffle)
-            for index in range(num_shards)
+            label_sets[label_id]
+            for label_id in self._reader.node_label_ids[rows].tolist()
         ]
 
-    def materialize_shard(self, plan: ShardPlan) -> GraphBatch:
-        """Build the single batch described by ``plan``.
+    def _keep_partition(
+        self, key: tuple[int, int, bool], partition: ShardRows
+    ) -> ShardRows:
+        """Spill the partition's rows to one scratch file and map it.
 
-        Elements are materialized row-by-row from the mapped columns in
-        the shard's id order; the endpoint-label map replays the
-        in-memory backend's first-seen-in-edge-order walk, reading label
-        sets straight from the label column without materializing
-        endpoint nodes.
+        The driver keeps read-only views into the mapping, which forked
+        workers inherit, instead of the rows themselves.  The file is
+        written to a temp name and atomically renamed, so a partition
+        file is always complete; workers that mapped an older file for
+        the same key keep reading their (replaced) inode.  The mapping
+        goes when the last view of it does.
         """
-        if not 0 <= plan.index < plan.num_shards:
-            raise ValueError(
-                f"shard index {plan.index} out of range for "
-                f"{plan.num_shards} shards"
-            )
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        reader = self._reader
-        node_rows = self._node_rows(partition.node_array(plan.index))
-        nodes = [reader.node_at(int(row)) for row in node_rows.tolist()]
-        edge_rows = self._edge_rows(partition.edge_array(plan.index))
-        edges = [reader.edge_at(int(row)) for row in edge_rows.tolist()]
-        endpoint_labels: dict[int, frozenset[str]] = {}
-        if edges:
-            label_column = reader.node_label_ids
-            label_sets = reader.node_label_sets
-            endpoint_ids = numpy.empty(len(edges) * 2, dtype=numpy.int64)
-            for position, edge in enumerate(edges):
-                endpoint_ids[position * 2] = edge.source
-                endpoint_ids[position * 2 + 1] = edge.target
-            endpoint_rows = self._node_rows(endpoint_ids)
-            for position in range(endpoint_ids.size):
-                nid = int(endpoint_ids[position])
-                if nid not in endpoint_labels:
-                    endpoint_labels[nid] = label_sets[
-                        int(label_column[int(endpoint_rows[position])])
-                    ]
-        return GraphBatch(plan.index, nodes, edges, endpoint_labels)
-
-    def _partition(
-        self, num_shards: int, seed: int, shuffle: bool
-    ) -> _SpilledPartition:
-        """Assign nodes and edges to shards (cached for the last plan).
-
-        Replays the in-memory backend's assignment exactly: the same
-        ``random.Random(seed).shuffle`` over the same insertion-ordered
-        id list (here the mapped id column), round-robin node shards,
-        and every edge in its source node's shard in insertion order --
-        a ``searchsorted`` lookup over the mapped source column plus a
-        stable argsort, with no object loop at all.
-        """
-        if num_shards < 1:
-            raise ValueError("num_batches must be >= 1")
-        key = (num_shards, seed, shuffle)
-        cached = self._partition_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        node_ids = self._reader.node_ids.tolist()
-        if shuffle:
-            random.Random(seed).shuffle(node_ids)
-        shuffled = numpy.asarray(node_ids, dtype=numpy.int64)
-        nodes_by_shard = [
-            shuffled[shard::num_shards] for shard in range(num_shards)
-        ]
-        order = numpy.argsort(shuffled, kind="stable")
-        lookup = numpy.searchsorted(
-            shuffled[order], self._reader.edge_sources
-        )
-        edge_shards = (order % num_shards)[lookup]
-        edge_order = numpy.argsort(edge_shards, kind="stable")
-        bounds = numpy.searchsorted(
-            edge_shards[edge_order], numpy.arange(num_shards + 1)
-        )
-        sorted_edge_ids = self._reader.edge_ids[edge_order]
-        edges_by_shard = [
-            sorted_edge_ids[bounds[shard] : bounds[shard + 1]]
-            for shard in range(num_shards)
-        ]
-        partition = self._spill_partition(
-            num_shards, seed, shuffle, nodes_by_shard, edges_by_shard
-        )
-        if cached is not None:
-            cached[1].close()
-        self._partition_cache = (key, partition)
-        return partition
-
-    def _spill_partition(
-        self,
-        num_shards: int,
-        seed: int,
-        shuffle: bool,
-        nodes_by_shard_ids: Sequence[numpy.ndarray],
-        edges_by_shard_ids: Sequence[numpy.ndarray],
-    ) -> _SpilledPartition:
-        """Write per-shard id arrays to one scratch file, keep byte ranges.
-
-        The file is written to a temp name and atomically renamed, so a
-        partition file is always complete; workers that mapped an older
-        file for the same key keep reading their (replaced) inode.
-        """
+        num_shards, seed, shuffle = key
+        arrays = [*partition.nodes, *partition.edges]
         scratch = self._directory / _SCRATCH_DIR
         scratch.mkdir(parents=True, exist_ok=True)
-        file_name = f"partition-{num_shards}-{seed}-{int(shuffle)}.bin"
-        ranges: list[tuple[int, int]] = []
-        offset = 0
-        tmp_path = scratch / (file_name + ".tmp")
+        path = scratch / f"partition-{num_shards}-{seed}-{int(shuffle)}.bin"
+        tmp_path = path.with_name(path.name + ".tmp")
         with tmp_path.open("wb") as handle:
-            for array in (*nodes_by_shard_ids, *edges_by_shard_ids):
-                contiguous = numpy.ascontiguousarray(
-                    array, dtype=numpy.int64
-                )
-                ranges.append((offset, int(contiguous.size)))
-                raw = contiguous.tobytes()
-                handle.write(raw)
-                offset += len(raw)
+            for rows in arrays:
+                handle.write(rows.tobytes())
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp_path, scratch / file_name)
-        return _SpilledPartition(
-            scratch / file_name, ranges[:num_shards], ranges[num_shards:]
-        )
+        os.replace(tmp_path, path)
+        if not any(rows.size for rows in arrays):
+            return partition  # an empty file cannot be mapped
+        with path.open("rb") as handle:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        column = numpy.frombuffer(mapped, dtype=numpy.int64)
+        bounds = numpy.cumsum([0, *(rows.size for rows in arrays)]).tolist()
+        views = [column[a:b] for a, b in zip(bounds, bounds[1:])]
+        return ShardRows(views[:num_shards], views[num_shards:])
 
-    # ------------------------------------------------------------------
-    # Column fast path (no object materialization at all)
-    # ------------------------------------------------------------------
     def columnize_shard(
-        self, plan: ShardPlan
-    ) -> tuple[NodeColumns, EdgeColumns]:
+        self, plan: ShardPlan, properties: bool = True
+    ) -> ShardColumns:
         """Columnize one shard straight from the mapped columns.
 
         Byte-identical to columnizing the materialized batch: global
         interner ids are remapped to per-batch first-appearance dense
-        ids by the from-arrays constructors.  Every executor maps disk
-        shards this way (memoized runs excepted), so no Node/Edge object
-        is built; only one property record per distinct key set is
-        decoded, for its key order.  :meth:`shard_properties` decodes
-        the rest when the §4.4 fold needs them.
+        ids by the from-arrays constructors, and no Node/Edge object is
+        built.  Only one property record per distinct key set is
+        decoded for its key order; ``properties=True`` decodes every
+        record of the shard (keeping the heap-decode guard of
+        :meth:`~repro.graph.slab.SlabReader.node_properties_at` on every
+        row).  Only the edges' endpoints are looked up by id.
         """
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
+        partition = self._shard_partition(plan)
         reader = self._reader
-        node_ids = partition.node_array(plan.index)
-        node_rows = self._node_rows(node_ids)
+        node_rows = partition.nodes[plan.index]
         # Key orders must come from the representative *row's* own
         # property dict (two rows with one key set may order their dicts
         # differently); one heap unpickle per distinct key set.
         node_cols = node_columns_from_arrays(
-            node_ids,
+            reader.node_ids[node_rows],
             reader.node_label_ids[node_rows],
             reader.node_keyset_ids[node_rows],
             reader.node_label_sets,
@@ -457,13 +305,12 @@ class DiskGraphStore(BaseGraphStore):
                 reader.node_properties_at(int(node_rows[position]))
             ),
         )
-        edge_ids = partition.edge_array(plan.index)
-        edge_rows = self._edge_rows(edge_ids)
+        edge_rows = partition.edges[plan.index]
         sources = reader.edge_sources[edge_rows]
         targets = reader.edge_targets[edge_rows]
         node_label_column = reader.node_label_ids
         edge_cols = edge_columns_from_arrays(
-            edge_ids,
+            reader.edge_ids[edge_rows],
             sources,
             targets,
             reader.edge_label_ids[edge_rows],
@@ -476,23 +323,11 @@ class DiskGraphStore(BaseGraphStore):
                 reader.edge_properties_at(int(edge_rows[position]))
             ),
         )
-        return node_cols, edge_cols
-
-    def shard_properties(
-        self, plan: ShardPlan
-    ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-        """Every node and edge property record of one shard, decoded.
-
-        In :meth:`columnize_shard`'s row order, so a batch position
-        indexes both.  Decoding every record keeps the heap-decode guard
-        of :meth:`~repro.graph.slab.SlabReader.node_properties_at` on
-        every row the shard covers.
-        """
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        reader = self._reader
-        node_rows = self._node_rows(partition.node_array(plan.index))
-        edge_rows = self._edge_rows(partition.edge_array(plan.index))
-        return (
+        if not properties:
+            return ShardColumns(node_cols, edge_cols, None, None)
+        return ShardColumns(
+            node_cols,
+            edge_cols,
             reader.node_properties_rows(node_rows),
             reader.edge_properties_rows(edge_rows),
         )

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterator, Protocol, Sequence, cast
 
 import numpy
 
-from repro.graph.model import Edge, Node, PropertyGraph
+from repro.graph.model import ID_MAX, ID_MIN, Edge, Node, PropertyGraph
 from repro.graph.slab import EDGE_KIND, NODE_KIND
 
 _ON_ERROR_POLICIES = ("raise", "skip", "collect")
@@ -321,7 +321,7 @@ def _record_int(
 
     Integers, integral floats and digit strings (the CSV loader's cells)
     pass; ``true``/``false`` and ``12.5`` are rejected, not read as 1, 0
-    and 12.
+    and 12, and so is an integer outside the signed 64-bit id range.
     """
     if key not in record:
         reject(line_number, f"{kind} record missing {key!r}")
@@ -331,11 +331,21 @@ def _record_int(
         isinstance(value, float) and not value.is_integer()
     ):
         try:
-            return int(value)
+            number = int(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if ID_MIN <= number <= ID_MAX:
+                return number
+            reject(line_number, _out_of_range(kind, key, number))
+            return None
     reject(line_number, f"non-integer {kind} {key} {value!r}")
     return None
+
+
+def _out_of_range(kind: str, key: str, number: int) -> str:
+    """The reject reason of an id outside the signed 64-bit range."""
+    return f"{kind} {key} {number} outside the signed 64-bit range"
 
 
 def json_scanner() -> Callable[[str, int], tuple[Any, int]]:
@@ -385,7 +395,7 @@ def parse_jsonl_record(
     kind = record.get("kind")
     if kind == "node":
         node_id = record.get("id")
-        if type(node_id) is not int:
+        if type(node_id) is not int or not ID_MIN <= node_id <= ID_MAX:
             node_id = _record_int(record, "id", "node", reject, line_number)
             if node_id is None:
                 return None
@@ -406,6 +416,9 @@ def parse_jsonl_record(
             type(edge_id) is not int
             or type(source) is not int
             or type(target) is not int
+            or not ID_MIN <= edge_id <= ID_MAX
+            or not ID_MIN <= source <= ID_MAX
+            or not ID_MIN <= target <= ID_MAX
         ):
             # Every id field is checked (and rejected) in turn, so a
             # lenient load reports each bad field.
@@ -784,12 +797,16 @@ def _row_ints(
     values: list[int] = []
     for cell in row[:count]:
         try:
-            values.append(int(cell))
+            number = int(cell)
         except ValueError:
             policy.reject(
                 line_number, f"non-integer {kind} id cell {cell!r}"
             )
             return None
+        if not ID_MIN <= number <= ID_MAX:
+            policy.reject(line_number, _out_of_range(kind, "id cell", number))
+            return None
+        values.append(number)
     return values
 
 

@@ -16,6 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
+#: The element id range: ids are signed 64-bit integers, the dtype of
+#: every id column, so input parsers reject ids outside it.
+ID_MIN = -(1 << 63)
+ID_MAX = (1 << 63) - 1
+
 
 def _normalize_labels(labels: Iterable[str] | None) -> frozenset[str]:
     """Return a canonical frozenset of labels, treating ``None`` as empty."""

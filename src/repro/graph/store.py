@@ -18,11 +18,17 @@ from __future__ import annotations
 import hashlib
 import random
 from abc import ABC, abstractmethod
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain, count
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.graph.model import Edge, Node, PropertyGraph
+
+if TYPE_CHECKING:
+    from repro.core.columns import ShardColumns
 
 
 @dataclass(frozen=True)
@@ -30,10 +36,10 @@ class ShardPlan:
     """Self-contained recipe for one shard of a node-partitioned scan.
 
     A plan is tiny (four scalars) and picklable, so a pool of workers can
-    each receive a plan and call :meth:`GraphStore.materialize_shard`
-    independently -- against a fork-inherited store or any store wrapping
+    each receive a plan and call :meth:`BaseGraphStore.materialize_shard`
+    independently -- against a fork-inherited store or any store holding
     the same graph -- and obtain exactly the batch that
-    :meth:`GraphStore.batches` would have yielded at ``index``.
+    :meth:`BaseGraphStore.batches` would have yielded at ``index``.
     """
 
     index: int
@@ -42,20 +48,47 @@ class ShardPlan:
     shuffle: bool = True
 
 
-class _Partition:
-    """Materialized node/edge partition shared by all shards of one plan."""
+class ShardRows(NamedTuple):
+    """One partition: each shard's node rows and edge rows, in order."""
 
-    __slots__ = ("nodes_by_shard", "edges_by_shard", "labels_by_id")
+    nodes: list[np.ndarray]
+    edges: list[np.ndarray]
 
-    def __init__(
-        self,
-        nodes_by_shard: list[list[Node]],
-        edges_by_shard: dict[int, list[Edge]],
-        labels_by_id: dict[int, frozenset[str]],
-    ) -> None:
-        self.nodes_by_shard = nodes_by_shard
-        self.edges_by_shard = edges_by_shard
-        self.labels_by_id = labels_by_id
+
+def partition_rows(
+    num_nodes: int,
+    source_rows: np.ndarray,
+    num_shards: int,
+    seed: int,
+    shuffle: bool,
+) -> ShardRows:
+    """Each shard's node rows and edge rows, in shard member order.
+
+    Row ``r`` is the ``r``-th element a scan yields.  The node rows are
+    shuffled with ``random.Random(seed).shuffle`` (whose permutation
+    depends only on the list length, so shuffling positions gives the
+    plan that shuffling ids would) and dealt round-robin; every edge
+    joins its source node's shard, in scan order (a stable argsort over
+    ``source_rows``, the node row of each edge's source).
+    """
+    positions = list(range(num_nodes))
+    if shuffle:
+        random.Random(seed).shuffle(positions)
+    order = np.asarray(positions, dtype=np.int64)
+    shard_of_row = np.empty(num_nodes, dtype=np.int64)
+    shard_of_row[order] = np.arange(num_nodes, dtype=np.int64) % num_shards
+    edge_shards = shard_of_row[np.asarray(source_rows, dtype=np.int64)]
+    edge_order = np.argsort(edge_shards, kind="stable")
+    bounds = np.searchsorted(
+        edge_shards[edge_order], np.arange(num_shards + 1)
+    ).tolist()
+    return ShardRows(
+        [order[shard::num_shards] for shard in range(num_shards)],
+        [
+            edge_order[bounds[shard] : bounds[shard + 1]]
+            for shard in range(num_shards)
+        ],
+    )
 
 
 class BaseGraphStore(ABC):
@@ -67,15 +100,20 @@ class BaseGraphStore(ABC):
     slabs for graphs bigger than RAM).  The algorithmic layers --
     vectorization, clustering, the parallel driver, post-processing --
     depend only on this interface, and the contract is *byte-identity*:
-    for the same logical graph both backends must partition, shuffle
-    and materialize exactly the same elements in exactly the same
-    order, so discovery output never depends on where the bytes live.
+    for the same logical graph every backend partitions, shuffles and
+    materializes exactly the same elements in exactly the same order,
+    so discovery output never depends on where the bytes live.
 
-    Everything deterministic about sharding lives here: the partition
-    semantics (insertion-ordered ids, ``random.Random(seed).shuffle``,
-    round-robin assignment, edges following their source node) are part
-    of the interface, not an implementation detail.
+    A backend supplies scans, counts, point lookups, its journal
+    fingerprint and *row access* (``_source_rows``, ``_nodes_at``,
+    ``_edges_at``, ``_node_labels_of``).  The base owns everything
+    about sharding: :meth:`plan_shards`, the one cached partition
+    (:func:`partition_rows`, over row positions),
+    :meth:`materialize_shard` with its endpoint-label walk, and the map
+    step's :meth:`columnize_shard`.
     """
+
+    _partition_cache: tuple[tuple[int, int, bool], ShardRows] | None = None
 
     # ------------------------------------------------------------------
     # Identity and scans
@@ -113,6 +151,44 @@ class BaseGraphStore(ABC):
         """Source and target node of an edge."""
         return self.node(edge.source), self.node(edge.target)
 
+    def journal_fingerprint(self) -> dict[str, str] | None:
+        """Content marker for the run journal's context.
+
+        Something that changes whenever the stored graph does, so a
+        resumed run can refuse a journal written against different
+        data; ``None`` when the backend cannot tell.
+        """
+        return None
+
+    # ------------------------------------------------------------------
+    # Row access (rows are scan positions)
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _source_rows(self) -> np.ndarray:
+        """The node row of every edge's source, in edge row order.
+
+        Called whenever a partition is built, so a backend may take the
+        row snapshot its shards will read here.
+        """
+
+    @abstractmethod
+    def _nodes_at(self, rows: np.ndarray) -> list[Node]:
+        """The nodes at ``rows``, in that order."""
+
+    @abstractmethod
+    def _edges_at(self, rows: np.ndarray) -> list[Edge]:
+        """The edges at ``rows``, in that order."""
+
+    @abstractmethod
+    def _node_labels_of(self, node_ids: Sequence[int]) -> list[frozenset[str]]:
+        """The label set of each node id, in that order."""
+
+    def _keep_partition(
+        self, key: tuple[int, int, bool], partition: ShardRows
+    ) -> ShardRows:
+        """Where the partition of ``key`` lives (in RAM unless overridden)."""
+        return partition
+
     # ------------------------------------------------------------------
     # Sharded scans
     # ------------------------------------------------------------------
@@ -134,27 +210,83 @@ class BaseGraphStore(ABC):
         for plan in self.plan_shards(num_batches, seed, shuffle):
             yield self.materialize_shard(plan)
 
-    @abstractmethod
     def plan_shards(
         self,
         num_shards: int,
         seed: int = 0,
         shuffle: bool = True,
     ) -> list[ShardPlan]:
-        """Plans for materializing each batch of a sharded scan on demand."""
+        """Plans for materializing each batch of a sharded scan on demand.
 
-    @abstractmethod
-    def materialize_shard(self, plan: ShardPlan) -> "GraphBatch":
-        """Build the single batch described by ``plan``."""
-
-    def journal_fingerprint(self) -> dict[str, str] | None:
-        """Content marker for the run journal's context.
-
-        Something that changes whenever the stored graph does, so a
-        resumed run can refuse a journal written against different
-        data; ``None`` when the backend cannot tell.
+        ``materialize_shard(plan_shards(n)[k])`` is exactly the ``k``-th
+        batch of ``batches(n)``; shards can therefore be built in any
+        order, concurrently, and in separate processes.  Calling this in
+        the parent also warms the partition cache, so forked workers
+        inherit the assignment instead of recomputing it.
         """
-        return None
+        self._partition(num_shards, seed, shuffle)
+        return [
+            ShardPlan(index, num_shards, seed, shuffle)
+            for index in range(num_shards)
+        ]
+
+    def materialize_shard(self, plan: ShardPlan) -> "GraphBatch":
+        """Build the single batch described by ``plan``.
+
+        ``endpoint_labels`` walks the batch's edges in order, source
+        before target, and keeps each endpoint's label set at its first
+        sighting.
+        """
+        partition = self._shard_partition(plan)
+        nodes = self._nodes_at(partition.nodes[plan.index])
+        edges = self._edges_at(partition.edges[plan.index])
+        endpoint_ids = list(dict.fromkeys(
+            chain.from_iterable(map(attrgetter("source", "target"), edges))
+        ))
+        endpoint_labels = dict(
+            zip(endpoint_ids, self._node_labels_of(endpoint_ids))
+        )
+        return GraphBatch(plan.index, nodes, edges, endpoint_labels)
+
+    def columnize_shard(
+        self, plan: ShardPlan, properties: bool = True
+    ) -> "ShardColumns":
+        """The map step's view of one shard: columns and property columns.
+
+        Equal to columnizing :meth:`materialize_shard`'s batch, with the
+        elements' own property dicts as the property columns.  With
+        ``properties=False`` a backend may leave them out (``None``).
+        """
+        from repro.core.columns import columnize_batch
+
+        batch = self.materialize_shard(plan)
+        return columnize_batch(batch.nodes, batch.edges, batch.endpoint_labels)
+
+    def _shard_partition(self, plan: ShardPlan) -> ShardRows:
+        """The partition behind ``plan``, after checking its index."""
+        if not 0 <= plan.index < plan.num_shards:
+            raise ValueError(
+                f"shard index {plan.index} out of range for "
+                f"{plan.num_shards} shards"
+            )
+        return self._partition(plan.num_shards, plan.seed, plan.shuffle)
+
+    def _partition(
+        self, num_shards: int, seed: int, shuffle: bool
+    ) -> ShardRows:
+        """Assign node and edge rows to shards (cached for the last plan)."""
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
+        key = (num_shards, seed, shuffle)
+        cached = self._partition_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        source_rows = self._source_rows()
+        partition = self._keep_partition(key, partition_rows(
+            self.count_nodes(), source_rows, num_shards, seed, shuffle
+        ))
+        self._partition_cache = (key, partition)
+        return partition
 
 
 class GraphStore(BaseGraphStore):
@@ -168,9 +300,8 @@ class GraphStore(BaseGraphStore):
 
     def __init__(self, graph: PropertyGraph) -> None:
         self._graph = graph
-        self._partition_cache: tuple[
-            tuple[int, int, bool], _Partition
-        ] | None = None
+        self._node_list: list[Node] = []
+        self._edge_list: list[Edge] = []
 
     @property
     def graph(self) -> PropertyGraph:
@@ -214,39 +345,26 @@ class GraphStore(BaseGraphStore):
         return self._graph.endpoints(edge.id)
 
     # ------------------------------------------------------------------
-    # Batch streaming for the incremental mode (section 4.6)
+    # Row access: a snapshot of the graph's insertion order
     # ------------------------------------------------------------------
-    def plan_shards(
-        self,
-        num_shards: int,
-        seed: int = 0,
-        shuffle: bool = True,
-    ) -> list[ShardPlan]:
-        """Plans for materializing each batch of a sharded scan on demand.
+    def _source_rows(self) -> np.ndarray:
+        self._node_list = list(self._graph.nodes())
+        self._edge_list = list(self._graph.edges())
+        row_of = dict(zip(map(attrgetter("id"), self._node_list), count()))
+        return np.fromiter(
+            map(row_of.__getitem__, map(attrgetter("source"), self._edge_list)),
+            dtype=np.int64, count=len(self._edge_list),
+        )
 
-        ``materialize_shard(plan_shards(n)[k])`` is exactly the ``k``-th
-        batch of ``batches(n)``; shards can therefore be built in any
-        order, concurrently, and in separate processes.  Calling this in
-        the parent also warms the partition cache, so forked workers
-        inherit the assignment instead of recomputing it.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self._partition(num_shards, seed, shuffle)
-        return [
-            ShardPlan(index, num_shards, seed, shuffle)
-            for index in range(num_shards)
-        ]
+    def _nodes_at(self, rows: np.ndarray) -> list[Node]:
+        return list(map(self._node_list.__getitem__, rows.tolist()))
 
-    def materialize_shard(self, plan: ShardPlan) -> "GraphBatch":
-        """Build the single batch described by ``plan``."""
-        if not 0 <= plan.index < plan.num_shards:
-            raise ValueError(
-                f"shard index {plan.index} out of range for "
-                f"{plan.num_shards} shards"
-            )
-        partition = self._partition(plan.num_shards, plan.seed, plan.shuffle)
-        return self._make_batch(partition, plan.index)
+    def _edges_at(self, rows: np.ndarray) -> list[Edge]:
+        return list(map(self._edge_list.__getitem__, rows.tolist()))
+
+    def _node_labels_of(self, node_ids: Sequence[int]) -> list[frozenset[str]]:
+        node = self._graph.node
+        return [node(node_id).labels for node_id in node_ids]
 
     def journal_fingerprint(self) -> dict[str, str] | None:
         """Element counts plus a digest over every element in id order.
@@ -272,53 +390,6 @@ class GraphStore(BaseGraphStore):
             "edges": str(self.count_edges()),
             "digest": digest.hexdigest(),
         }
-
-    def _partition(
-        self, num_shards: int, seed: int, shuffle: bool
-    ) -> _Partition:
-        """Assign nodes and edges to shards (cached for the last plan)."""
-        if num_shards < 1:
-            raise ValueError("num_batches must be >= 1")
-        key = (num_shards, seed, shuffle)
-        cached = self._partition_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        node_ids = [node.id for node in self._graph.nodes()]
-        if shuffle:
-            random.Random(seed).shuffle(node_ids)
-        assignment: dict[int, int] = {}
-        for index, node_id in enumerate(node_ids):
-            assignment[node_id] = index % num_shards
-        edges_by_shard: dict[int, list[Edge]] = defaultdict(list)
-        for edge in self._graph.edges():
-            edges_by_shard[assignment[edge.source]].append(edge)
-        nodes_by_shard: list[list[Node]] = [[] for _ in range(num_shards)]
-        labels_by_id: dict[int, frozenset[str]] = {}
-        for nid in node_ids:
-            node = self._graph.node(nid)
-            nodes_by_shard[assignment[nid]].append(node)
-            labels_by_id[nid] = node.labels
-        partition = _Partition(nodes_by_shard, dict(edges_by_shard),
-                               labels_by_id)
-        self._partition_cache = (key, partition)
-        return partition
-
-    def _make_batch(
-        self, partition: _Partition, batch_index: int
-    ) -> "GraphBatch":
-        edges = partition.edges_by_shard.get(batch_index, [])
-        # Endpoints are looked up once per distinct node id (an edge
-        # list mentions the same hub nodes over and over).
-        labels_by_id = partition.labels_by_id
-        endpoint_labels: dict[int, frozenset[str]] = {}
-        for edge in edges:
-            for nid in (edge.source, edge.target):
-                if nid not in endpoint_labels:
-                    endpoint_labels[nid] = labels_by_id[nid]
-        return GraphBatch(
-            batch_index, partition.nodes_by_shard[batch_index], edges,
-            endpoint_labels,
-        )
 
 
 class GraphBatch:

@@ -23,7 +23,7 @@ from repro.core.columns import (
     intern_key_rows,
     intern_label_rows,
 )
-from repro.graph.model import Edge, Node
+from repro.graph.model import ID_MAX, ID_MIN, Edge, Node
 from repro.schema.validate import ValidationMode
 
 #: Characters allowed in session names -- they become checkpoint
@@ -79,6 +79,17 @@ def _require(body: Mapping[str, Any], key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _require_id(record: Mapping[str, Any], key: str, where: str) -> int:
+    value = int(_require(record, key, int, where))
+    if not ID_MIN <= value <= ID_MAX:
+        raise ApiError(400, "bad-request", _out_of_range(where, key, value))
+    return value
+
+
+def _out_of_range(where: str, key: str, value: object) -> str:
+    return f"{where}: {key!r} {value} is outside the signed 64-bit id range"
+
+
 def _parse_labels(record: Mapping[str, Any], where: str) -> frozenset[str]:
     labels = record.get("labels", [])
     if not isinstance(labels, list) or not all(
@@ -115,7 +126,7 @@ def parse_nodes(records: Any, where: str = "nodes") -> list[Node]:
         if not isinstance(record, dict):
             raise ApiError(400, "bad-request", f"{label} must be an object")
         nodes.append(Node(
-            id=int(_require(record, "id", int, label)),
+            id=_require_id(record, "id", label),
             labels=_parse_labels(record, label),
             properties=_parse_properties(record, label),
         ))
@@ -132,9 +143,9 @@ def parse_edges(records: Any, where: str = "edges") -> list[Edge]:
         if not isinstance(record, dict):
             raise ApiError(400, "bad-request", f"{label} must be an object")
         edges.append(Edge(
-            id=int(_require(record, "id", int, label)),
-            source=int(_require(record, "source", int, label)),
-            target=int(_require(record, "target", int, label)),
+            id=_require_id(record, "id", label),
+            source=_require_id(record, "source", label),
+            target=_require_id(record, "target", label),
             labels=_parse_labels(record, label),
             properties=_parse_properties(record, label),
         ))
@@ -160,6 +171,10 @@ def parse_endpoint_labels(
                 400, "bad-request",
                 f"{where}: key {raw_id!r} is not an integer node id",
             ) from None
+        if not ID_MIN <= node_id <= ID_MAX:
+            raise ApiError(
+                400, "bad-request", _out_of_range(where, "key", raw_id)
+            )
         if not isinstance(labels, list) or not all(
             isinstance(label, str) for label in labels
         ):
@@ -195,6 +210,8 @@ def _decode_endpoint_map(
         node_ids = list(map(int, value))
     except (TypeError, ValueError):
         return None
+    if not _in_id_range(node_ids):
+        return None
     rows = list(value.values())
     if not _all_of(list, rows):
         return None
@@ -208,6 +225,11 @@ def _decode_endpoint_map(
 def _all_of(kind: type, values: Iterable[Any]) -> bool:
     """Whether every value's type is exactly ``kind`` (bool is not int)."""
     return set(map(type, values)) <= {kind}
+
+
+def _in_id_range(ids: list[int]) -> bool:
+    """Whether every id fits the signed 64-bit id range."""
+    return not ids or (min(ids) >= ID_MIN and max(ids) <= ID_MAX)
 
 
 def _intern_labels(
@@ -254,7 +276,7 @@ def _decode_rows(
     id_columns: list[list[int]] = []
     for name in id_fields:
         column = list(map(_field, records, repeat(name)))
-        if not _all_of(int, column):
+        if not _all_of(int, column) or not _in_id_range(column):
             return None
         id_columns.append(column)
     no_labels: list[str] = []

@@ -53,9 +53,9 @@ class SessionWorkerPool:
     def _run(self) -> None:
         while True:
             task = self._tasks.get()
-            if task is None:
-                return
             try:
+                if task is None:
+                    return
                 task()
             except Exception:
                 # A task that leaks is a bug in the session layer (a
@@ -65,6 +65,10 @@ class SessionWorkerPool:
                 # the pool.
                 with self._leaked_lock:
                     self._leaked += 1
+            finally:
+                # After the task, so the work it dispatched is already
+                # queued when ``shutdown``'s join sees this one done.
+                self._tasks.task_done()
 
     @property
     def leaked_task_errors(self) -> int:
@@ -73,7 +77,14 @@ class SessionWorkerPool:
             return self._leaked
 
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the workers after the queued work drains."""
+        """Stop the workers after the queued work drains.
+
+        Waits until every dispatched task has run, including the tasks
+        those dispatch in turn (a session's drain re-dispatches itself
+        while its queue holds batches); only then do the stop sentinels
+        go in, and ``timeout`` bounds each worker's exit.
+        """
+        self._tasks.join()
         for _ in self._threads:
             self._tasks.put(None)
         for thread in self._threads:

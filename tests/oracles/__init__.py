@@ -1,9 +1,9 @@
 """Executable specifications the production engines are tested against.
 
 ``src/repro`` ships one implementation per layer: the distinct-pattern
-batch kernels, the columnar validator, the row ingest and the column
-§4.4 fold.  The element-at-a-time loops they replaced live here,
-outside the package, as oracles:
+batch kernels, the columnar validator, the row ingest, the column §4.4
+fold and the store partition.  The element-at-a-time loops they
+replaced live here, outside the package, as oracles:
 
 * :mod:`tests.oracles.kernels` -- per-kernel reference loops
   (vectorization, MinHash feature sets and signatures, banding, label
@@ -18,7 +18,10 @@ outside the package, as oracles:
   ingest of :mod:`repro.graph.io` and the slab writer replaced;
 * :mod:`tests.oracles.postprocess` -- the per-member object fold of a
   batch's §4.4 stats that the column fold
-  (:func:`repro.core.postprocess.attach_column_stats`) replaced.
+  (:func:`repro.core.postprocess.attach_column_stats`) replaced;
+* :mod:`tests.oracles.partition` -- the object loop over node ids that
+  the shared row partition of
+  :class:`repro.graph.store.BaseGraphStore` replaced.
 
 ``benchmarks/bench_hotpath.py`` times the reference engine as the
 baseline of its speedup table.

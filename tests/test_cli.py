@@ -202,6 +202,42 @@ class TestCliFailureHandling:
         assert "rejected 1 records" in captured.err
         assert "unknown record kind" in captured.err
 
+    def test_out_of_range_id_is_a_reject_on_both_stores(
+        self, tmp_path, capsys
+    ):
+        """An id past the int64 range is a located reject, never a
+        traceback: ``raise`` exits 1 at its line, and ``collect`` reports
+        the same line on both stores and discovers the rest."""
+        path = tmp_path / "big.jsonl"
+        path.write_text(
+            '{"kind": "node", "id": 1, "labels": ["A"]}\n'
+            '{"kind": "node", "id": 9223372036854775813, "labels": ["A"]}\n'
+            '{"kind": "edge", "id": 5, "source": 1, "target": 1}\n',
+            encoding="utf-8",
+        )
+        reports = []
+        for store in ("memory", "disk"):
+            store_args = [
+                "--store", store, "--store-dir", str(tmp_path / store),
+            ]
+            assert main(["discover", str(path), *store_args]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {path}:2: node id ")
+            assert "Traceback" not in captured.err
+            assert main([
+                "discover", str(path), *store_args, "--on-error", "collect",
+            ]) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            reports.append([
+                line for line in captured.err.splitlines()
+                if line.startswith(str(path))
+            ])
+        assert reports[0] == reports[1] == [
+            f"{path}:2: node id 9223372036854775813 outside the signed "
+            "64-bit range"
+        ]
+
     def test_on_error_skip_loads_silently(
         self, tmp_path, capsys, figure1_graph
     ):

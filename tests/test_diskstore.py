@@ -199,7 +199,7 @@ class TestColumnizeShard:
             )
             ref_n = node_columns(batch.nodes)
             ref_e = edge_columns(batch.edges, batch.endpoint_labels)
-            got_n, got_e = disk_store.columnize_shard(plan)
+            got_n, got_e, _, _ = disk_store.columnize_shard(plan)
             numpy.testing.assert_array_equal(got_n.ids, ref_n.ids)
             numpy.testing.assert_array_equal(got_n.label_ids, ref_n.label_ids)
             numpy.testing.assert_array_equal(
@@ -243,7 +243,7 @@ class TestColumnizeShard:
             memory.plan_shards(2, seed=0), store.plan_shards(2, seed=0)
         ):
             batch = memory.materialize_shard(plan_m)
-            ncols, _ = store.columnize_shard(plan_d)
+            ncols = store.columnize_shard(plan_d).nodes
             assert ncols.keys.orders == node_columns(batch.nodes).keys.orders
         store.close()
 
@@ -821,9 +821,9 @@ class _CountingStore:
         self._count(plan)
         return self._store.materialize_shard(plan)
 
-    def columnize_shard(self, plan):
+    def columnize_shard(self, plan, properties=True):
         self._count(plan)
-        return self._store.columnize_shard(plan)
+        return self._store.columnize_shard(plan, properties)
 
 
 class TestJournalInvalidation:

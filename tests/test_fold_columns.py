@@ -2,9 +2,8 @@
 
 :func:`repro.core.postprocess.attach_column_stats` must attach exactly
 the stats of :func:`tests.oracles.postprocess.attach_partial_stats_reference`
-on every batch, from memory columns and from the disk store's
-``columnize_shard``/``shard_properties``, with and without value
-tracking.  The datatype shortcut it rides on
+on every batch, from either store's ``columnize_shard``, with and
+without value tracking.  The datatype shortcut it rides on
 (:func:`repro.core.datatypes.join_value_type`) must classify every
 string as the full cascade does, in any feed order.
 """
@@ -16,7 +15,6 @@ import random
 
 import pytest
 
-from repro.core.columns import edge_columns, node_columns
 from repro.core.config import PGHiveConfig
 from repro.core.datatypes import (
     infer_datatype,
@@ -66,32 +64,16 @@ def graph(request):
     return _graph(request.param)
 
 
-def _batch_schemas(store, columnize):
+def _batch_schemas(store):
     """Each shard's stat-less batch schema with the shard's columns."""
     engine = IncrementalDiscovery(PGHiveConfig(), name="shard")
     for plan in store.plan_shards(NUM_BATCHES, seed=0):
-        ncols, ecols, node_props, edge_props = columnize(store, plan)
+        ncols, ecols, node_props, edge_props = store.columnize_shard(plan)
         schema, _ = engine.discover_batch_columns(
             ncols, ecols, batch_index=plan.index
         )
         assert all(t.stats is None for t in schema.node_types.values())
         yield plan, schema, ncols, ecols, node_props, edge_props
-
-
-def _memory_columns(store, plan):
-    batch = store.materialize_shard(plan)
-    return (
-        node_columns(batch.nodes),
-        edge_columns(batch.edges, batch.endpoint_labels),
-        [node.properties for node in batch.nodes],
-        [edge.properties for edge in batch.edges],
-    )
-
-
-def _disk_columns(store, plan):
-    ncols, ecols = store.columnize_shard(plan)
-    node_props, edge_props = store.shard_properties(plan)
-    return ncols, ecols, node_props, edge_props
 
 
 @pytest.mark.parametrize("track_values", [False, True])
@@ -100,14 +82,13 @@ def test_column_fold_equals_object_fold(
     graph, backend, track_values, tmp_path
 ):
     if backend == "memory":
-        store, columnize = GraphStore(graph), _memory_columns
+        store = GraphStore(graph)
     else:
         store = write_graph_to_slabs(graph, tmp_path / "slabs")
-        columnize = _disk_columns
     folded = 0
     try:
         for plan, schema, ncols, ecols, node_props, edge_props in (
-            _batch_schemas(store, columnize)
+            _batch_schemas(store)
         ):
             batch = store.materialize_shard(plan)
             expected = copy.deepcopy(schema)

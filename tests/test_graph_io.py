@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import PGHive
 from repro.graph.diskstore import ingest_jsonl_slabs
 from repro.graph.io import (
     IngestReport,
@@ -11,6 +12,8 @@ from repro.graph.io import (
     save_graph_csv,
     save_graph_jsonl,
 )
+from repro.graph.store import GraphStore
+from repro.schema.serialize_pgschema import serialize_pg_schema
 
 
 def _assert_graphs_equal(a, b):
@@ -202,6 +205,62 @@ class TestNonIntegerIds:
             path, tmp_path / "slabs", on_error="collect", report=slab_report
         ).close()
         assert slab_report == report
+
+
+OUT_OF_RANGE_IDS = "\n".join([
+    '{"kind": "node", "id": 1, "labels": ["A"]}',
+    '{"kind": "node", "id": 9223372036854775813, "labels": ["A"]}',
+    '{"kind": "node", "id": -9223372036854775809, "labels": ["A"]}',
+    '{"kind": "node", "id": 9223372036854775807, "labels": ["B"]}',
+    '{"kind": "edge", "id": 5, "source": 1, "target": 18446744073709551616}',
+    '{"kind": "edge", "id": 6, "source": 1, "target": 9223372036854775807}',
+]) + "\n"
+
+
+class TestOutOfRangeIds:
+    """Ids outside the signed 64-bit range of the id columns are rejected
+    at their line, with one message on both loaders and under every
+    policy; the int64 extremes themselves load and discover."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(OUT_OF_RANGE_IDS, encoding="utf-8")
+        return path
+
+    def test_raise(self, path, tmp_path):
+        message = (
+            r"ids\.jsonl:2: node id 9223372036854775813 outside the "
+            r"signed 64-bit range"
+        )
+        with pytest.raises(ValueError, match=message):
+            load_graph_jsonl(path)
+        with pytest.raises(ValueError, match=message):
+            ingest_jsonl_slabs(path, tmp_path / "slabs")
+
+    @pytest.mark.parametrize("on_error", ["skip", "collect"])
+    def test_lenient_loads_agree(self, path, tmp_path, on_error):
+        report = IngestReport()
+        graph = load_graph_jsonl(path, on_error=on_error, report=report)
+        assert [(e.line, e.reason) for e in report.errors] == [
+            (2, "node id 9223372036854775813 outside the signed 64-bit "
+                "range"),
+            (3, "node id -9223372036854775809 outside the signed 64-bit "
+                "range"),
+            (5, "edge target 18446744073709551616 outside the signed "
+                "64-bit range"),
+        ]
+        slab_report = IngestReport()
+        store = ingest_jsonl_slabs(
+            path, tmp_path / "slabs", on_error=on_error, report=slab_report
+        )
+        assert slab_report == report
+        memory = GraphStore(graph)
+        assert [n.id for n in graph.nodes()] == [1, (1 << 63) - 1]
+        assert serialize_pg_schema(PGHive().discover(store).schema) == (
+            serialize_pg_schema(PGHive().discover(memory).schema)
+        )
+        store.close()
 
 
 class TestCsv:

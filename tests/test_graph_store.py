@@ -100,6 +100,8 @@ class TestShardPlans:
 
         with pytest.raises(ValueError):
             figure1_store.materialize_shard(ShardPlan(3, 3))
+        with pytest.raises(ValueError):
+            figure1_store.columnize_shard(ShardPlan(-1, 3))
 
     def test_invalid_shard_count(self, figure1_store):
         with pytest.raises(ValueError):

@@ -526,6 +526,30 @@ class TestSessionLayerDirect:
         assert ticket.status is TicketStatus.FAILED
         assert ticket.error
 
+    def test_shutdown_drains_every_queued_batch(self):
+        """A session runs one batch per pool task and re-dispatches its
+        drain behind whatever is queued, stop sentinels included:
+        ``shutdown()`` must still run every queued batch first."""
+        store = GraphStore(get_dataset("POLE", scale=1, seed=1).graph)
+        service = SchemaService(PGHiveConfig(server_workers=1))
+        service.handle("POST", "/sessions", {}, {"name": "s"})
+        tickets = []
+        for batch in store.batches(4, seed=0):
+            status, ticket = service.handle(
+                "POST", "/sessions/s/batches", {},
+                {
+                    "nodes": [_record(node) for node in batch.nodes],
+                    "edges": [_record(edge) for edge in batch.edges],
+                },
+            )
+            assert status == 202
+            tickets.append(ticket["id"])
+        service.sessions.shutdown()
+        assert [
+            service.handle("GET", f"/tickets/{ticket}", {}, {})[1]["status"]
+            for ticket in tickets
+        ] == ["done"] * 4
+
     def test_leaked_task_exception_is_counted(self):
         """A task that raises is counted, and the worker that ran it
         still runs the next task.  ``shutdown()`` drains the queue before

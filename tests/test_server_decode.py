@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.columns import EdgeColumns, NodeColumns, edge_columns, node_columns
+from repro.core.config import PGHiveConfig
 from repro.datasets import get_dataset, inject_noise
 from repro.graph.store import GraphStore
+from repro.server import SchemaService
 from repro.server.models import (
     ApiError,
     BatchRequest,
@@ -48,15 +50,15 @@ _MISSING = object()
 #: One bad field per case, after some good records, so the first bad
 #: record is not the first record.
 _BAD_VALUES = {
-    "id": [_MISSING, True, "7", 7.0, None, [7]],
+    "id": [_MISSING, True, "7", 7.0, None, [7], 1 << 63, -(1 << 63) - 1],
     "labels": [None, "A", ("A",), {"A": 1}, [1], ["A", None], [["A"]],
                [True]],
     "properties": [None, [], "x", {1: "a"}, {None: 1}, {"a": 1, 2: "b"}],
 }
 _EDGE_BAD_VALUES = {
     **_BAD_VALUES,
-    "source": [_MISSING, False, "1", 1.5, None],
-    "target": [_MISSING, True, "2", 2.5, None],
+    "source": [_MISSING, False, "1", 1.5, None, 1 << 64],
+    "target": [_MISSING, True, "2", 2.5, None, -(1 << 64)],
 }
 
 
@@ -91,6 +93,7 @@ def _endpoint_cases():
     yield "string", "x"
     yield "float-key", {"1": ["A"], "1.5": ["B"]}
     yield "word-key", {"1": ["A"], "one": ["B"]}
+    yield "huge-key", {"1": ["A"], str(1 << 63): ["B"]}
     yield "labels-none", {"1": ["A"], "2": None}
     yield "labels-string", {"1": "A"}
     yield "label-int", {"1": ["A"], "2": ["B", 3]}
@@ -141,6 +144,32 @@ def test_malformed_endpoint_labels_fail_as_the_parser(payload):
     assert _error(decode_endpoint_labels, payload) == expected
     body = {"nodes": [_NODE], "edges": [_EDGE], "endpoint_labels": payload}
     assert _error(BatchRequest.from_dict, body) == expected
+
+
+@pytest.mark.parametrize("path", ["batches", "validate"])
+def test_out_of_range_ids_are_a_400(path):
+    """An id outside the int64 columns' range fails the request as a
+    400 naming the first bad record, on ingest and on validate alike
+    (it used to escape as a raw ``OverflowError``)."""
+    huge = 9223372036854775813
+    service = SchemaService(PGHiveConfig(server_workers=1))
+    try:
+        service.handle("POST", "/sessions", {}, {"name": "s"})
+        for body, where in [
+            ({"nodes": [_NODE, _with(_NODE, id=huge)]}, "nodes[1]: 'id'"),
+            (
+                {"nodes": [_NODE], "edges": [_with(_EDGE, target=huge)]},
+                "edges[0]: 'target'",
+            ),
+        ]:
+            with pytest.raises(ApiError) as error:
+                service.handle("POST", f"/sessions/s/{path}", {}, body)
+            assert error.value.status == 400
+            assert error.value.message == (
+                f"{where} {huge} is outside the signed 64-bit id range"
+            )
+    finally:
+        service.sessions.shutdown()
 
 
 def test_nodes_are_checked_before_edges():
